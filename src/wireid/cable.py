@@ -17,6 +17,9 @@ All runs are deterministic. A cable's hidden wiring comes from
 ``random.Random(seed)`` driving a Fisher-Yates shuffle (``random.shuffle``)
 of the positions 1..n; seed 0 is reserved for the identity wiring. The
 same seed always reproduces the same cable within this implementation.
+Seeds must be non-negative: ``random.Random`` seeds from the absolute
+value, so a negative seed would silently repeat the wiring of its positive
+twin, and make_cable rejects it instead.
 """
 
 from __future__ import annotations
@@ -52,10 +55,13 @@ class CableInstance:
 
 
 def make_cable(n: int, seed: int) -> CableInstance:
-    """Deterministic cable: seed 0 gives the identity wiring, any other seed
-    a pseudo-random bijection reproduced exactly on every run."""
+    """Deterministic cable: seed 0 gives the identity wiring, any positive
+    seed a pseudo-random bijection reproduced exactly on every run.
+    Negative seeds raise ValueError."""
     if n < 1:
         raise ValueError(f"need at least one wire, got n={n}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if seed == 0:
         wiring = tuple(range(1, n + 1))
     else:

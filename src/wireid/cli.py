@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run the two-ended identification protocol")
     simulate.add_argument("--n", type=int, required=True, help="number of wires")
     simulate.add_argument("--m", type=int, default=None, help="order (smallest feasible if omitted)")
-    simulate.add_argument("--seed", type=int, default=0, help="hidden wiring seed (0 = identity)")
+    simulate.add_argument("--seed", type=int, default=0, help="hidden wiring seed, non-negative (0 = identity)")
     simulate.add_argument("--format", choices=(GRID, STRUCTURED), default=GRID)
     simulate.set_defaults(func=cmd_simulate)
 

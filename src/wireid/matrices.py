@@ -4,10 +4,14 @@ A degree sequence is a plain tuple of non-negative integers; a sequence of
 length m prescribes the number of 1s in each row (or each column) of an
 m x m matrix. The central operation is :func:`construct_matrix`, which
 realizes any pair of nonincreasing, gap-free degree sequences with equal
-totals (consecutive entries may drop by at most 1) by a direct recursion:
-peel off the first row and column, reduce the remaining sums, sort, and
-recurse. The recursion cannot fail once :func:`can_construct` accepts the
-input; that guarantee is asserted, not rescued.
+totals (consecutive entries may drop by at most 1) level by level: peel
+off the first row and column, reduce the remaining sums, sort, and repeat
+on the smaller square. A loop runs the levels over two index arrays that
+map the shrinking square back to original rows and columns, writing each
+level's row and column straight into the output, so the whole construction
+takes O(m^2) work and has no recursion depth limit. It cannot fail once
+:func:`can_construct` accepts the input; that guarantee is asserted at
+every level, not rescued.
 
 Two independent routes exist for cross-checking realizability:
 :func:`gale_ryser_feasible` (the classical majorization criterion, which
@@ -131,12 +135,17 @@ def can_construct(r: Sequence[int], c: Sequence[int]) -> bool:
 def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
     """Build an m x m 0-1 matrix with row sums r and column sums c.
 
-    Requires can_construct(r, c). The recursion: with p = r[0] and q = c[0],
-    the first row carries 1s in columns 1..p and the first column carries 1s
-    in rows 1..q (sharing the corner), so the remaining (m-1)-square must
-    realize r' = (r2-1, ..., rq-1, r(q+1), ..., rm) and the mirror c'.
-    Those are sorted nonincreasing (stable), realized recursively, and
-    un-sorted. Self-dual: equal inputs produce a symmetric matrix.
+    Requires can_construct(r, c). One level of the construction: with
+    p = r[0] and q = c[0], the first row carries 1s in columns 1..p and the
+    first column carries 1s in rows 1..q (sharing the corner), so the
+    remaining (m-1)-square must realize r' = (r2-1, ..., rq-1, r(q+1), ...,
+    rm) and the mirror c'. Those are sorted nonincreasing (stable) and form
+    the next level. Two index arrays map each current position to its
+    original row and column, so every level writes its first row and column
+    straight into the one m x m output: O(m) work per level plus a sort of
+    nearly sorted sums, O(m^2) in all, with no copy of a sub-matrix and no
+    recursion depth limit. Self-dual: equal inputs produce a symmetric
+    matrix.
     """
     r, c = tuple(r), tuple(c)
     if not can_construct(r, c):
@@ -147,45 +156,34 @@ def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
     return BinaryMatrix(_construct(r, c))
 
 
-def _construct(r: DegreeSequence, c: DegreeSequence) -> tuple[tuple[int, ...], ...]:
+def _construct(r: DegreeSequence, c: DegreeSequence) -> list[list[int]]:
     m = len(r)
-    if m == 1:
-        return ((r[0],),)
-    p, q = r[0], c[0]
-    if p == 0:
-        # Equal totals force q == 0 as well; the whole matrix is zero.
-        return tuple((0,) * m for _ in range(m))
-    # 1-based positions 2..q of r lose one to the new first column (and
-    # 2..p of c to the new first row).
-    r_sub = tuple(r[j] - 1 if j + 1 <= q else r[j] for j in range(1, m))
-    c_sub = tuple(c[j] - 1 if j + 1 <= p else c[j] for j in range(1, m))
-    r_sorted, r_order = _sort_descending(r_sub)
-    c_sorted, c_order = _sort_descending(c_sub)
-    # The reduced, sorted sums satisfy the same hypotheses; this is the heart
-    # of the construction and must never fail.
-    assert can_construct(r_sorted, c_sorted), (r, c, r_sorted, c_sorted)
-    inner = _construct(r_sorted, c_sorted)
-    # Un-sort: inner row i realizes the sum originally at position r_order[i].
-    sub = [[0] * (m - 1) for _ in range(m - 1)]
-    for i in range(m - 1):
-        for j in range(m - 1):
-            sub[r_order[i]][c_order[j]] = inner[i][j]
     out = [[0] * m for _ in range(m)]
-    out[0][0] = 1
-    for k in range(1, p):
-        out[0][k] = 1
-    for j in range(1, q):
-        out[j][0] = 1
-    for i in range(m - 1):
-        for j in range(m - 1):
-            out[i + 1][j + 1] = sub[i][j]
-    return tuple(tuple(row) for row in out)
+    # Current position -> original row (column) of the output.
+    rows, cols = list(range(m)), list(range(m))
+    r_cur, c_cur = list(r), list(c)
+    # A zero first sum means the rest is zero too: equal totals force both.
+    while r_cur and r_cur[0]:
+        p, q = r_cur[0], c_cur[0]
+        top = out[rows[0]]
+        for k in range(p):
+            top[cols[k]] = 1
+        for j in range(1, q):
+            out[rows[j]][cols[0]] = 1
+        # Positions 2..q of r lose one to the first column (and 2..p of c
+        # to the first row).
+        r_cur, rows = _sort_descending([v - 1 for v in r_cur[1:q]] + r_cur[q:], rows[1:])
+        c_cur, cols = _sort_descending([v - 1 for v in c_cur[1:p]] + c_cur[p:], cols[1:])
+        # The reduced, sorted sums satisfy the same hypotheses; this is the
+        # heart of the construction and must never fail.
+        assert not r_cur or can_construct(r_cur, c_cur), (r, c, r_cur, c_cur)
+    return out
 
 
-def _sort_descending(seq: Sequence[int]) -> tuple[DegreeSequence, tuple[int, ...]]:
-    """Stable descending sort; returns (sorted values, sorted position -> original position)."""
-    order = sorted(range(len(seq)), key=lambda i: -seq[i])
-    return tuple(seq[i] for i in order), tuple(order)
+def _sort_descending(values: list[int], origin: list[int]) -> tuple[list[int], list[int]]:
+    """Stable descending sort of values, carrying origin along."""
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    return [values[i] for i in order], [origin[i] for i in order]
 
 
 def permute_to_sums(

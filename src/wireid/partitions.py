@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from typing import Hashable, Iterable, Sequence
 
 from .matrices import BinaryMatrix, construct_matrix, permute_to_sums
@@ -58,11 +59,7 @@ def max_elements(m: int) -> int:
     """Largest n admitting an order-m pair: sum over j of j*floor(m/j)."""
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
-    direct = sum(j * (m // j) for j in range(1, m + 1))
-    # Equivalent closed rearrangement; both forms must agree.
-    alt = m * m - sum(m % j for j in range(1, m + 1))
-    assert direct == alt, (m, direct, alt)
-    return direct
+    return sum(j * (m // j) for j in range(1, m + 1))
 
 
 def feasible_orders(n: int) -> list[int]:
@@ -248,7 +245,7 @@ def verify_kg(partition: KgPartition) -> bool:
     return not kg_violations(partition)
 
 
-def _blocks(items: list, size: int) -> list[frozenset]:
+def _blocks(items: Sequence, size: int) -> list[frozenset]:
     assert len(items) % size == 0
     return [frozenset(items[i : i + size]) for i in range(0, len(items), size)]
 
@@ -276,21 +273,21 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
 
-    cell_label: dict[tuple[int, int], Hashable] = {}
-    ordered = iter(labels)
-    for i in range(m):
-        for j in range(m):
-            if matrix.rows[i][j]:
-                cell_label[(i, j)] = next(ordered)
-
+    # One walk over each row's 1-columns: labels go out in row-major order,
+    # each row's labels chunk into A-sets at once, and each label also
+    # queues on its column for the B-sets.
     a_sets: list[frozenset] = []
-    for i in range(m):
-        row_labels = [cell_label[(i, j)] for j in range(m) if matrix.rows[i][j]]
+    col_labels: list[list] = [[] for _ in range(m)]
+    start = 0
+    for i, row in enumerate(matrix.rows):
+        row_labels = labels[start : start + r[i]]
+        start += r[i]
         a_sets.extend(_blocks(row_labels, i + 1))
+        for j, label in zip(compress(range(m), row), row_labels):
+            col_labels[j].append(label)
     b_sets: list[frozenset] = []
-    for j in range(m):
-        col_labels = [cell_label[(i, j)] for i in range(m) if matrix.rows[i][j]]
-        b_sets.extend(_blocks(col_labels, j + 1))
+    for j, column in enumerate(col_labels):
+        b_sets.extend(_blocks(column, j + 1))
     return KgPartition(n=len(labels), a_sets=tuple(a_sets), b_sets=tuple(b_sets))
 
 

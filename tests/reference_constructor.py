@@ -1,0 +1,106 @@
+"""Reference implementations the package's fast paths are checked against.
+
+`reference_construct` is the gap-free constructor written as the literal
+recursion: peel off the first row and column, reduce, stably re-sort,
+realize the smaller square recursively, and un-sort it. Each level copies a
+whole (m-1)-square, so it costs O(m^3) and recurses once per level (Python's
+recursion limit stops it near m = 1000). `reference_matrix_to_partition`
+labels the 1-cells through a cell -> label map and rescans the matrix once
+for the rows and once for the columns.
+
+Neither imports the package's constructor or its matrix-to-partition
+chunking; tests compare those with these bit for bit.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable, Iterable, Sequence
+
+from wireid.matrices import BinaryMatrix, can_construct
+from wireid.partitions import KgPartition
+
+
+def reference_construct(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
+    """The matrix construct_matrix must produce for sums accepted by can_construct."""
+    r, c = tuple(r), tuple(c)
+    if not can_construct(r, c):
+        raise ValueError(f"sums are not constructible: r={r} c={c}")
+    return BinaryMatrix(_construct(r, c))
+
+
+def _construct(r: tuple[int, ...], c: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    m = len(r)
+    if m == 1:
+        return ((r[0],),)
+    p, q = r[0], c[0]
+    if p == 0:
+        # Equal totals force q == 0 as well; the whole matrix is zero.
+        return tuple((0,) * m for _ in range(m))
+    # 1-based positions 2..q of r lose one to the new first column (and
+    # 2..p of c to the new first row).
+    r_sub = tuple(r[j] - 1 if j + 1 <= q else r[j] for j in range(1, m))
+    c_sub = tuple(c[j] - 1 if j + 1 <= p else c[j] for j in range(1, m))
+    r_sorted, r_order = _sort_descending(r_sub)
+    c_sorted, c_order = _sort_descending(c_sub)
+    assert can_construct(r_sorted, c_sorted), (r, c, r_sorted, c_sorted)
+    inner = _construct(r_sorted, c_sorted)
+    # Un-sort: inner row i realizes the sum originally at position r_order[i].
+    sub = [[0] * (m - 1) for _ in range(m - 1)]
+    for i in range(m - 1):
+        for j in range(m - 1):
+            sub[r_order[i]][c_order[j]] = inner[i][j]
+    out = [[0] * m for _ in range(m)]
+    out[0][0] = 1
+    for k in range(1, p):
+        out[0][k] = 1
+    for j in range(1, q):
+        out[j][0] = 1
+    for i in range(m - 1):
+        for j in range(m - 1):
+            out[i + 1][j + 1] = sub[i][j]
+    return tuple(tuple(row) for row in out)
+
+
+def _sort_descending(seq: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Stable descending sort; returns (sorted values, sorted position -> original position)."""
+    order = sorted(range(len(seq)), key=lambda i: -seq[i])
+    return tuple(seq[i] for i in order), tuple(order)
+
+
+def reference_matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgPartition:
+    """The pair matrix_to_partition must produce; same validation, same messages."""
+    labels = tuple(labels)
+    m = matrix.m
+    r, c = matrix.row_sums(), matrix.col_sums()
+    for j in range(1, m + 1):
+        if r[j - 1] % j:
+            raise ValueError(f"row {j} has sum {r[j - 1]}, not a multiple of {j}")
+        if c[j - 1] % j:
+            raise ValueError(f"column {j} has sum {c[j - 1]}, not a multiple of {j}")
+    total = sum(r)
+    if len(labels) != total:
+        raise ValueError(f"need exactly {total} labels (one per 1-entry), got {len(labels)}")
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct")
+
+    cell_label: dict[tuple[int, int], Hashable] = {}
+    ordered = iter(labels)
+    for i in range(m):
+        for j in range(m):
+            if matrix.rows[i][j]:
+                cell_label[(i, j)] = next(ordered)
+
+    a_sets: list[frozenset] = []
+    for i in range(m):
+        row_labels = [cell_label[(i, j)] for j in range(m) if matrix.rows[i][j]]
+        a_sets.extend(_blocks(row_labels, i + 1))
+    b_sets: list[frozenset] = []
+    for j in range(m):
+        col_labels = [cell_label[(i, j)] for i in range(m) if matrix.rows[i][j]]
+        b_sets.extend(_blocks(col_labels, j + 1))
+    return KgPartition(n=len(labels), a_sets=tuple(a_sets), b_sets=tuple(b_sets))
+
+
+def _blocks(items: list, size: int) -> list[frozenset]:
+    assert len(items) % size == 0
+    return [frozenset(items[i : i + size]) for i in range(0, len(items), size)]

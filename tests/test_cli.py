@@ -165,6 +165,13 @@ def test_simulate_trivial(capsys):
     assert "coords_a: (1,1)" in out
 
 
+def test_simulate_rejects_negative_seed(capsys):
+    code, out, err = run(capsys, "simulate", "--n", "26", "--seed", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
 def test_simulate_infeasible(capsys):
     code, _, err = run(capsys, "simulate", "--n", "9")
     assert code == EXIT_INFEASIBLE

@@ -102,7 +102,7 @@ def test_can_construct_rejects_unequal_totals_and_ranges():
         can_construct((1, 1), (1,))
 
 
-# ── the recursive constructor ────────────────────────────────────────────
+# ── the gap-free constructor ─────────────────────────────────────────────
 
 def test_construct_base_cases():
     assert construct_matrix((1,), (1,)) == BinaryMatrix(((1,),))

@@ -38,7 +38,7 @@ def test_max_elements_direct_sum():
 
 
 def test_max_elements_matches_remainder_form():
-    for m in range(1, 101):
+    for m in range(1, 2001):
         assert max_elements(m) == m * m - sum(m % j for j in range(1, m + 1))
 
 
@@ -251,6 +251,17 @@ def test_construct_worked_size():
     assert sorted(len(s) for s in pair.b_sets) == [1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6]
     assert trace.symmetric_matrix == trace.symmetric_matrix.transpose()
     assert trace.matrix.row_sums() == trace.representation.t
+
+
+@pytest.mark.slow
+def test_construct_has_no_depth_limit_at_order_1000():
+    # The smallest n whose smallest order is 1000: one recursion per level
+    # would pass Python's default recursion limit here.
+    n = max_elements(1000)
+    assert feasible_orders(n)[0] == 1000
+    trace = construct_trace(n)
+    assert trace.partition.order == 1000
+    assert verify_kg(trace.partition)
 
 
 def test_construct_sweep_with_all_orders():
