@@ -39,6 +39,7 @@ from .cable import (
     END_B,
     CableInstance,
     ConnectionPlan,
+    ProtocolError,
     ProtocolTranscript,
     make_cable,
     probe,
@@ -58,6 +59,7 @@ __all__ = [
     "END_B",
     "InfeasibleOrderError",
     "KgPartition",
+    "ProtocolError",
     "ProtocolTranscript",
     "Representation",
     "can_construct",

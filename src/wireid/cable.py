@@ -26,16 +26,21 @@ from __future__ import annotations
 
 import json
 import random
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
-from .partitions import KgPartition, kg_violations, partition_to_matrix
+from ._jsonout import dumps_indent2
+from .partitions import KgPartition, _kg_scheme, kg_violations
 
 END_A = "A"
 END_B = "B"
 
 TRANSCRIPT_SCHEMA = "cable-transcript/1"
+
+
+class ProtocolError(RuntimeError):
+    """The two ends' coordinates disagree or repeat: the scheme failed."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ def make_cable(n: int, seed: int) -> CableInstance:
     seed a pseudo-random bijection reproduced exactly on every run.
     Negative seeds raise ValueError."""
     if n < 1:
-        raise ValueError(f"need at least one wire, got n={n}")
+        raise ValueError(f"n must be positive, got n={n}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if seed == 0:
@@ -99,6 +104,7 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
 
     The plan must sit at the opposite end; a queried wire's reading is the
     size of the plan group containing its counterpart through the cable.
+    Group sizes and the inverse wiring live in lists indexed by position.
     """
     if queried_end not in (END_A, END_B):
         raise ValueError(f"queried end must be {END_A!r} or {END_B!r}, got {queried_end!r}")
@@ -108,14 +114,17 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
     n = len(wiring)
     if plan.n != n:
         raise ValueError(f"plan covers {plan.n} positions but the cable has {n} wires")
-    size_at = {}
+    size_at = [0] * (n + 1)
     for group in plan.groups:
+        size = len(group)
         for position in group:
-            size_at[position] = len(group)
+            size_at[position] = size
     if queried_end == END_B:
-        inverse = {b: a for a, b in enumerate(wiring, start=1)}
-        return tuple(size_at[inverse[b]] for b in range(1, n + 1))
-    return tuple(size_at[wiring[a - 1]] for a in range(1, n + 1))
+        inverse = [0] * (n + 1)
+        for a, b in enumerate(wiring, start=1):
+            inverse[b] = a
+        return tuple(map(size_at.__getitem__, islice(inverse, 1, None)))
+    return tuple(map(size_at.__getitem__, wiring))
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ class ProtocolTranscript:
 
     Probes and coordinate tuples are indexed by wire position (entry i is
     position i+1) at the probing end. coords_a composed with the hidden
-    wiring must equal coords_b; run_protocol asserts this.
+    wiring must equal coords_b; run_protocol checks this.
     """
 
     phase1_plan: ConnectionPlan
@@ -135,17 +144,27 @@ class ProtocolTranscript:
     coords_b: tuple[tuple[int, int], ...]
 
 
-def _assemble_b_sets(matrix, readings: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    """End B's canonical grouping: within each observed row, wires in
-    ascending position order take that row's columns in ascending order;
-    each column's wires then chunk into blocks of the column index, rows
-    ascending."""
-    m = matrix.m
-    column_of: dict[int, int] = {}
-    per_column: dict[int, list[int]] = defaultdict(list)
-    for j in range(1, m + 1):
-        wires = [pos for pos, size in enumerate(readings, start=1) if size == j]
-        columns = [k for k in range(1, m + 1) if matrix.rows[j - 1][k - 1]]
+def _assemble_b_sets(
+    rows: Sequence[Sequence[int]], readings: Sequence[int]
+) -> tuple[tuple[frozenset[int], ...], list[int]]:
+    """End B's canonical grouping and the column it gives each wire.
+
+    rows[j-1] lists, ascending, the columns of row j of the agreed matrix.
+    One pass buckets the wires by reading, in ascending position order;
+    within each row the bucket's wires then take that row's columns in
+    ascending order, and each column's wires, rows ascending, chunk into
+    blocks of the column index. Returns the blocks and column_of, where
+    column_of[b] is the column assigned to B-position b (entry 0 unused).
+    """
+    m = len(rows)
+    by_size: list[list[int]] = [[] for _ in range(m + 1)]
+    for pos, size in enumerate(readings, start=1):
+        if 0 < size <= m:
+            by_size[size].append(pos)
+    column_of = [0] * (len(readings) + 1)
+    per_column: list[list[int]] = [[] for _ in range(m + 1)]
+    for j, columns in enumerate(rows, start=1):
+        wires = by_size[j]
         if len(wires) != len(columns):
             raise ValueError(
                 f"observed {len(wires)} wires of bundle size {j} but the scheme has {len(columns)}"
@@ -153,51 +172,54 @@ def _assemble_b_sets(matrix, readings: tuple[int, ...]) -> tuple[frozenset[int],
         for wire, k in zip(wires, columns):
             column_of[wire] = k
             per_column[k].append(wire)  # rows processed ascending
-    if len(column_of) != len(readings):
+    if sum(map(len, rows)) != len(readings):
         raise ValueError("some observed bundle sizes do not occur in the scheme")
     groups: list[frozenset[int]] = []
     for k in range(1, m + 1):
-        wires = per_column.get(k, [])
+        wires = per_column[k]
         assert len(wires) % k == 0, (k, wires)
         groups.extend(frozenset(wires[i : i + k]) for i in range(0, len(wires), k))
-    return tuple(groups)
+    return tuple(groups), column_of
 
 
 def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTranscript:
     """Run both phases and derive consistent coordinates at both ends.
 
+    One pass over position-indexed lists validates the pair and yields the
+    scheme's matrix (kg_violations runs only to explain a rejection).
     Phase 1: end A joins its A-sets; end B probes and learns each wire's
-    row, then assembles B-sets canonically from the scheme's matrix.
-    Phase 2: end A disconnects, end B joins its B-sets, end A probes and
-    learns each wire's column. Coordinate agreement through the hidden
-    wiring is asserted; a mismatch would falsify the scheme itself, so it
-    is never returned as data.
+    row, then assembles B-sets canonically from the matrix. Phase 2: end A
+    disconnects, end B joins its B-sets, end A probes and learns each
+    wire's column. Both ends' coordinates must agree through the hidden
+    wiring and be unique; a failure would falsify the scheme itself, so it
+    raises ProtocolError instead of being returned as data.
     """
     if partition.n != cable.n:
         raise ValueError(f"partition covers {partition.n} elements but the cable has {cable.n} wires")
-    problems = kg_violations(partition)
-    if problems:
+    scheme = _kg_scheme(partition)  # the matrix both ends agreed on
+    if scheme is None:
+        problems = kg_violations(partition) or ["labels must be the integers 1..n"]
         raise ValueError("invalid partition pair:\n" + "\n".join(problems))
-    matrix = partition_to_matrix(partition)  # the scheme both ends agreed on
+    size_a, rows = scheme
 
     phase1_plan = ConnectionPlan(end=END_A, groups=partition.a_sets)
     phase1_probe = probe(phase1_plan, cable.wiring, END_B)
 
-    phase2_plan = ConnectionPlan(end=END_B, groups=_assemble_b_sets(matrix, phase1_probe))
+    b_sets, column_of = _assemble_b_sets(rows, phase1_probe)
+    phase2_plan = ConnectionPlan(end=END_B, groups=b_sets)
     phase2_probe = probe(phase2_plan, cable.wiring, END_A)
 
-    size_a = {pos: len(g) for g in phase1_plan.groups for pos in g}
-    size_b = {pos: len(g) for g in phase2_plan.groups for pos in g}
-    n = cable.n
-    coords_a = tuple((size_a[a], phase2_probe[a - 1]) for a in range(1, n + 1))
-    coords_b = tuple((phase1_probe[b - 1], size_b[b]) for b in range(1, n + 1))
+    coords_a = tuple(zip(islice(size_a, 1, None), phase2_probe))
+    coords_b = tuple(zip(phase1_probe, islice(column_of, 1, None)))
 
-    for a in range(1, n + 1):
-        assert coords_b[cable.wiring[a - 1] - 1] == coords_a[a - 1], (
-            "coordinate mismatch at position "
-            f"{a}: ends disagree, which would falsify the scheme"
+    through_wiring = tuple(map(((None,) + coords_b).__getitem__, cable.wiring))
+    if through_wiring != coords_a:
+        a = next(a for a, (x, y) in enumerate(zip(through_wiring, coords_a), start=1) if x != y)
+        raise ProtocolError(
+            f"coordinate mismatch at position {a}: ends disagree, which would falsify the scheme"
         )
-    assert len(set(coords_a)) == n, "coordinates must be unique per wire"
+    if len(set(coords_a)) != cable.n:
+        raise ProtocolError("coordinates must be unique per wire")
 
     return ProtocolTranscript(
         phase1_plan=phase1_plan,
@@ -215,13 +237,13 @@ def transcript_to_json(transcript: ProtocolTranscript) -> str:
     payload = {
         "schema": TRANSCRIPT_SCHEMA,
         "phase1_plan": [sorted(g) for g in transcript.phase1_plan.groups],
-        "phase1_probe": list(transcript.phase1_probe),
+        "phase1_probe": transcript.phase1_probe,
         "phase2_plan": [sorted(g) for g in transcript.phase2_plan.groups],
-        "phase2_probe": list(transcript.phase2_probe),
-        "coords_a": [list(c) for c in transcript.coords_a],
-        "coords_b": [list(c) for c in transcript.coords_b],
+        "phase2_probe": transcript.phase2_probe,
+        "coords_a": transcript.coords_a,
+        "coords_b": transcript.coords_b,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return dumps_indent2(payload) + "\n"
 
 
 def transcript_from_json(text: str) -> ProtocolTranscript:

@@ -7,10 +7,10 @@ failure, 3 parse or usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Iterable
 
+from ._jsonout import dumps_indent2
 from .cable import make_cable, run_protocol, transcript_to_json
 from .matrices import format_degree_sequence
 from .partitions import (
@@ -90,7 +90,7 @@ def cmd_construct(args) -> int:
             "a_sets": [sorted(s) for s in partition.a_sets],
             "b_sets": [sorted(s) for s in partition.b_sets],
         }
-        print(json.dumps(payload, indent=2))
+        print(dumps_indent2(payload))
     else:
         print(f"n={partition.n} m={rep.m}")
         print(f"t={format_degree_sequence(rep.t)}")
@@ -112,7 +112,7 @@ def cmd_bounds(args) -> int:
             "schema": BOUNDS_SCHEMA,
             "rows": [{"m": m, "min_n": lo, "max_n": hi} for m, lo, hi in rows],
         }
-        print(json.dumps(payload, indent=2))
+        print(dumps_indent2(payload))
     else:
         for m, lo, hi in rows:
             print(f"{m} {lo} {hi}")
@@ -144,8 +144,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    cable = make_cable(args.n, args.seed)  # rejects a bad seed before the construction runs
     trace = construct_trace(args.n, args.m)
-    cable = make_cable(args.n, args.seed)
     transcript = run_protocol(trace.partition, cable)
     if args.format == STRUCTURED:
         sys.stdout.write(transcript_to_json(transcript))

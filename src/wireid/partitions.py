@@ -24,9 +24,10 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Hashable, Iterable, Sequence
 
+from ._jsonout import dumps_indent2
 from .matrices import BinaryMatrix, construct_matrix, permute_to_sums
 
 PARTITION_SCHEMA = "kg-partition/1"
@@ -240,6 +241,49 @@ def _ordered(items: Iterable) -> list:
         return sorted(items, key=repr)
 
 
+def _kg_scheme(partition: KgPartition) -> tuple[list[int], list[list[int]]] | None:
+    """Validate an integer-labelled pair in O(n) and read off its matrix.
+
+    Returns (size_a, rows): size_a[x] is the size of the A-set holding x
+    (entry 0 unused) and rows[j-1] lists, ascending, the k whose (j, k)
+    cell holds an element, i.e. row j of partition_to_matrix. Returns None
+    unless both sides exactly partition the integers 1..n and no cell holds
+    two elements; kg_violations then says why. Labels that are not ints
+    (1.0, say) also give None, although kg_violations compares them by value.
+    """
+    n = partition.n
+    sizes = []
+    for sets in (partition.a_sets, partition.b_sets):
+        # n labels, all >= 1, none above n and every position 1..n written:
+        # by pigeonhole the side partitions 1..n exactly.
+        if not all(sets) or sum(map(len, sets)) != n:
+            return None
+        size_of = [0] * (n + 1)
+        try:
+            if min(chain.from_iterable(sets)) < 1:
+                return None
+            for s in sets:
+                size = len(s)
+                for x in s:
+                    size_of[x] = size
+        except (IndexError, TypeError):  # labels above n or not ints
+            return None
+        if size_of.count(0) != 1:
+            return None
+        sizes.append(size_of)
+    size_a, size_b = sizes
+    width = max(max(size_a), max(size_b)) + 1
+    grid = bytearray(width * width)
+    for j, k in zip(size_a, size_b):  # entry 0 marks the unused cell (0, 0)
+        cell = j * width + k
+        if grid[cell]:
+            return None
+        grid[cell] = 1
+    columns = range(1, width)
+    rows = [list(compress(columns, grid[j * width + 1 : (j + 1) * width])) for j in columns]
+    return size_a, rows
+
+
 def verify_kg(partition: KgPartition) -> bool:
     """True iff both sides partition {1..n} and no (j, k) cell holds two elements."""
     return not kg_violations(partition)
@@ -379,7 +423,7 @@ def partition_to_json(partition: KgPartition) -> str:
         "a_sets": [sorted(s) for s in partition.a_sets],
         "b_sets": [sorted(s) for s in partition.b_sets],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return dumps_indent2(payload) + "\n"
 
 
 def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,)) -> KgPartition:

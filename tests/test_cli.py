@@ -172,6 +172,26 @@ def test_simulate_rejects_negative_seed(capsys):
     assert err == "error: seed must be non-negative, got -1\n"
 
 
+def test_simulate_checks_seed_before_constructing(capsys):
+    # n=5 has no order; the seed is rejected before the construction runs.
+    code, out, err = run(capsys, "simulate", "--n", "5", "--seed", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "26", "--format", "structured"],
+    ["construct", "--n", "1", "--format", "structured"],
+    ["bounds", "--max-m", "3", "--format", "structured"],
+    ["simulate", "--n", "26", "--seed", "7", "--format", "structured"],
+])
+def test_structured_output_is_json_dumps_indent_2(argv, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_simulate_infeasible(capsys):
     code, _, err = run(capsys, "simulate", "--n", "9")
     assert code == EXIT_INFEASIBLE

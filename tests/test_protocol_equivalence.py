@@ -1,0 +1,271 @@
+"""The O(n) protocol run, its single validation pass and the indent-2 JSON
+writer against the references they replace (tests/reference_protocol.py,
+kg_violations and json.dumps)."""
+
+import inspect
+import json
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from itertools import compress
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import wireid
+from reference_protocol import (
+    reference_assemble_b_sets,
+    reference_run_protocol,
+    reference_transcript_to_json,
+)
+from wireid import cable as cable_module
+from wireid._jsonout import dumps_indent2
+from wireid.cable import ProtocolError, make_cable, run_protocol, transcript_to_json
+from wireid.partitions import (
+    KgPartition,
+    _kg_scheme,
+    construct,
+    feasible_orders,
+    kg_violations,
+    partition_to_matrix,
+)
+
+
+# ── run_protocol against the reference ───────────────────────────────────
+
+def test_protocol_matches_reference_for_small_n():
+    for n in range(1, 121):
+        for m in feasible_orders(n):
+            pair = construct(n, m)
+            for seed in (0, 1, 2):
+                cable = make_cable(n, seed)
+                assert run_protocol(pair, cable) == reference_run_protocol(pair, cable), (n, m, seed)
+
+
+@pytest.mark.slow
+def test_protocol_and_json_match_reference_for_sampled_large_n():
+    rng = random.Random(20260)
+    for _ in range(10):
+        n = rng.randrange(5_000, 30_001)
+        while not feasible_orders(n):
+            n += 1
+        cable = make_cable(n, rng.randrange(1, 10_000))
+        pair = construct(n)
+        transcript = run_protocol(pair, cable)
+        reference = reference_run_protocol(pair, cable)
+        assert transcript == reference, n
+        assert transcript_to_json(transcript) == reference_transcript_to_json(reference), n
+
+
+def test_invalid_pair_message_matches_reference():
+    bad = KgPartition(3, (frozenset({1, 2, 3}),), (frozenset({1}), frozenset({2}), frozenset({3})))
+    messages = set()
+    for run in (run_protocol, reference_run_protocol):
+        with pytest.raises(ValueError) as excinfo:
+            run(bad, make_cable(3, 1))
+        messages.add(str(excinfo.value))
+    assert len(messages) == 1 and "invalid partition pair" in messages.pop()
+
+
+@pytest.mark.parametrize("readings", [
+    (1,) * 26,                                    # row 1 gets 26 wires, the scheme has 2
+    (2, 2, 3, 3, 3, 1) + (6,) * 20,               # row 1 gets one wire
+    tuple(sorted([1, 1] + [2] * 6 + [3] * 3 + [4] * 4 + [5] * 5 + [6] * 6)) + (7,),  # stray size
+])
+def test_assembly_errors_match_reference(matrix26, readings):
+    rows = [list(compress(range(1, 7), row)) for row in matrix26.rows]
+    messages = []
+    for assemble, scheme in (
+        (cable_module._assemble_b_sets, rows),
+        (reference_assemble_b_sets, matrix26),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            assemble(scheme, readings)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+
+
+# ── the single validation pass against kg_violations ─────────────────────
+
+def _mutate(data, pair):
+    sides = [[set(s) for s in pair.a_sets], [set(s) for s in pair.b_sets]]
+    n = pair.n
+    for _ in range(data.draw(st.integers(0, 3))):
+        side = sides[data.draw(st.integers(0, 1))]
+        target = data.draw(st.integers(0, len(side) - 1))
+        kind = data.draw(st.sampled_from(["overlap", "gap", "out_of_range", "move", "relabel"]))
+        if kind == "overlap":
+            side[target].add(data.draw(st.integers(1, n)))
+        elif kind == "gap" and side[target]:
+            side[target].discard(data.draw(st.sampled_from(sorted(side[target]))))
+        elif kind == "out_of_range":
+            side[target].add(data.draw(st.sampled_from([0, -1, -n, n + 1, n + 7])))
+        elif kind == "move" and side[target]:
+            # A label changing sets keeps both sides partitions but can
+            # double a cell.
+            label = data.draw(st.sampled_from(sorted(side[target])))
+            side[target].discard(label)
+            side[data.draw(st.integers(0, len(side) - 1))].add(label)
+        elif kind == "relabel":
+            # Swapping two labels on one side keeps it a partition and
+            # moves both elements to other cells.
+            x, y = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+            swap = {x: y, y: x}
+            side[:] = [{swap.get(e, e) for e in s} for s in side]
+    return KgPartition(n, tuple(map(frozenset, sides[0])), tuple(map(frozenset, sides[1])))
+
+
+def _check_against_kg_violations(pair):
+    scheme = _kg_scheme(pair)
+    problems = kg_violations(pair)
+    assert (scheme is None) == bool(problems), (pair, problems)
+    if scheme is not None:
+        size_a, rows = scheme
+        matrix = partition_to_matrix(pair)
+        assert rows == [list(compress(range(1, matrix.m + 1), row)) for row in matrix.rows]
+        assert size_a[1:] == [len(s) for x in range(1, pair.n + 1) for s in pair.a_sets if x in s]
+
+
+@given(st.data())
+def test_single_pass_rejects_exactly_what_kg_violations_rejects(data):
+    n = data.draw(st.integers(1, 40).filter(lambda n: n not in (2, 5, 9)))
+    m = data.draw(st.sampled_from(feasible_orders(n)))
+    _check_against_kg_violations(_mutate(data, construct(n, m)))
+
+
+@given(st.data())
+def test_single_pass_agrees_on_arbitrary_pairs(data):
+    n = data.draw(st.integers(1, 8))
+    labels = st.integers(-1, n + 1)
+    sides = [
+        tuple(frozenset(s) for s in data.draw(st.lists(st.sets(labels, max_size=4), max_size=6)))
+        for _ in range(2)
+    ]
+    _check_against_kg_violations(KgPartition(n, sides[0], sides[1]))
+
+
+def test_single_pass_rejects_non_integer_labels():
+    singleton = (frozenset({"a"}),)
+    assert _kg_scheme(KgPartition(1, singleton, singleton)) is None
+    assert kg_violations(KgPartition(1, singleton, singleton))
+    # kg_violations compares labels by value and accepts 1.0 for 1; the
+    # protocol wants integer positions and says so.
+    floats = (frozenset({1.0}),)
+    pair = KgPartition(1, floats, floats)
+    assert _kg_scheme(pair) is None and not kg_violations(pair)
+    with pytest.raises(ValueError, match="labels must be the integers 1..n"):
+        run_protocol(pair, make_cable(1, 0))
+
+
+# ── guards on the protocol's output ──────────────────────────────────────
+
+def _swap_first_and_last(groups):
+    """Swap one wire between the first (smallest) and last (largest) B-set."""
+    first, last = set(groups[0]), set(groups[-1])
+    x, y = min(first), min(last)
+    first.symmetric_difference_update({x, y})
+    last.symmetric_difference_update({x, y})
+    return (frozenset(first),) + groups[1:-1] + (frozenset(last),)
+
+
+def test_coordinate_disagreement_raises(monkeypatch):
+    original = cable_module._assemble_b_sets
+
+    def miswired(rows, readings):
+        groups, column_of = original(rows, readings)
+        return _swap_first_and_last(groups), column_of
+
+    monkeypatch.setattr(cable_module, "_assemble_b_sets", miswired)
+    with pytest.raises(ProtocolError, match="coordinate mismatch at position"):
+        run_protocol(construct(26), make_cable(26, 42))
+
+
+def test_repeated_coordinates_raise(monkeypatch):
+    pair, cable = construct(26), make_cable(26, 0)
+    coords = run_protocol(pair, cable).coords_b
+    occupied = set(coords)
+    # Two wires in different rows and columns whose exchanged columns land
+    # on cells that other wires already hold.
+    x, y = next(
+        (x, y)
+        for x in range(1, 27)
+        for y in range(1, 27)
+        if coords[x - 1][0] != coords[y - 1][0]
+        and coords[x - 1][1] != coords[y - 1][1]
+        and (coords[x - 1][0], coords[y - 1][1]) in occupied
+    )
+    original = cable_module._assemble_b_sets
+
+    def exchanged(rows, readings):
+        groups, column_of = original(rows, readings)
+        swap = {x: y, y: x}
+        groups = tuple(frozenset(swap.get(w, w) for w in g) for g in groups)
+        column_of = list(column_of)
+        column_of[x], column_of[y] = column_of[y], column_of[x]
+        return groups, column_of
+
+    monkeypatch.setattr(cable_module, "_assemble_b_sets", exchanged)
+    with pytest.raises(ProtocolError, match="unique"):
+        run_protocol(pair, cable)
+
+
+def test_coordinate_guard_survives_optimized_mode():
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from wireid import ProtocolError, cable, construct, make_cable
+
+        if sys.flags.optimize < 1:
+            sys.exit("not running under -O")
+        original = cable._assemble_b_sets
+
+        def miswired(rows, readings):
+            groups, column_of = original(rows, readings)
+            return _swap_first_and_last(groups), column_of
+
+        cable._assemble_b_sets = miswired
+        try:
+            cable.run_protocol(construct(26), make_cable(26, 42))
+        except ProtocolError as exc:
+            print(exc)
+        else:
+            sys.exit("no ProtocolError under -O")
+        """
+    )
+    helper = inspect.getsource(_swap_first_and_last)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", helper + script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("coordinate mismatch at position")
+
+
+# ── the indent-2 writer against json.dumps ───────────────────────────────
+
+json_scalars = st.integers() | st.text() | st.booleans() | st.none() | st.floats()
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_writer_matches_json_dumps(value):
+    assert dumps_indent2(value) == json.dumps(value, indent=2)
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda width: st.lists(st.lists(st.integers(), min_size=width, max_size=width) | st.tuples(
+        *[st.integers()] * width
+    ))
+))
+def test_writer_matches_json_dumps_on_rows_of_ints(rows):
+    payload = {"rows": rows, "nested": [rows]}
+    assert dumps_indent2(payload) == json.dumps(payload, indent=2)
