@@ -18,6 +18,7 @@ from .matrices import (
 )
 from .partitions import (
     Construction,
+    ConstructionError,
     InfeasibleOrderError,
     KgPartition,
     Representation,
@@ -55,6 +56,7 @@ __all__ = [
     "CableInstance",
     "ConnectionPlan",
     "Construction",
+    "ConstructionError",
     "END_A",
     "END_B",
     "InfeasibleOrderError",

@@ -249,7 +249,7 @@ def transcript_to_json(transcript: ProtocolTranscript) -> str:
 def transcript_from_json(text: str) -> ProtocolTranscript:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema") != TRANSCRIPT_SCHEMA:
         raise ValueError(f"expected a {TRANSCRIPT_SCHEMA!r} document")

@@ -1,7 +1,8 @@
 """Command line front end: construct, bounds, verify, simulate.
 
 Exit statuses are stable: 0 success, 1 infeasible input, 2 verification
-failure, 3 parse or usage error.
+failure, 3 parse or usage error, 4 internal check failed (the constructed
+pair or the protocol's coordinates did not pass a check on the output).
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ import sys
 from typing import Iterable
 
 from ._jsonout import dumps_indent2
-from .cable import make_cable, run_protocol, transcript_to_json
+from .cable import ProtocolError, make_cable, run_protocol, transcript_to_json
 from .matrices import format_degree_sequence
 from .partitions import (
     PARTITION_SCHEMA,
+    ConstructionError,
     InfeasibleOrderError,
     construct_trace,
     kg_violations,
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INVALID = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 CONSTRUCTION_SCHEMA = "kg-construction/1"
 BOUNDS_SCHEMA = "kg-bounds/1"
@@ -170,6 +173,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # nonpositive sizes and the like
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ConstructionError, ProtocolError) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

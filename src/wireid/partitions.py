@@ -22,10 +22,11 @@ here.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Hashable, Iterable, Sequence
+from operator import add
+from typing import Collection, Hashable, Iterable, Sequence
 
 from ._jsonout import dumps_indent2
 from .matrices import BinaryMatrix, construct_matrix, permute_to_sums
@@ -47,6 +48,10 @@ class InfeasibleOrderError(ValueError):
                 f"feasible range {min_elements(m)}..{max_elements(m)})"
             )
         super().__init__(message)
+
+
+class ConstructionError(RuntimeError):
+    """A check on the constructed output failed: the construction is at fault."""
 
 
 def min_elements(m: int) -> int:
@@ -202,35 +207,67 @@ def kg_violations(partition: KgPartition) -> list[str]:
     Structure first (each side must be an exact partition of {1..n}); if
     the structure holds, every (j, k) cell holding two or more elements is
     listed with its witnesses. Empty list means the pair is valid.
+
+    Labels are compared by value, as sets compare them, so 1.0 stands for 1.
+    A valid pair costs a few passes over flat lists; the Counters that name
+    the culprits run only when something is wrong.
     """
     messages: list[str] = []
-    universe = set(range(1, partition.n + 1))
+    n = partition.n
+    universe = set(range(1, n + 1))
     for name, sets in (("A", partition.a_sets), ("B", partition.b_sets)):
-        if any(len(s) == 0 for s in sets):
+        if not all(sets):
             messages.append(f"{name}-sets contain an empty set")
-        counts = Counter(x for s in sets for x in s)
-        duplicated = _ordered(x for x, c in counts.items() if c > 1)
-        if duplicated:
+        # Built one element at a time, as set(Counter(...)) would be, so the
+        # labels outside 1..n come out in the same order even when they have
+        # no total order (NaN, say).
+        covered = set(chain.from_iterable(sets))
+        if sum(map(len, sets)) != len(covered):
+            counts = Counter(chain.from_iterable(sets))
+            duplicated = _ordered(x for x, c in counts.items() if c > 1)
             messages.append(f"{name}-sets overlap on elements {duplicated}")
-        covered = set(counts)
-        missing = universe - covered
-        if missing:
-            messages.append(f"{name}-sets do not cover elements {sorted(missing)}")
-        extra = covered - universe
-        if extra:
-            messages.append(f"{name}-sets contain elements outside 1..{partition.n}: {_ordered(extra)}")
+        if covered != universe:
+            missing = universe - covered
+            if missing:
+                messages.append(f"{name}-sets do not cover elements {sorted(missing)}")
+            extra = covered - universe
+            if extra:
+                messages.append(f"{name}-sets contain elements outside 1..{n}: {_ordered(extra)}")
     if messages:
         return messages
 
-    size_a = {x: len(s) for s in partition.a_sets for x in s}
-    size_b = {x: len(s) for s in partition.b_sets for x in s}
-    cells: dict[tuple[int, int], list] = defaultdict(list)
-    for x in sorted(universe):
-        cells[(size_a[x], size_b[x])].append(x)
-    for (j, k), members in sorted(cells.items()):
-        if len(members) > 1:
-            messages.append(f"cell ({j},{k}) holds {len(members)} elements: {members}")
+    # Both sides partition 1..n: give each element x the flat key
+    # j * width + k of its (j, k) cell; the pair is valid iff the keys differ.
+    a_sets, b_sets = partition.a_sets, partition.b_sets
+    width = max(map(len, chain(a_sets, b_sets))) + 1
+    try:
+        keys = list(map(add, _size_of(a_sets, n, width), _size_of(b_sets, n)))
+    except TypeError:  # labels equal to 1..n but not ints, 1.0 say
+        as_int = {x: x for x in universe}
+        a_sets, b_sets = ([[as_int[x] for x in s] for s in sets] for sets in (a_sets, b_sets))
+        keys = list(map(add, _size_of(a_sets, n, width), _size_of(b_sets, n)))
+    if len(set(keys)) == n + 1:
+        return messages
+    crowded = sorted(key for key, count in Counter(keys).items() if count > 1)
+    members: dict[int, list[int]] = {key: [] for key in crowded}
+    for x, key in enumerate(keys):  # keys[0] == 0 is never crowded
+        if key in members:
+            members[key].append(x)
+    for key, xs in members.items():
+        j, k = divmod(key, width)
+        messages.append(f"cell ({j},{k}) holds {len(xs)} elements: {xs}")
     return messages
+
+
+def _size_of(sets: Iterable[Collection], n: int, unit: int = 1) -> list[int]:
+    """size_of[x] = unit * the size of the set holding x, for sets that
+    partition the ints 1..n; size_of[0] = 0."""
+    size_of = [0] * (n + 1)
+    for s in sets:
+        size = len(s) * unit
+        for x in s:
+            size_of[x] = size
+    return size_of
 
 
 def _ordered(items: Iterable) -> list:
@@ -398,7 +435,8 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     sorted_sums = tuple(sorted(rep.t, reverse=True))
     symmetric = construct_matrix(sorted_sums, sorted_sums)
     # Equal row and column inputs make the construction self-dual.
-    assert symmetric == symmetric.transpose(), rep
+    if symmetric != symmetric.transpose():
+        raise ConstructionError(f"the matrix built for {rep} is not symmetric")
     matrix = permute_to_sums(symmetric, rep.t, rep.t)
     partition = matrix_to_partition(matrix, range(1, n + 1))
     return Construction(
@@ -432,7 +470,7 @@ def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,))
     is a separate step)."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError("partition document must be a JSON object")
@@ -447,9 +485,9 @@ def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,))
         raw = payload.get(field)
         if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
             raise ValueError(f"field {field!r} must be a list of integer lists")
-        for s in raw:
-            for x in s:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"field {field!r} must contain only integers, got {x!r}")
+        # json.loads yields exact ints for integers (bools have type bool).
+        if not set(map(type, chain.from_iterable(raw))) <= {int}:
+            x = next(x for x in chain.from_iterable(raw) if type(x) is not int)
+            raise ValueError(f"field {field!r} must contain only integers, got {x!r}")
         sides.append(tuple(frozenset(s) for s in raw))
     return KgPartition(n=n, a_sets=sides[0], b_sets=sides[1])

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from wireid.matrices import BinaryMatrix
 
@@ -55,6 +56,23 @@ def gapfree_sequences(m):
     for start in range(m + 1):
         extend([start])
     return out
+
+
+# Any JSON value, for fuzzing the document parsers.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=3), children, max_size=5),
+    max_leaves=30,
+)
+
+
+def swap_first_and_last(groups):
+    """Swap one wire between the first (smallest) and last (largest) B-set."""
+    first, last = set(groups[0]), set(groups[-1])
+    x, y = min(first), min(last)
+    first.symmetric_difference_update({x, y})
+    last.symmetric_difference_update({x, y})
+    return (frozenset(first),) + groups[1:-1] + (frozenset(last),)
 
 
 @pytest.fixture

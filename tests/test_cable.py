@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import json_values
 from wireid.cable import (
     END_A,
     END_B,
@@ -196,6 +199,26 @@ def test_protocol_rejects_invalid_pair():
 def test_transcript_json_round_trip():
     transcript = run_protocol(construct(12), make_cable(12, 5))
     assert transcript_from_json(transcript_to_json(transcript)) == transcript
+
+
+transcript_fields = ("phase1_plan", "phase1_probe", "phase2_plan", "phase2_probe", "coords_a", "coords_b")
+transcript_documents = st.fixed_dictionaries(
+    {"schema": st.just("cable-transcript/1")},
+    optional={field: json_values for field in transcript_fields},
+)
+
+
+@given(st.text() | json_values.map(json.dumps) | transcript_documents.map(json.dumps))
+def test_transcript_from_json_fuzz_raises_only_value_error(text):
+    try:
+        transcript_from_json(text)
+    except ValueError:
+        pass
+
+
+def test_transcript_from_json_rejects_deep_nesting():
+    with pytest.raises(ValueError, match="not valid JSON"):
+        transcript_from_json("[" * 100_000)
 
 
 def test_transcript_json_rejects_bad_documents():

@@ -2,9 +2,14 @@ import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from wireid.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from conftest import json_values, swap_first_and_last
+from wireid import cable, partitions
+from wireid.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from wireid.cable import transcript_from_json
+from wireid.matrices import BinaryMatrix
 
 
 def run(capsys, *argv):
@@ -143,6 +148,39 @@ def test_verify_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_verify_rejects_deeply_nested_json(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: not valid JSON:") and err.count("\n") == 1
+
+
+label_lists = st.lists(st.lists(st.integers(-2, 40) | json_values, max_size=6), max_size=8)
+partition_documents = st.fixed_dictionaries(
+    {"schema": st.sampled_from(["kg-partition/1", "kg-construction/1"])},
+    optional={
+        "n": st.integers(-2, 10_000) | json_values,
+        "a_sets": label_lists | json_values,
+        "b_sets": label_lists | json_values,
+    },
+)
+
+
+@given(st.text() | json_values.map(json.dumps) | partition_documents.map(json.dumps))
+def test_verify_fuzz_exits_0_2_or_3_without_traceback(text):
+    # n stays at most 10_000: kg_violations builds a set of 1..n, so a huge
+    # n costs memory and time before any check can reject it.
+    stdin, stdout, stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sys.stdin", stdin)
+        patch.setattr("sys.stdout", stdout)
+        patch.setattr("sys.stderr", stderr)
+        code = main(["verify", "-"])
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_USAGE)
+    assert "Traceback" not in stderr.getvalue()
+    assert (stdout.getvalue() != "") == (code == EXIT_OK)
+
+
 # ── simulate ─────────────────────────────────────────────────────────────
 
 def test_simulate_worked_size(capsys):
@@ -223,3 +261,30 @@ def test_nonpositive_sizes_exit_3(argv, capsys):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert "positive" in err
+
+
+# ── internal check failures ──────────────────────────────────────────────
+
+def test_protocol_error_exits_4(capsys, monkeypatch):
+    original = cable._assemble_b_sets
+
+    def miswired(rows, readings):
+        groups, column_of = original(rows, readings)
+        return swap_first_and_last(groups), column_of
+
+    monkeypatch.setattr(cable, "_assemble_b_sets", miswired)
+    code, out, err = run(capsys, "simulate", "--n", "26", "--seed", "3")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("error: internal check failed: coordinate mismatch at position")
+    assert err.count("\n") == 1
+
+
+def test_construction_error_exits_4(capsys, monkeypatch):
+    asymmetric = BinaryMatrix.from_text("11\n..\n")
+    monkeypatch.setattr(partitions, "construct_matrix", lambda r, c: asymmetric)
+    code, out, err = run(capsys, "construct", "--n", "26")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("error: internal check failed: the matrix built for Representation(")
+    assert err.endswith("is not symmetric\n") and err.count("\n") == 1

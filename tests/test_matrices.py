@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -231,6 +232,28 @@ def test_gale_ryser_equals_enumeration_everywhere(m):
     for r in itertools.product(values, repeat=m):
         for c in itertools.product(values, repeat=m):
             assert gale_ryser_feasible(r, c) == bool(enumerate_matrices(r, c, 1)), (r, c)
+
+
+def test_gale_ryser_equals_enumeration_on_index_divisible_sums_that_are_not_gap_free():
+    # Every pair of equal-total sums with entry j a multiple of j (as a KG
+    # matrix has) where at least one side is not gap-free, m <= 5, in index
+    # order and under a seeded shuffle of rows and columns.
+    rng = random.Random(1957)
+    outcomes = []
+    for m in range(1, 6):
+        gap_free = set(gapfree_sequences(m))
+        sequences = list(itertools.product(*(range(0, m + 1, j) for j in range(1, m + 1))))
+        for r in sequences:
+            for c in sequences:
+                if sum(r) != sum(c) or (tuple(sorted(r, reverse=True)) in gap_free
+                                        and tuple(sorted(c, reverse=True)) in gap_free):
+                    continue
+                shuffled_r, shuffled_c = rng.sample(r, m), rng.sample(c, m)
+                for rows, cols in ((r, c), (shuffled_r, shuffled_c)):
+                    feasible = gale_ryser_feasible(rows, cols)
+                    assert feasible == bool(enumerate_matrices(rows, cols, 1)), (rows, cols)
+                    outcomes.append(feasible)
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 2000
 
 
 @given(st.permutations(range(5)), st.permutations(range(5)))

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import A_SETS_26, B_SETS_26, LETTERS
 from wireid.matrices import BinaryMatrix, gale_ryser_feasible
+import wireid
+from wireid import partitions
 from wireid.partitions import (
+    ConstructionError,
     InfeasibleOrderError,
     KgPartition,
     Representation,
@@ -253,6 +260,40 @@ def test_construct_worked_size():
     assert trace.matrix.row_sums() == trace.representation.t
 
 
+def test_asymmetric_construction_raises(monkeypatch):
+    asymmetric = BinaryMatrix.from_text("11\n..\n")
+    monkeypatch.setattr(partitions, "construct_matrix", lambda r, c: asymmetric)
+    with pytest.raises(ConstructionError, match="is not symmetric"):
+        construct_trace(26)
+
+
+def test_symmetry_check_survives_optimized_mode():
+    script = textwrap.dedent(
+        """
+        import sys
+        from wireid import ConstructionError, partitions
+        from wireid.matrices import BinaryMatrix
+
+        if sys.flags.optimize < 1:
+            sys.exit("not running under -O")
+        partitions.construct_matrix = lambda r, c: BinaryMatrix.from_text("11\\n..\\n")
+        try:
+            partitions.construct_trace(26)
+        except ConstructionError as exc:
+            print(exc)
+        else:
+            sys.exit("no ConstructionError under -O")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("the matrix built for Representation(")
+
+
 @pytest.mark.slow
 def test_construct_has_no_depth_limit_at_order_1000():
     # The smallest n whose smallest order is 1000: one recursion per level
@@ -329,6 +370,19 @@ def test_partition_from_json_rejects_malformed_documents():
         partition_from_json('{"schema": "kg-partition/1", "n": 1, "a_sets": [1], "b_sets": [[1]]}')
     with pytest.raises(ValueError, match="integers"):
         partition_from_json('{"schema": "kg-partition/1", "n": 1, "a_sets": [["x"]], "b_sets": [[1]]}')
+
+
+@pytest.mark.parametrize("a_sets, b_sets, message", [
+    ("[[1, true], [2]]", "[[1], [2]]", "field 'a_sets' must contain only integers, got True"),
+    ("[[1], [2]]", "[[1], [2.0, \"x\"]]", "field 'b_sets' must contain only integers, got 2.0"),
+    ("[[1, null]]", "[[1.5]]", "field 'a_sets' must contain only integers, got None"),
+    ("[[1], [[2]]]", "[[1]]", "field 'a_sets' must contain only integers, got [2]"),
+])
+def test_partition_from_json_names_the_first_non_integer(a_sets, b_sets, message):
+    text = f'{{"schema": "kg-partition/1", "n": 2, "a_sets": {a_sets}, "b_sets": {b_sets}}}'
+    with pytest.raises(ValueError) as excinfo:
+        partition_from_json(text)
+    assert str(excinfo.value) == message
 
 
 def test_invalid_pair_parses_but_fails_verification():

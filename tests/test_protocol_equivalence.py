@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wireid
+from conftest import swap_first_and_last
 from reference_protocol import (
     reference_assemble_b_sets,
     reference_run_protocol,
@@ -162,21 +163,12 @@ def test_single_pass_rejects_non_integer_labels():
 
 # ── guards on the protocol's output ──────────────────────────────────────
 
-def _swap_first_and_last(groups):
-    """Swap one wire between the first (smallest) and last (largest) B-set."""
-    first, last = set(groups[0]), set(groups[-1])
-    x, y = min(first), min(last)
-    first.symmetric_difference_update({x, y})
-    last.symmetric_difference_update({x, y})
-    return (frozenset(first),) + groups[1:-1] + (frozenset(last),)
-
-
 def test_coordinate_disagreement_raises(monkeypatch):
     original = cable_module._assemble_b_sets
 
     def miswired(rows, readings):
         groups, column_of = original(rows, readings)
-        return _swap_first_and_last(groups), column_of
+        return swap_first_and_last(groups), column_of
 
     monkeypatch.setattr(cable_module, "_assemble_b_sets", miswired)
     with pytest.raises(ProtocolError, match="coordinate mismatch at position"):
@@ -224,7 +216,7 @@ def test_coordinate_guard_survives_optimized_mode():
 
         def miswired(rows, readings):
             groups, column_of = original(rows, readings)
-            return _swap_first_and_last(groups), column_of
+            return swap_first_and_last(groups), column_of
 
         cable._assemble_b_sets = miswired
         try:
@@ -235,7 +227,7 @@ def test_coordinate_guard_survives_optimized_mode():
             sys.exit("no ProtocolError under -O")
         """
     )
-    helper = inspect.getsource(_swap_first_and_last)
+    helper = inspect.getsource(swap_first_and_last)
     src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(

@@ -1,0 +1,169 @@
+"""kg_violations against the version it replaced (tests/reference_verify.py):
+the same message list, in the same order and wording, on every input."""
+
+import ast
+import inspect
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reference_verify import reference_kg_violations
+from wireid import partitions
+from wireid.partitions import KgPartition, construct, feasible_orders, kg_violations
+
+
+def _same_messages(pair):
+    messages = kg_violations(pair)
+    assert messages == reference_kg_violations(pair), pair
+    return messages
+
+
+def _relabelled(pair, rng):
+    perm = list(range(1, pair.n + 1))
+    rng.shuffle(perm)
+    relabel = [0] + perm
+    return KgPartition(
+        pair.n,
+        tuple(frozenset(relabel[x] for x in s) for s in pair.a_sets),
+        tuple(frozenset(relabel[x] for x in s) for s in pair.b_sets),
+    )
+
+
+def _invalidating_swap(pair):
+    """The pair with two A-side labels exchanged so that one cell is doubled,
+    or None if no such exchange exists.
+
+    x in cell (j, k) and y in cell (j2, k2) with j2 != j and k2 != k trade
+    A-sets; x lands in (j2, k), which a third element already holds.
+    """
+    cell = {}
+    for side, index in ((pair.a_sets, 0), (pair.b_sets, 1)):
+        for s in side:
+            for x in s:
+                cell.setdefault(x, [0, 0])[index] = len(s)
+    occupied = {tuple(c) for c in cell.values()}
+    for x in range(1, pair.n + 1):
+        j, k = cell[x]
+        for y in range(1, pair.n + 1):
+            j2, k2 = cell[y]
+            if j2 != j and k2 != k and (j2, k) in occupied:
+                swap = {x: y, y: x}
+                a_sets = tuple(frozenset(swap.get(e, e) for e in s) for s in pair.a_sets)
+                return KgPartition(pair.n, a_sets, pair.b_sets)
+    return None
+
+
+def _check_constructed(pair, rng):
+    assert _same_messages(pair) == []
+    assert _same_messages(_relabelled(pair, rng)) == []
+    swapped = _invalidating_swap(pair)
+    if swapped is not None:
+        assert any(m.startswith("cell (") for m in _same_messages(swapped))
+    return swapped is not None
+
+
+def test_matches_reference_for_every_small_order():
+    rng = random.Random(4)
+    without_swap = [
+        (n, m)
+        for n in range(1, 121)
+        for m in feasible_orders(n)
+        if not _check_constructed(construct(n, m), rng)
+    ]
+    assert without_swap == [(1, 1)]  # a single element has no one to swap with
+
+
+@pytest.mark.slow
+def test_matches_reference_for_sampled_large_n():
+    rng = random.Random(20261)
+    for _ in range(10):
+        n = rng.randrange(20_000, 100_001)
+        while not feasible_orders(n):
+            n += 1
+        assert _check_constructed(construct(n), rng), n
+
+
+# ── hypothesis: mutated and arbitrary pairs with mixed label types ───────
+
+def _mutate(data, pair):
+    sides = [[set(s) for s in pair.a_sets], [set(s) for s in pair.b_sets]]
+    n = pair.n
+    for _ in range(data.draw(st.integers(0, 4))):
+        side = sides[data.draw(st.integers(0, 1))]
+        target = data.draw(st.integers(0, len(side) - 1))
+        kind = data.draw(st.sampled_from(
+            ["overlap", "gap", "out_of_range", "move", "relabel", "empty", "float", "bool", "str"]
+        ))
+        if kind == "overlap":
+            side[target].add(data.draw(st.integers(1, n)))
+        elif kind == "gap" and side[target]:
+            side[target].discard(data.draw(st.sampled_from(sorted(side[target], key=repr))))
+        elif kind == "out_of_range":
+            side[target].add(data.draw(st.sampled_from([0, -1, -n, n + 1, n + 7, 0.5, n + 0.5])))
+        elif kind == "move" and side[target]:
+            label = data.draw(st.sampled_from(sorted(side[target], key=repr)))
+            side[target].discard(label)
+            side[data.draw(st.integers(0, len(side) - 1))].add(label)
+        elif kind == "relabel":
+            x, y = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+            swap = {x: y, y: x}
+            side[:] = [{swap.get(e, e) for e in s} for s in side]
+        elif kind == "empty":
+            side.insert(target, set())
+        elif kind in ("float", "bool"):
+            # Same value, other type: 3 -> 3.0, 1 -> True, 0 -> False.
+            x = data.draw(st.integers(0 if kind == "bool" else 1, 1 if kind == "bool" else n))
+            convert = float if kind == "float" else bool
+            side[:] = [{convert(e) if e == x and type(e) is int else e for e in s} for s in side]
+            if x == 0:
+                side[target].add(False)
+        elif kind == "str":
+            side[target].add(str(data.draw(st.integers(1, n))))
+    return KgPartition(n, tuple(map(frozenset, sides[0])), tuple(map(frozenset, sides[1])))
+
+
+@given(st.data())
+def test_matches_reference_on_mutated_pairs(data):
+    n = data.draw(st.integers(1, 40).filter(lambda n: n not in (2, 5, 9)))
+    m = data.draw(st.sampled_from(feasible_orders(n)))
+    _same_messages(_mutate(data, construct(n, m)))
+
+
+labels = (
+    st.integers(-1, 9)
+    | st.sampled_from([1.0, 2.0, True, False, 0.0, "1", "a"])
+    | st.floats(allow_nan=True)
+    | st.text(max_size=2)
+)
+
+
+@given(st.integers(1, 8), st.lists(st.sets(labels, max_size=4), max_size=6),
+       st.lists(st.sets(labels, max_size=4), max_size=6))
+def test_matches_reference_on_arbitrary_pairs(n, a_sets, b_sets):
+    _same_messages(KgPartition(n, tuple(map(frozenset, a_sets)), tuple(map(frozenset, b_sets))))
+
+
+@given(st.data())
+def test_matches_reference_on_value_equal_non_int_labels(data):
+    # Valid and doubled-cell pairs whose labels are 1.0, True and the like:
+    # both versions compare them by value and name the int elements.
+    n = data.draw(st.integers(1, 30).filter(lambda n: n not in (2, 5, 9)))
+    pair = construct(n, data.draw(st.sampled_from(feasible_orders(n))))
+    pair = _invalidating_swap(pair) if data.draw(st.booleans()) and n > 3 else pair
+    floats = data.draw(st.sets(st.integers(1, n)))
+    use_true = data.draw(st.booleans())
+
+    def convert(s):
+        return frozenset(True if x == 1 and use_true else float(x) if x in floats else x for x in s)
+
+    _same_messages(KgPartition(n, tuple(map(convert, pair.a_sets)), pair.b_sets))
+
+
+def test_oracle_stays_independent_of_the_matrix_layer():
+    source = inspect.getsource(kg_violations) + inspect.getsource(partitions._size_of)
+    names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    matrix_layer = {"_kg_scheme", "partition_to_matrix", "matrix_to_partition", "BinaryMatrix",
+                    "matrices", "construct_matrix", "permute_to_sums"}
+    assert not names & matrix_layer
