@@ -16,6 +16,7 @@ import argparse
 from dataclasses import dataclass
 
 from wireid import construct_trace, make_cable, run_protocol
+from wireid.cli import _fmt_sets as fmt_sets
 
 
 @dataclass
@@ -32,10 +33,6 @@ def parse_config() -> Config:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
     return Config(n=args.n, m=args.m, seed=args.seed)
-
-
-def fmt_sets(sets) -> str:
-    return " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
 
 
 def main() -> None:

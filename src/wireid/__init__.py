@@ -13,8 +13,6 @@ from .matrices import (
     enumerate_matrices,
     format_degree_sequence,
     gale_ryser_feasible,
-    parse_degree_sequence,
-    permute_to_sums,
 )
 from .partitions import (
     Construction,
@@ -78,11 +76,9 @@ __all__ = [
     "matrix_to_partition",
     "max_elements",
     "min_elements",
-    "parse_degree_sequence",
     "partition_from_json",
     "partition_to_json",
     "partition_to_matrix",
-    "permute_to_sums",
     "probe",
     "represent",
     "run_protocol",

@@ -1,8 +1,9 @@
 """Command line front end: construct, bounds, verify, simulate.
 
 Exit statuses are stable: 0 success, 1 infeasible input, 2 verification
-failure, 3 parse or usage error, 4 internal check failed (the constructed
-pair or the protocol's coordinates did not pass a check on the output).
+failure, 3 parse or usage error, 4 internal error (the constructed pair or
+the protocol's coordinates did not pass a check on the output, or any other
+unexpected exception; one line on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -175,6 +176,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ConstructionError, ProtocolError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

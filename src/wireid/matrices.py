@@ -3,15 +3,15 @@
 A degree sequence is a plain tuple of non-negative integers; a sequence of
 length m prescribes the number of 1s in each row (or each column) of an
 m x m matrix. The central operation is :func:`construct_matrix`, which
-realizes any pair of nonincreasing, gap-free degree sequences with equal
-totals (consecutive entries may drop by at most 1) level by level: peel
-off the first row and column, reduce the remaining sums, sort, and repeat
-on the smaller square. A loop runs the levels over two index arrays that
-map the shrinking square back to original rows and columns, writing each
-level's row and column straight into the output, so the whole construction
-takes O(m^2) work and has no recursion depth limit. It cannot fail once
-:func:`can_construct` accepts the input; that guarantee is asserted at
-every level, not rescued.
+realizes, in the order given, any pair of degree sequences with equal
+totals whose nonincreasing sorts are gap-free (consecutive entries drop by
+at most 1). It works level by level on the sorted sums: peel off the first
+row and column, reduce the remaining sums, sort, and repeat on the smaller
+square. Two index arrays map the shrinking square back to the input's rows
+and columns, so each level writes straight into the output: O(m^2) work
+and no recursion depth limit. It cannot fail once :func:`can_construct`
+accepts the sorted input; that guarantee is asserted at every level, not
+rescued.
 
 Two independent routes exist for cross-checking realizability:
 :func:`gale_ryser_feasible` (the classical majorization criterion, which
@@ -27,7 +27,6 @@ as comma-separated integers.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,13 +96,6 @@ def format_degree_sequence(seq: Sequence[int]) -> str:
     return ",".join(str(v) for v in seq)
 
 
-def parse_degree_sequence(text: str) -> DegreeSequence:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed degree sequence {text!r}") from exc
-
-
 def _check_pair_lengths(r: Sequence[int], c: Sequence[int]) -> int:
     if len(r) != len(c):
         raise ValueError(f"row and column sums must have equal length, got {len(r)} and {len(c)}")
@@ -133,25 +125,27 @@ def can_construct(r: Sequence[int], c: Sequence[int]) -> bool:
 
 
 def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
-    """Build an m x m 0-1 matrix with row sums r and column sums c.
+    """Build an m x m 0-1 matrix whose row i sums to r[i] and column j to c[j].
 
-    Requires can_construct(r, c). One level of the construction: with
-    p = r[0] and q = c[0], the first row carries 1s in columns 1..p and the
+    Requires can_construct on the stable nonincreasing sorts of r and c, and
+    works on those sorts level by level: with p and q the largest remaining
+    row and column sums, the first row carries 1s in columns 1..p and the
     first column carries 1s in rows 1..q (sharing the corner), so the
     remaining (m-1)-square must realize r' = (r2-1, ..., rq-1, r(q+1), ...,
-    rm) and the mirror c'. Those are sorted nonincreasing (stable) and form
-    the next level. Two index arrays map each current position to its
-    original row and column, so every level writes its first row and column
-    straight into the one m x m output: O(m) work per level plus a sort of
-    nearly sorted sums, O(m^2) in all, with no copy of a sub-matrix and no
-    recursion depth limit. Self-dual: equal inputs produce a symmetric
-    matrix.
+    rm) and the mirror c'; those are stably re-sorted and form the next
+    level. Two index arrays map each sorted position to its row and column
+    in the input, starting at the stable sort of the input, so every level
+    writes its row and column straight into the one m x m output: O(m^2)
+    work in all, no sub-matrix copy, no recursion depth limit. Rows
+    (columns) with equal sums take the sorted construction's rows (columns)
+    in input order, so sorted input gives the sorted construction itself.
+    Self-dual: equal inputs produce a symmetric matrix.
     """
     r, c = tuple(r), tuple(c)
-    if not can_construct(r, c):
+    if not can_construct(sorted(r, reverse=True), sorted(c, reverse=True)):
         raise ValueError(
-            f"sums are not constructible (need equal totals, nonincreasing, gap-free, within [0, m]): "
-            f"r={format_degree_sequence(r)} c={format_degree_sequence(c)}"
+            f"sums are not constructible (need equal totals and, once sorted nonincreasing, gap-free "
+            f"within [0, m]): r={format_degree_sequence(r)} c={format_degree_sequence(c)}"
         )
     return BinaryMatrix(_construct(r, c))
 
@@ -160,8 +154,8 @@ def _construct(r: DegreeSequence, c: DegreeSequence) -> list[list[int]]:
     m = len(r)
     out = [[0] * m for _ in range(m)]
     # Current position -> original row (column) of the output.
-    rows, cols = list(range(m)), list(range(m))
-    r_cur, c_cur = list(r), list(c)
+    r_cur, rows = _sort_descending(list(r), list(range(m)))
+    c_cur, cols = _sort_descending(list(c), list(range(m)))
     # A zero first sum means the rest is zero too: equal totals force both.
     while r_cur and r_cur[0]:
         p, q = r_cur[0], c_cur[0]
@@ -184,35 +178,6 @@ def _sort_descending(values: list[int], origin: list[int]) -> tuple[list[int], l
     """Stable descending sort of values, carrying origin along."""
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     return [values[i] for i in order], [origin[i] for i in order]
-
-
-def permute_to_sums(
-    matrix: BinaryMatrix, row_targets: Sequence[int], col_targets: Sequence[int]
-) -> BinaryMatrix:
-    """Permute rows and columns so the sums equal the targets exactly.
-
-    The targets must be permutations of the current sums. Ties break
-    stably: equal-valued rows (columns) keep their relative input order.
-    """
-    row_order = _match_targets(matrix.row_sums(), tuple(row_targets), "row")
-    col_order = _match_targets(matrix.col_sums(), tuple(col_targets), "column")
-    rows = tuple(
-        tuple(matrix.rows[row_order[i]][col_order[j]] for j in range(matrix.m))
-        for i in range(matrix.m)
-    )
-    return BinaryMatrix(rows)
-
-
-def _match_targets(current: DegreeSequence, target: DegreeSequence, kind: str) -> tuple[int, ...]:
-    if sorted(current) != sorted(target):
-        raise ValueError(
-            f"{kind} targets are not a permutation of the matrix's {kind} sums: "
-            f"have {format_degree_sequence(current)}, want {format_degree_sequence(target)}"
-        )
-    queues: dict[int, deque[int]] = {}
-    for idx, value in enumerate(current):
-        queues.setdefault(value, deque()).append(idx)
-    return tuple(queues[value].popleft() for value in target)
 
 
 def conjugate(seq: Sequence[int]) -> DegreeSequence:

@@ -12,7 +12,7 @@ m(m+1)/2 <= n <= max_elements(m), and some order works for every n except
 2, 5 and 9. The constructive path goes through :func:`represent`, which
 writes n as a sum of multiples t_j of j whose values form a consecutive
 run, so the sorted sums are gap-free and the matrix layer can realize them
-(symmetrically, since rows and columns get the same sums).
+in t order (symmetrically, since rows and columns get the same sums).
 
 :func:`verify_kg` checks the KG property by direct counting over the sets,
 with no matrix machinery; it is the independent oracle for everything else
@@ -29,7 +29,7 @@ from operator import add
 from typing import Collection, Hashable, Iterable, Sequence
 
 from ._jsonout import dumps_indent2
-from .matrices import BinaryMatrix, construct_matrix, permute_to_sums
+from .matrices import BinaryMatrix, construct_matrix
 
 PARTITION_SCHEMA = "kg-partition/1"
 
@@ -408,10 +408,9 @@ def partition_to_matrix(partition: KgPartition) -> BinaryMatrix:
 
 @dataclass(frozen=True)
 class Construction:
-    """Every intermediate artifact of the constructive pipeline."""
+    """The three artifacts of the constructive pipeline: representation, matrix, partition."""
 
     representation: Representation
-    symmetric_matrix: BinaryMatrix
     matrix: BinaryMatrix
     partition: KgPartition
 
@@ -420,9 +419,8 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     """Build an order-m KG partition of {1..n}, keeping intermediates.
 
     With m omitted, the smallest feasible order is used. Pipeline:
-    represent(n, m); sort t descending (stable) and realize those sums
-    symmetrically; permute rows and columns back to t; chunk into sets
-    with labels 1..n.
+    represent(n, m); realize t as both row and column sums, in t order;
+    check the result is symmetric; chunk into sets with labels 1..n.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -432,16 +430,12 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
             raise InfeasibleOrderError(n)
         m = orders[0]
     rep = represent(n, m)
-    sorted_sums = tuple(sorted(rep.t, reverse=True))
-    symmetric = construct_matrix(sorted_sums, sorted_sums)
+    matrix = construct_matrix(rep.t, rep.t)
     # Equal row and column inputs make the construction self-dual.
-    if symmetric != symmetric.transpose():
+    if matrix != matrix.transpose():
         raise ConstructionError(f"the matrix built for {rep} is not symmetric")
-    matrix = permute_to_sums(symmetric, rep.t, rep.t)
     partition = matrix_to_partition(matrix, range(1, n + 1))
-    return Construction(
-        representation=rep, symmetric_matrix=symmetric, matrix=matrix, partition=partition
-    )
+    return Construction(representation=rep, matrix=matrix, partition=partition)
 
 
 def construct(n: int, m: int | None = None) -> KgPartition:

@@ -6,17 +6,22 @@ realize the smaller square recursively, and un-sort it. Each level copies a
 whole (m-1)-square, so it costs O(m^3) and recurses once per level (Python's
 recursion limit stops it near m = 1000). `reference_matrix_to_partition`
 labels the 1-cells through a cell -> label map and rescans the matrix once
-for the rows and once for the columns.
+for the rows and once for the columns. `reference_permute_to_sums` (with
+`_match_targets`) is the stable row and column matching that used to bring
+the sorted construction into the order of the requested sums;
+construct_matrix on unsorted sums must equal it applied to the sorted
+construction.
 
-Neither imports the package's constructor or its matrix-to-partition
+None imports the package's constructor or its matrix-to-partition
 chunking; tests compare those with these bit for bit.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Hashable, Iterable, Sequence
 
-from wireid.matrices import BinaryMatrix, can_construct
+from wireid.matrices import BinaryMatrix, DegreeSequence, can_construct, format_degree_sequence
 from wireid.partitions import KgPartition
 
 
@@ -65,6 +70,35 @@ def _sort_descending(seq: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ..
     """Stable descending sort; returns (sorted values, sorted position -> original position)."""
     order = sorted(range(len(seq)), key=lambda i: -seq[i])
     return tuple(seq[i] for i in order), tuple(order)
+
+
+def reference_permute_to_sums(
+    matrix: BinaryMatrix, row_targets: Sequence[int], col_targets: Sequence[int]
+) -> BinaryMatrix:
+    """Permute rows and columns so the sums equal the targets exactly.
+
+    The targets must be permutations of the current sums. Ties break
+    stably: equal-valued rows (columns) keep their relative input order.
+    """
+    row_order = _match_targets(matrix.row_sums(), tuple(row_targets), "row")
+    col_order = _match_targets(matrix.col_sums(), tuple(col_targets), "column")
+    rows = tuple(
+        tuple(matrix.rows[row_order[i]][col_order[j]] for j in range(matrix.m))
+        for i in range(matrix.m)
+    )
+    return BinaryMatrix(rows)
+
+
+def _match_targets(current: DegreeSequence, target: DegreeSequence, kind: str) -> tuple[int, ...]:
+    if sorted(current) != sorted(target):
+        raise ValueError(
+            f"{kind} targets are not a permutation of the matrix's {kind} sums: "
+            f"have {format_degree_sequence(current)}, want {format_degree_sequence(target)}"
+        )
+    queues: dict[int, deque[int]] = {}
+    for idx, value in enumerate(current):
+        queues.setdefault(value, deque()).append(idx)
+    return tuple(queues[value].popleft() for value in target)
 
 
 def reference_matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgPartition:

@@ -50,10 +50,10 @@ def test_criterion_3_full_range_construction():
                 ok = False
             if trace.partition.order != m:
                 ok = False
-            if trace.symmetric_matrix != trace.symmetric_matrix.transpose():
+            if trace.matrix != trace.matrix.transpose():
                 ok = False
     report("criterion 3: constructions for n in 1..300, every feasible order "
-           "(KG oracle, order, symmetric intermediate)", ok)
+           "(KG oracle, order, symmetric matrix)", ok)
 
 
 def test_criterion_4_constructor_oracle_equivalence():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import json_values, swap_first_and_last
-from wireid import cable, partitions
+from wireid import cable, cli, partitions
 from wireid.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from wireid.cable import transcript_from_json
 from wireid.matrices import BinaryMatrix
@@ -288,3 +288,14 @@ def test_construction_error_exits_4(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: internal check failed: the matrix built for Representation(")
     assert err.endswith("is not symmetric\n") and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch):
+    def crash(n, m):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "construct_trace", crash)
+    code, out, err = run(capsys, "construct", "--n", "26")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: internal error: KeyError: 'lost'\n"

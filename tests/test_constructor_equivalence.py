@@ -1,8 +1,11 @@
 """The loop constructor and the one-pass chunking against their references.
 
-reference_constructor.py keeps the recursive constructor and the
-map-and-rescan matrix_to_partition; the package's versions must match
-them cell for cell and set for set.
+reference_constructor.py keeps the recursive constructor, the stable
+permutation that brought its output into the order of the requested sums,
+and the map-and-rescan matrix_to_partition; the package's versions must
+match them cell for cell and set for set. construct_matrix on sums in any
+order must equal the reference construction on the sorted sums, permuted
+back to the given order.
 """
 
 import random
@@ -10,17 +13,25 @@ import random
 import pytest
 
 from conftest import LETTERS, gapfree_sequences
-from reference_constructor import reference_construct, reference_matrix_to_partition
-from wireid.matrices import construct_matrix, permute_to_sums
+from reference_constructor import (
+    reference_construct,
+    reference_matrix_to_partition,
+    reference_permute_to_sums,
+)
+from wireid.matrices import construct_matrix
 from wireid.partitions import feasible_orders, matrix_to_partition, represent
+
+
+def reference_in_order(r, c):
+    """The reference construction on the sorted sums, permuted back to r and c."""
+    r_sorted, c_sorted = sorted(r, reverse=True), sorted(c, reverse=True)
+    return reference_permute_to_sums(reference_construct(r_sorted, c_sorted), r, c)
 
 
 def assert_pipeline_matches(n, m):
     rep = represent(n, m)
-    sums = tuple(sorted(rep.t, reverse=True))
-    symmetric = construct_matrix(sums, sums)
-    assert symmetric == reference_construct(sums, sums), (n, m)
-    matrix = permute_to_sums(symmetric, rep.t, rep.t)
+    matrix = construct_matrix(rep.t, rep.t)
+    assert matrix == reference_in_order(rep.t, rep.t), (n, m)
     labels = range(1, n + 1)
     assert matrix_to_partition(matrix, labels) == reference_matrix_to_partition(matrix, labels), (n, m)
 
@@ -36,6 +47,30 @@ def test_constructor_matches_reference_on_all_gapfree_pairs_through_order_7():
                 assert construct_matrix(r, c) == reference_construct(r, c), (r, c)
                 compared += 1
     assert compared == 3435
+
+
+def test_constructor_matches_permuted_reference_on_shuffled_gapfree_pairs_through_order_6():
+    rng = random.Random(5)
+    compared = 0
+    for m in range(1, 7):
+        sequences = gapfree_sequences(m)
+        for r in sequences:
+            for c in sequences:
+                if sum(r) != sum(c):
+                    continue
+                for _ in range(3):
+                    r_order, c_order = list(r), list(c)
+                    rng.shuffle(r_order)
+                    rng.shuffle(c_order)
+                    assert construct_matrix(r_order, c_order) == reference_in_order(r_order, c_order), (
+                        r_order, c_order)
+                    compared += 1
+    assert compared == 3 * 919
+
+
+def test_constructor_realizes_the_worked_sums_in_their_own_order(matrix26):
+    sums = (2, 6, 3, 4, 5, 6)
+    assert construct_matrix(sums, sums) == matrix26
 
 
 @pytest.mark.slow

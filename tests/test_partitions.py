@@ -256,7 +256,7 @@ def test_construct_worked_size():
     assert pair.order == 6
     assert sorted(len(s) for s in pair.a_sets) == [1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6]
     assert sorted(len(s) for s in pair.b_sets) == [1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6]
-    assert trace.symmetric_matrix == trace.symmetric_matrix.transpose()
+    assert trace.matrix == trace.matrix.transpose()
     assert trace.matrix.row_sums() == trace.representation.t
 
 
@@ -311,7 +311,7 @@ def test_construct_sweep_with_all_orders():
             trace = construct_trace(n, m)
             assert verify_kg(trace.partition), (n, m)
             assert trace.partition.order == m
-            assert trace.symmetric_matrix == trace.symmetric_matrix.transpose()
+            assert trace.matrix == trace.matrix.transpose()
 
 
 def test_round_trip_preserves_size_multisets():

@@ -1,0 +1,30 @@
+"""Smoke tests: the scripts under scripts/ run against the current package."""
+
+import os
+import subprocess
+import sys
+
+import wireid
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, name), *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_protocol_demo_labels_every_wire_consistently():
+    result = run_script("protocol_demo.py", "--n", "26", "--seed", "3")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.rstrip().endswith("all wires labeled consistently at both ends.")
+
+
+def test_bounds_experiment_reports_the_exceptional_sizes():
+    result = run_script("bounds_experiment.py", "--max-m", "8", "--scan-n", "200")
+    assert result.returncode == 0, result.stderr
+    assert "n with no feasible order in 1..200: [2, 5, 9]" in result.stdout
