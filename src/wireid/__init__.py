@@ -8,11 +8,8 @@ and cable (the two-ended identification protocol simulator).
 from .matrices import (
     BinaryMatrix,
     can_construct,
-    conjugate,
     construct_matrix,
-    enumerate_matrices,
     format_degree_sequence,
-    gale_ryser_feasible,
 )
 from .partitions import (
     Construction,
@@ -29,9 +26,7 @@ from .partitions import (
     min_elements,
     partition_from_json,
     partition_to_json,
-    partition_to_matrix,
     represent,
-    verify_kg,
 )
 from .cable import (
     END_A,
@@ -43,7 +38,6 @@ from .cable import (
     make_cable,
     probe,
     run_protocol,
-    transcript_from_json,
     transcript_to_json,
 )
 
@@ -63,14 +57,11 @@ __all__ = [
     "ProtocolTranscript",
     "Representation",
     "can_construct",
-    "conjugate",
     "construct",
     "construct_matrix",
     "construct_trace",
-    "enumerate_matrices",
     "feasible_orders",
     "format_degree_sequence",
-    "gale_ryser_feasible",
     "kg_violations",
     "make_cable",
     "matrix_to_partition",
@@ -78,11 +69,8 @@ __all__ = [
     "min_elements",
     "partition_from_json",
     "partition_to_json",
-    "partition_to_matrix",
     "probe",
     "represent",
     "run_protocol",
-    "transcript_from_json",
     "transcript_to_json",
-    "verify_kg",
 ]

@@ -24,14 +24,13 @@ twin, and make_cable rejects it instead.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
 from ._jsonout import dumps_indent2
-from .partitions import KgPartition, _kg_scheme, kg_violations
+from .partitions import KgPartition, _canonical_key, _kg_scheme, kg_violations
 
 END_A = "A"
 END_B = "B"
@@ -86,8 +85,7 @@ class ConnectionPlan:
     def __post_init__(self) -> None:
         if self.end not in (END_A, END_B):
             raise ValueError(f"end must be {END_A!r} or {END_B!r}, got {self.end!r}")
-        groups = tuple(sorted((frozenset(g) for g in self.groups),
-                              key=lambda g: (len(g), tuple(sorted(g)))))
+        groups = tuple(sorted((frozenset(g) for g in self.groups), key=_canonical_key))
         object.__setattr__(self, "groups", groups)
         positions = [p for g in groups for p in g]
         n = len(positions)
@@ -244,23 +242,3 @@ def transcript_to_json(transcript: ProtocolTranscript) -> str:
         "coords_b": transcript.coords_b,
     }
     return dumps_indent2(payload) + "\n"
-
-
-def transcript_from_json(text: str) -> ProtocolTranscript:
-    try:
-        payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != TRANSCRIPT_SCHEMA:
-        raise ValueError(f"expected a {TRANSCRIPT_SCHEMA!r} document")
-    try:
-        return ProtocolTranscript(
-            phase1_plan=ConnectionPlan(END_A, tuple(frozenset(g) for g in payload["phase1_plan"])),
-            phase1_probe=tuple(payload["phase1_probe"]),
-            phase2_plan=ConnectionPlan(END_B, tuple(frozenset(g) for g in payload["phase2_plan"])),
-            phase2_probe=tuple(payload["phase2_probe"]),
-            coords_a=tuple((j, k) for j, k in payload["coords_a"]),
-            coords_b=tuple((j, k) for j, k in payload["coords_b"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed transcript document: {exc}") from exc

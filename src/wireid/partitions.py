@@ -14,9 +14,9 @@ writes n as a sum of multiples t_j of j whose values form a consecutive
 run, so the sorted sums are gap-free and the matrix layer can realize them
 in t order (symmetrically, since rows and columns get the same sums).
 
-:func:`verify_kg` checks the KG property by direct counting over the sets,
-with no matrix machinery; it is the independent oracle for everything else
-here.
+:func:`kg_violations` checks the KG property by direct counting over the
+sets, with no matrix machinery; it is the direct-counting oracle for
+everything else here.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import add
 from typing import Collection, Hashable, Iterable, Sequence
 
 from ._jsonout import dumps_indent2
-from .matrices import BinaryMatrix, construct_matrix
+from .matrices import BinaryMatrix, ConstructionError, construct_matrix
 
 PARTITION_SCHEMA = "kg-partition/1"
 
@@ -48,10 +48,6 @@ class InfeasibleOrderError(ValueError):
                 f"feasible range {min_elements(m)}..{max_elements(m)})"
             )
         super().__init__(message)
-
-
-class ConstructionError(RuntimeError):
-    """A check on the constructed output failed: the construction is at fault."""
 
 
 def min_elements(m: int) -> int:
@@ -145,8 +141,6 @@ def represent(n: int, m: int) -> Representation:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if not min_elements(m) <= n <= max_elements(m):
         raise InfeasibleOrderError(n, m)
-    if m == 1:
-        return Representation(m=1, t=(1,), s=0, k=1)
 
     s = m // 2
     t = [0] * m
@@ -172,13 +166,19 @@ def represent(n: int, m: int) -> Representation:
     return Representation(m=m, t=tuple(t), s=s, k=k)
 
 
+def _canonical_key(s: Collection) -> tuple:
+    """Canonical set order, shared by KgPartition and cable.ConnectionPlan:
+    by cardinality, then by sorted content."""
+    return len(s), tuple(sorted(s))
+
+
 @dataclass(frozen=True)
 class KgPartition:
     """Two partitions (A-sets, B-sets) of the same n elements.
 
     Sets are stored in canonical order (by cardinality, then by sorted
     content). The dataclass itself accepts malformed pairs, overlaps,
-    gaps and all; judging them is verify_kg's job.
+    gaps and all; judging them is kg_violations' job.
     """
 
     n: int
@@ -191,7 +191,7 @@ class KgPartition:
         for name in ("a_sets", "b_sets"):
             frozen = [frozenset(s) for s in getattr(self, name)]
             try:
-                frozen.sort(key=lambda s: (len(s), tuple(sorted(s))))
+                frozen.sort(key=_canonical_key)
             except TypeError:  # mixed label types in a malformed pair
                 frozen.sort(key=lambda s: (len(s), tuple(sorted(map(repr, s)))))
             object.__setattr__(self, name, tuple(frozen))
@@ -283,7 +283,7 @@ def _kg_scheme(partition: KgPartition) -> tuple[list[int], list[list[int]]] | No
 
     Returns (size_a, rows): size_a[x] is the size of the A-set holding x
     (entry 0 unused) and rows[j-1] lists, ascending, the k whose (j, k)
-    cell holds an element, i.e. row j of partition_to_matrix. Returns None
+    cell holds an element, i.e. row j of the pair's matrix. Returns None
     unless both sides exactly partition the integers 1..n and no cell holds
     two elements; kg_violations then says why. Labels that are not ints
     (1.0, say) also give None, although kg_violations compares them by value.
@@ -319,11 +319,6 @@ def _kg_scheme(partition: KgPartition) -> tuple[list[int], list[list[int]]] | No
     columns = range(1, width)
     rows = [list(compress(columns, grid[j * width + 1 : (j + 1) * width])) for j in columns]
     return size_a, rows
-
-
-def verify_kg(partition: KgPartition) -> bool:
-    """True iff both sides partition {1..n} and no (j, k) cell holds two elements."""
-    return not kg_violations(partition)
 
 
 def _blocks(items: Sequence, size: int) -> list[frozenset]:
@@ -370,40 +365,6 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     for j, column in enumerate(col_labels):
         b_sets.extend(_blocks(column, j + 1))
     return KgPartition(n=len(labels), a_sets=tuple(a_sets), b_sets=tuple(b_sets))
-
-
-def partition_to_matrix(partition: KgPartition) -> BinaryMatrix:
-    """The 0-1 matrix of a partition pair: entry (j, k) marks the element
-    lying in an A-set of size j and a B-set of size k.
-
-    Raises if either side fails to partition the elements or if some cell
-    would hold two elements (the pair is not a KG pair).
-    """
-    size_a: dict[Hashable, int] = {}
-    for s in partition.a_sets:
-        for x in s:
-            if x in size_a:
-                raise ValueError(f"A-sets overlap on {x!r}; not a partition")
-            size_a[x] = len(s)
-    size_b: dict[Hashable, int] = {}
-    for s in partition.b_sets:
-        for x in s:
-            if x in size_b:
-                raise ValueError(f"B-sets overlap on {x!r}; not a partition")
-            size_b[x] = len(s)
-    if set(size_a) != set(size_b):
-        raise ValueError("A-sets and B-sets cover different elements")
-    if not size_a:
-        raise ValueError("partition has no elements")
-
-    m = max(max(size_a.values()), max(size_b.values()))
-    grid = [[0] * m for _ in range(m)]
-    for x in size_a:
-        j, k = size_a[x], size_b[x]
-        if grid[j - 1][k - 1]:
-            raise ValueError(f"cell ({j},{k}) holds more than one element; not a Knowlton-Graham pair")
-        grid[j - 1][k - 1] = 1
-    return BinaryMatrix(tuple(tuple(row) for row in grid))
 
 
 @dataclass(frozen=True)

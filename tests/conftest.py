@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from wireid.matrices import BinaryMatrix
+from oracles import matrix_from_text
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -75,6 +75,16 @@ def swap_first_and_last(groups):
     return (frozenset(first),) + groups[1:-1] + (frozenset(last),)
 
 
+def flip_first_cell(construct):
+    """Wrap matrices._construct so that its output has cell (1, 1) flipped:
+    still symmetric on equal sums, but row 1 and column 1 miss their sums."""
+    def flipped(r, c):
+        out = construct(r, c)
+        out[0][0] ^= 1
+        return out
+    return flipped
+
+
 @pytest.fixture
 def matrix26():
-    return BinaryMatrix.from_text(MATRIX_26_TEXT)
+    return matrix_from_text(MATRIX_26_TEXT)

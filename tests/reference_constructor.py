@@ -4,7 +4,10 @@
 recursion: peel off the first row and column, reduce, stably re-sort,
 realize the smaller square recursively, and un-sort it. Each level copies a
 whole (m-1)-square, so it costs O(m^3) and recurses once per level (Python's
-recursion limit stops it near m = 1000). `reference_matrix_to_partition`
+recursion limit stops it near m = 1000). It asserts can_construct on the
+reduced, sorted sums at every level. The package's loop relies on that
+lemma but checks only its output, so the lemma stays checked wherever the
+tests run this reference. `reference_matrix_to_partition`
 labels the 1-cells through a cell -> label map and rescans the matrix once
 for the rows and once for the columns. `reference_permute_to_sums` (with
 `_match_targets`) is the stable row and column matching that used to bring

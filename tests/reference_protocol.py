@@ -16,6 +16,7 @@ import json
 from collections import defaultdict
 from typing import Sequence
 
+from oracles import partition_to_matrix
 from wireid.cable import (
     END_A,
     END_B,
@@ -24,7 +25,7 @@ from wireid.cable import (
     ConnectionPlan,
     ProtocolTranscript,
 )
-from wireid.partitions import KgPartition, kg_violations, partition_to_matrix
+from wireid.partitions import KgPartition, kg_violations
 
 
 def reference_probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tuple[int, ...]:

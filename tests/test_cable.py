@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import json_values
+from oracles import transcript_from_json
 from wireid.cable import (
     END_A,
     END_B,
@@ -13,7 +14,6 @@ from wireid.cable import (
     make_cable,
     probe,
     run_protocol,
-    transcript_from_json,
     transcript_to_json,
 )
 from wireid.partitions import KgPartition, construct, feasible_orders, matrix_to_partition

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import json_values, swap_first_and_last
-from wireid import cable, cli, partitions
+from conftest import flip_first_cell, json_values, swap_first_and_last
+from oracles import matrix_from_text, transcript_from_json
+from wireid import cable, cli, matrices, partitions
 from wireid.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
-from wireid.cable import transcript_from_json
-from wireid.matrices import BinaryMatrix
 
 
 def run(capsys, *argv):
@@ -281,13 +280,22 @@ def test_protocol_error_exits_4(capsys, monkeypatch):
 
 
 def test_construction_error_exits_4(capsys, monkeypatch):
-    asymmetric = BinaryMatrix.from_text("11\n..\n")
+    asymmetric = matrix_from_text("11\n..\n")
     monkeypatch.setattr(partitions, "construct_matrix", lambda r, c: asymmetric)
     code, out, err = run(capsys, "construct", "--n", "26")
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.startswith("error: internal check failed: the matrix built for Representation(")
     assert err.endswith("is not symmetric\n") and err.count("\n") == 1
+
+
+def test_construction_output_check_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(matrices, "_construct", flip_first_cell(matrices._construct))
+    code, out, err = run(capsys, "construct", "--n", "26")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == ("error: internal check failed: "
+                   "the constructed matrix does not realize r=6,2,3,4,5,6 c=6,2,3,4,5,6\n")
 
 
 def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch):

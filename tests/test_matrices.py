@@ -1,20 +1,24 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import gapfree_sequences
+import wireid
+from conftest import flip_first_cell, gapfree_sequences
+from oracles import conjugate, enumerate_matrices, gale_ryser_feasible, matrix_from_text
 from reference_constructor import reference_permute_to_sums
+from wireid import ConstructionError, matrices
 from wireid.matrices import (
     BinaryMatrix,
     can_construct,
-    conjugate,
     construct_matrix,
-    enumerate_matrices,
     format_degree_sequence,
-    gale_ryser_feasible,
 )
 
 
@@ -58,19 +62,19 @@ def test_matrix_validation():
 # ── text format ──────────────────────────────────────────────────────────
 
 def test_text_round_trip(matrix26):
-    assert BinaryMatrix.from_text(matrix26.to_text()) == matrix26
+    assert matrix_from_text(matrix26.to_text()) == matrix26
 
 
 def test_text_rejects_ragged_lines():
     with pytest.raises(ValueError, match="ragged"):
-        BinaryMatrix.from_text(".1\n1\n")
+        matrix_from_text(".1\n1\n")
 
 
 def test_text_rejects_stray_characters():
     with pytest.raises(ValueError):
-        BinaryMatrix.from_text(".x\n11\n")
+        matrix_from_text(".x\n11\n")
     with pytest.raises(ValueError):
-        BinaryMatrix.from_text("")
+        matrix_from_text("")
 
 
 def test_degree_sequence_serialization():
@@ -128,6 +132,47 @@ def test_construct_small_sums_against_enumerator():
 def test_construct_rejects_bad_input():
     with pytest.raises(ValueError, match="not constructible"):
         construct_matrix((2, 0), (2, 0))
+
+
+def test_construct_checks_its_output(monkeypatch):
+    sums = (2, 6, 3, 4, 5, 6)
+    monkeypatch.setattr(matrices, "_construct", flip_first_cell(matrices._construct))
+    with pytest.raises(ConstructionError) as excinfo:
+        construct_matrix(sums, sums)
+    assert str(excinfo.value) == "the constructed matrix does not realize r=2,6,3,4,5,6 c=2,6,3,4,5,6"
+
+
+def test_output_check_survives_optimized_mode():
+    script = textwrap.dedent(
+        """
+        import sys
+        from wireid import ConstructionError, matrices
+
+        if sys.flags.optimize < 1:
+            sys.exit("not running under -O")
+        construct = matrices._construct
+
+        def flipped(r, c):
+            out = construct(r, c)
+            out[0][0] ^= 1
+            return out
+
+        matrices._construct = flipped
+        try:
+            matrices.construct_matrix((2, 6, 3, 4, 5, 6), (2, 6, 3, 4, 5, 6))
+        except ConstructionError as exc:
+            print(exc)
+        else:
+            sys.exit("no ConstructionError under -O")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "the constructed matrix does not realize r=2,6,3,4,5,6 c=2,6,3,4,5,6\n"
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

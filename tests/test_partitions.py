@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import A_SETS_26, B_SETS_26, LETTERS
-from wireid.matrices import BinaryMatrix, gale_ryser_feasible
+from oracles import gale_ryser_feasible, matrix_from_text, partition_to_matrix
+from wireid.matrices import BinaryMatrix
 import wireid
 from wireid import partitions
 from wireid.partitions import (
@@ -27,9 +28,7 @@ from wireid.partitions import (
     min_elements,
     partition_from_json,
     partition_to_json,
-    partition_to_matrix,
     represent,
-    verify_kg,
 )
 
 
@@ -201,18 +200,18 @@ def test_partition_to_matrix_rejects_structural_breakage():
 # ── the KG property oracle ───────────────────────────────────────────────
 
 def test_verify_worked_example(matrix26):
-    assert verify_kg(matrix_to_partition(matrix26, range(1, 27)))
+    assert not kg_violations(matrix_to_partition(matrix26, range(1, 27)))
 
 
 def test_verify_trivial_pair():
-    assert verify_kg(KgPartition(1, (frozenset({1}),), (frozenset({1}),)))
+    assert not kg_violations(KgPartition(1, (frozenset({1}),), (frozenset({1}),)))
 
 
 def test_two_elements_cannot_work():
     singletons = (frozenset({1}), frozenset({2}))
     pair = KgPartition(2, singletons, singletons)
     problems = kg_violations(pair)
-    assert not verify_kg(pair)
+    assert problems
     assert any("cell (1,1)" in p for p in problems)
 
 
@@ -252,7 +251,7 @@ def test_construct_out_of_range_for_explicit_order():
 def test_construct_worked_size():
     trace = construct_trace(26, 6)
     pair = trace.partition
-    assert verify_kg(pair)
+    assert not kg_violations(pair)
     assert pair.order == 6
     assert sorted(len(s) for s in pair.a_sets) == [1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6]
     assert sorted(len(s) for s in pair.b_sets) == [1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6]
@@ -261,7 +260,7 @@ def test_construct_worked_size():
 
 
 def test_asymmetric_construction_raises(monkeypatch):
-    asymmetric = BinaryMatrix.from_text("11\n..\n")
+    asymmetric = matrix_from_text("11\n..\n")
     monkeypatch.setattr(partitions, "construct_matrix", lambda r, c: asymmetric)
     with pytest.raises(ConstructionError, match="is not symmetric"):
         construct_trace(26)
@@ -276,7 +275,7 @@ def test_symmetry_check_survives_optimized_mode():
 
         if sys.flags.optimize < 1:
             sys.exit("not running under -O")
-        partitions.construct_matrix = lambda r, c: BinaryMatrix.from_text("11\\n..\\n")
+        partitions.construct_matrix = lambda r, c: BinaryMatrix(((1, 1), (0, 0)))
         try:
             partitions.construct_trace(26)
         except ConstructionError as exc:
@@ -302,14 +301,14 @@ def test_construct_has_no_depth_limit_at_order_1000():
     assert feasible_orders(n)[0] == 1000
     trace = construct_trace(n)
     assert trace.partition.order == 1000
-    assert verify_kg(trace.partition)
+    assert not kg_violations(trace.partition)
 
 
 def test_construct_sweep_with_all_orders():
     for n in range(1, 81):
         for m in feasible_orders(n):
             trace = construct_trace(n, m)
-            assert verify_kg(trace.partition), (n, m)
+            assert not kg_violations(trace.partition), (n, m)
             assert trace.partition.order == m
             assert trace.matrix == trace.matrix.transpose()
 
@@ -318,7 +317,7 @@ def test_round_trip_preserves_size_multisets():
     for n in (1, 10, 26, 57):
         pair = construct(n)
         again = matrix_to_partition(partition_to_matrix(pair), range(1, n + 1))
-        assert verify_kg(again)
+        assert not kg_violations(again)
         assert sorted(map(len, again.a_sets)) == sorted(map(len, pair.a_sets))
         assert sorted(map(len, again.b_sets)) == sorted(map(len, pair.b_sets))
 
@@ -330,7 +329,7 @@ def test_construct_passes_oracle_for_any_feasible_order(n):
     assert orders
     for m in (orders[0], orders[-1]):
         pair = construct(n, m)
-        assert verify_kg(pair)
+        assert not kg_violations(pair)
         assert pair.order == m
 
 
@@ -388,4 +387,4 @@ def test_partition_from_json_names_the_first_non_integer(a_sets, b_sets, message
 def test_invalid_pair_parses_but_fails_verification():
     text = '{"schema": "kg-partition/1", "n": 2, "a_sets": [[1], [2]], "b_sets": [[1], [2]]}'
     pair = partition_from_json(text)
-    assert not verify_kg(pair)
+    assert kg_violations(pair)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import wireid
 from conftest import swap_first_and_last
+from oracles import partition_to_matrix
 from reference_protocol import (
     reference_assemble_b_sets,
     reference_run_protocol,
@@ -31,7 +32,6 @@ from wireid.partitions import (
     construct,
     feasible_orders,
     kg_violations,
-    partition_to_matrix,
 )
 
 
