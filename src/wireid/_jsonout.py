@@ -15,12 +15,15 @@ from itertools import chain
 
 def dumps_indent2(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` for dicts with str keys, lists, tuples,
-    ints and strs (any other scalar goes through ``json.dumps``).
+    ints and strs (any other scalar goes through ``json.dumps``). A set or
+    frozenset is written as the list of its elements, ascending.
 
     ``newline`` is the line break plus the indentation of the enclosing
     level; callers leave it at its default.
     """
     inner = newline + "  "
+    if isinstance(obj, (set, frozenset)):
+        obj = sorted(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -30,7 +30,7 @@ from itertools import islice
 from typing import Sequence
 
 from ._jsonout import dumps_indent2
-from .partitions import KgPartition, _canonical_key, _kg_scheme, kg_violations
+from .partitions import KgPartition, _blocks, _canonical_key, _kg_scheme, _size_of, kg_violations
 
 END_A = "A"
 END_B = "B"
@@ -112,11 +112,7 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
     n = len(wiring)
     if plan.n != n:
         raise ValueError(f"plan covers {plan.n} positions but the cable has {n} wires")
-    size_at = [0] * (n + 1)
-    for group in plan.groups:
-        size = len(group)
-        for position in group:
-            size_at[position] = size
+    size_at = _size_of(plan.groups, n)
     if queried_end == END_B:
         inverse = [0] * (n + 1)
         for a, b in enumerate(wiring, start=1):
@@ -174,9 +170,7 @@ def _assemble_b_sets(
         raise ValueError("some observed bundle sizes do not occur in the scheme")
     groups: list[frozenset[int]] = []
     for k in range(1, m + 1):
-        wires = per_column[k]
-        assert len(wires) % k == 0, (k, wires)
-        groups.extend(frozenset(wires[i : i + k]) for i in range(0, len(wires), k))
+        groups.extend(_blocks(per_column[k], k))
     return tuple(groups), column_of
 
 
@@ -234,9 +228,9 @@ def transcript_to_json(transcript: ProtocolTranscript) -> str:
     suitable for golden-file comparison."""
     payload = {
         "schema": TRANSCRIPT_SCHEMA,
-        "phase1_plan": [sorted(g) for g in transcript.phase1_plan.groups],
+        "phase1_plan": transcript.phase1_plan.groups,
         "phase1_probe": transcript.phase1_probe,
-        "phase2_plan": [sorted(g) for g in transcript.phase2_plan.groups],
+        "phase2_plan": transcript.phase2_plan.groups,
         "phase2_probe": transcript.phase2_probe,
         "coords_a": transcript.coords_a,
         "coords_b": transcript.coords_b,

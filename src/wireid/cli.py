@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fmt_sets(sets: Iterable[frozenset]) -> str:
-    return " ".join("{" + ",".join(str(x) for x in sorted(s)) + "}" for s in sets)
+    return " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
 
 
 def cmd_construct(args) -> int:
@@ -91,8 +91,8 @@ def cmd_construct(args) -> int:
             "s": rep.s,
             "k": rep.k,
             "matrix": trace.matrix.to_text().splitlines(),
-            "a_sets": [sorted(s) for s in partition.a_sets],
-            "b_sets": [sorted(s) for s in partition.b_sets],
+            "a_sets": partition.a_sets,
+            "b_sets": partition.b_sets,
         }
         print(dumps_indent2(payload))
     else:

@@ -22,10 +22,12 @@ everything else here.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import add
+from math import isqrt
+from operator import add, index
 from typing import Collection, Hashable, Iterable, Sequence
 
 from ._jsonout import dumps_indent2
@@ -67,17 +69,15 @@ def max_elements(m: int) -> int:
 def feasible_orders(n: int) -> list[int]:
     """All orders m whose feasible range contains n, ascending.
 
-    Empty exactly for n in {2, 5, 9}.
+    Both bounds increase with m, so the orders form an interval: isqrt
+    gives its top and a bisection over max_elements its bottom. Empty
+    exactly for n in {2, 5, 9}. A non-int n raises TypeError.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    orders = []
-    m = 1
-    while min_elements(m) <= n:
-        if n <= max_elements(m):
-            orders.append(m)
-        m += 1
-    return orders
+    hi = (isqrt(8 * n + 1) - 1) // 2
+    lo = bisect_left(range(1, hi + 1), n, key=max_elements) + 1
+    return list(range(lo, hi + 1))
 
 
 @dataclass(frozen=True)
@@ -131,38 +131,32 @@ class Representation:
 def represent(n: int, m: int) -> Representation:
     """Canonical representation of n as a sum of m positive multiples.
 
-    Starts from the maximal case n = max_elements(m), where s = floor(m/2),
-    k = floor(m/s) and t_1 = m, and walks down one unit at a time:
+    Defined by a walk from the maximal case n = max_elements(m), where
+    s = floor(m/2), k = floor(m/s) and t_1 = m, down one unit at a time:
     decrement t_1; if s > 1 and t_1 has dropped to m - s, reset t_1 to m
     and take s out of t_s; if t_s has reached s, shrink s by one. The walk
     ends exactly at the triangular case t_j = j (s = 0).
+
+    The code computes where the walk ends, in O(m): level s takes
+    s*(floor(m/s) - 1) of the d = max_elements(m) - n units, and the level
+    where d runs out gives k and t_1 by division. n must be an int.
     """
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if not min_elements(m) <= n <= max_elements(m):
         raise InfeasibleOrderError(n, m)
 
+    d = max_elements(m) - index(n)
     s = m // 2
-    t = [0] * m
-    t[0] = m
-    for j in range(2, m + 1):
-        if j < s:
-            t[j - 1] = j * (m // j)
-        elif j == s:
-            t[j - 1] = (m // s) * s
-        else:
-            t[j - 1] = j
-    assert sum(t) == max_elements(m), (m, t)
-
-    for _ in range(max_elements(m) - n):
-        t[0] -= 1
-        if s > 1 and t[0] == m - s:
-            t[0] = m
-            t[s - 1] -= s
-        if s >= 1 and t[s - 1] == s:
-            s -= 1
-
-    k = t[s - 1] // s if s >= 1 else 1
+    while s and d >= s * (m // s - 1):
+        d -= s * (m // s - 1)
+        s -= 1
+    t = [j * (m // j) if 1 < j < s else j for j in range(1, m + 1)]
+    k = m // s - d // s if s else 1
+    if s:
+        t[s - 1] = k * s
+    if s > 1:
+        t[0] = m - d % s
     return Representation(m=m, t=tuple(t), s=s, k=k)
 
 
@@ -260,8 +254,8 @@ def kg_violations(partition: KgPartition) -> list[str]:
 
 
 def _size_of(sets: Iterable[Collection], n: int, unit: int = 1) -> list[int]:
-    """size_of[x] = unit * the size of the set holding x, for sets that
-    partition the ints 1..n; size_of[0] = 0."""
+    """size_of[x] = unit * the size of the set holding x, 0 if none does, for
+    sets of ints in 1..n (IndexError above n, TypeError for non-ints)."""
     size_of = [0] * (n + 1)
     for s in sets:
         size = len(s) * unit
@@ -295,14 +289,10 @@ def _kg_scheme(partition: KgPartition) -> tuple[list[int], list[list[int]]] | No
         # by pigeonhole the side partitions 1..n exactly.
         if not all(sets) or sum(map(len, sets)) != n:
             return None
-        size_of = [0] * (n + 1)
         try:
             if min(chain.from_iterable(sets)) < 1:
                 return None
-            for s in sets:
-                size = len(s)
-                for x in s:
-                    size_of[x] = size
+            size_of = _size_of(sets, n)
         except (IndexError, TypeError):  # labels above n or not ints
             return None
         if size_of.count(0) != 1:
@@ -413,8 +403,8 @@ def partition_to_json(partition: KgPartition) -> str:
     payload = {
         "schema": PARTITION_SCHEMA,
         "n": partition.n,
-        "a_sets": [sorted(s) for s in partition.a_sets],
-        "b_sets": [sorted(s) for s in partition.b_sets],
+        "a_sets": partition.a_sets,
+        "b_sets": partition.b_sets,
     }
     return dumps_indent2(payload) + "\n"
 

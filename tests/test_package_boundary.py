@@ -3,8 +3,8 @@
 The package exports the constructor, the partition bijection, the KG
 check and the protocol; the test oracles live in tests/oracles.py and must
 stay independent of the code they check. Checks on what the program
-outputs raise exceptions, so they hold under ``python -O``; the few
-asserts left in src/ restate a check that already ran.
+outputs raise exceptions, so they hold under ``python -O``; the one
+assert left in src/ restates checks that already ran.
 """
 
 import ast
@@ -62,14 +62,11 @@ TEST_ONLY_NAMES = [
 # Functions allowed an assert, each because an explicit check has already
 # established what the assert restates.
 ALLOWED_ASSERTS = {
-    # Representation(...) at the end of represent re-validates the shape.
-    "partitions.represent",
-    # matrix_to_partition checks that every row and column sum is a multiple
-    # of its index before it chunks them.
+    # _blocks chunks two callers' lists, and each caller has checked the
+    # lengths: matrix_to_partition checks that every row and column sum is a
+    # multiple of its index, and run_protocol's _kg_scheme validated the
+    # pair, so _assemble_b_sets hands over each column's wires in whole blocks.
     "partitions._blocks",
-    # run_protocol's _kg_scheme validated the pair, so each column's wires
-    # come in whole blocks.
-    "cable._assemble_b_sets",
 }
 
 
@@ -120,11 +117,16 @@ def test_output_checks_are_not_asserts():
     package = os.path.dirname(os.path.abspath(wireid.__file__))
     paths = sorted(glob.glob(os.path.join(package, "*.py")))
     assert len(paths) >= 5
-    stray = []
+    stray, allowed_seen = [], set()
     for path in paths:
         module = os.path.splitext(os.path.basename(path))[0]
         with open(path, encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), filename=path)
-        stray.extend(f"{path}:{line} ({scope})" for scope, line in _assert_sites(tree, module)
-                     if scope not in ALLOWED_ASSERTS)
+        for scope, line in _assert_sites(tree, module):
+            if scope in ALLOWED_ASSERTS:
+                allowed_seen.add(scope)
+            else:
+                stray.append(f"{path}:{line} ({scope})")
     assert not stray, "asserts vanish under python -O; raise instead:\n" + "\n".join(stray)
+    assert allowed_seen == ALLOWED_ASSERTS, "allow-listed scopes without an assert: " + ", ".join(
+        sorted(ALLOWED_ASSERTS - allowed_seen))

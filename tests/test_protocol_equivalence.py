@@ -261,3 +261,12 @@ def test_writer_matches_json_dumps(value):
 def test_writer_matches_json_dumps_on_rows_of_ints(rows):
     payload = {"rows": rows, "nested": [rows]}
     assert dumps_indent2(payload) == json.dumps(payload, indent=2)
+
+
+@given(st.lists(st.frozensets(st.integers()) | st.sets(st.integers(0, 9), max_size=3)))
+def test_writer_writes_sets_as_ascending_lists(sets):
+    union = set().union(*sets)
+    payload = {"sets": sets, "tuple": tuple(sets), "nested": [sets], "union": union}
+    as_lists = [sorted(s) for s in sets]
+    expected = {"sets": as_lists, "tuple": as_lists, "nested": [as_lists], "union": sorted(union)}
+    assert dumps_indent2(payload) == json.dumps(expected, indent=2)
