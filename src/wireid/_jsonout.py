@@ -2,21 +2,22 @@
 
 With ``indent`` set, CPython's ``json`` falls back to its pure-Python
 encoder, which yields every token from nested generators. The documents
-this package writes are mostly long lists of ints, so joining each such
-list with ``map(str, ...)`` in one go produces the same bytes several
-times faster.
+this package writes are mostly long lists of ints and of int rows (sets,
+coordinates), so one ``map(str, ...)`` per int list and one %-operation per
+run of equal-length rows produce the same bytes several times faster.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, groupby
+from typing import Callable, Iterable
 
 
 def dumps_indent2(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` for dicts with str keys, lists, tuples,
-    ints and strs (any other scalar goes through ``json.dumps``). A set or
-    frozenset is written as the list of its elements, ascending.
+    ints and strs (any other scalar goes through ``json.dumps``). Sets and
+    frozensets are written as ascending lists; int rows, one run at a time.
 
     ``newline`` is the line break plus the indentation of the enclosing
     level; callers leave it at its default.
@@ -34,21 +35,24 @@ def dumps_indent2(obj, newline: str = "\n") -> str:
     if not obj:
         return "[]"
     kinds = set(map(type, obj))
+    if kinds <= {list, tuple, set, frozenset} and not kinds <= {list, tuple}:
+        obj = [sorted(row) if type(row) in {set, frozenset} else row for row in obj]
     if kinds == {int}:
-        items = map(str, obj)
-    elif kinds <= {list, tuple} and _int_rows_of_one_length(obj):
-        # Short rows such as (j, k) coordinates: one %-template per row.
+        body = ("," + inner).join(map(str, obj))
+    elif kinds <= {list, tuple, set, frozenset} and set(map(type, chain.from_iterable(obj))) <= {int}:
         leaf = inner + "  "
-        template = "[" + leaf + ("," + leaf).join(["%d"] * len(obj[0])) + inner + "]"
-        items = map(template.__mod__, map(tuple, obj))
+
+        def template(size: int) -> str:
+            return "[" + leaf + ("," + leaf).join(["%d"] * size) + inner + "]" if size else "[]"
+
+        body = format_int_rows(obj, template, "," + inner)
     else:
-        items = (dumps_indent2(item, inner) for item in obj)
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
+        body = ("," + inner).join(dumps_indent2(item, inner) for item in obj)
+    return "[" + inner + body + newline + "]"
 
 
-def _int_rows_of_one_length(rows) -> bool:
-    return (
-        len(set(map(len, rows))) == 1
-        and len(rows[0]) > 0
-        and set(map(type, chain.from_iterable(rows))) == {int}
-    )
+def format_int_rows(rows: Iterable, template: Callable[[int], str], sep: str) -> str:
+    """Int rows, each written as ``template(len(row)) % tuple(row)`` and joined
+    by sep: one %-operation per run of consecutive equal-length rows."""
+    runs = (list(run) for _, run in groupby(rows, len))
+    return sep.join(sep.join([template(len(r[0]))] * len(r)) % tuple(chain.from_iterable(r)) for r in runs)

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Sequence
 
 from ._jsonout import dumps_indent2
-from .partitions import KgPartition, _blocks, _canonical_key, _kg_scheme, _size_of, kg_violations
+from .partitions import KgPartition, _blocks, _canonical_order, _kg_scheme, _size_of, kg_violations
 
 END_A = "A"
 END_B = "B"
@@ -54,8 +54,21 @@ class CableInstance:
         if self.n < 1:
             raise ValueError(f"need at least one wire, got n={self.n}")
         object.__setattr__(self, "wiring", tuple(self.wiring))
-        if sorted(self.wiring) != list(range(1, self.n + 1)):
+        if not _is_permutation(self.wiring, self.n):
             raise ValueError("wiring must be a bijection on positions 1..n")
+
+
+def _is_permutation(values: Sequence, n: int) -> bool:
+    """Whether values are 1..n in some order; labels that are not ints (1.0, say) take a sort."""
+    marks = bytearray(n + 1)
+    try:
+        for v in values:
+            marks[v] = 1
+    except IndexError:  # above n (or below -n - 1)
+        return False
+    except TypeError:
+        return sorted(values) == list(range(1, n + 1))
+    return len(values) == n and min(values, default=1) >= 1 and marks.count(1) == n
 
 
 def make_cable(n: int, seed: int) -> CableInstance:
@@ -85,16 +98,13 @@ class ConnectionPlan:
     def __post_init__(self) -> None:
         if self.end not in (END_A, END_B):
             raise ValueError(f"end must be {END_A!r} or {END_B!r}, got {self.end!r}")
-        groups = tuple(sorted((frozenset(g) for g in self.groups), key=_canonical_key))
-        object.__setattr__(self, "groups", groups)
-        positions = [p for g in groups for p in g]
-        n = len(positions)
-        if sorted(positions) != list(range(1, n + 1)):
+        object.__setattr__(self, "groups", _canonical_order(self.groups))
+        if not _is_permutation(list(chain.from_iterable(self.groups)), self.n):
             raise ValueError("groups must be disjoint and cover positions 1..n")
 
     @property
     def n(self) -> int:
-        return sum(len(g) for g in self.groups)
+        return sum(map(len, self.groups))
 
 
 def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tuple[int, ...]:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from typing import Iterable
 
-from ._jsonout import dumps_indent2
+from ._jsonout import dumps_indent2, format_int_rows
 from .cable import ProtocolError, make_cable, run_protocol, transcript_to_json
 from .matrices import format_degree_sequence
 from .partitions import (
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fmt_sets(sets: Iterable[frozenset]) -> str:
-    return " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
+    return format_int_rows(map(sorted, sets), lambda size: "{" + ",".join(["%d"] * size) + "}", " ")
 
 
 def cmd_construct(args) -> int:
@@ -159,8 +160,8 @@ def cmd_simulate(args) -> int:
         print(f"phase1_probe: {format_degree_sequence(transcript.phase1_probe)}")
         print(f"phase2_plan: {_fmt_sets(transcript.phase2_plan.groups)}")
         print(f"phase2_probe: {format_degree_sequence(transcript.phase2_probe)}")
-        print("coords_a: " + " ".join(f"({j},{k})" for j, k in transcript.coords_a))
-        print("coords_b: " + " ".join(f"({j},{k})" for j, k in transcript.coords_b))
+        for end, coords in (("a", transcript.coords_a), ("b", transcript.coords_b)):
+            print(f"coords_{end}:", " ".join(["(%d,%d)"] * len(coords)) % tuple(chain.from_iterable(coords)))
     return EXIT_OK
 
 

@@ -6,13 +6,12 @@ m x m matrix. The central operation is :func:`construct_matrix`, which
 realizes, in the order given, any pair of degree sequences with equal
 totals whose nonincreasing sorts are gap-free (consecutive entries drop by
 at most 1). It works level by level on the sorted sums: peel off the first
-row and column, reduce the remaining sums, sort, and repeat on the smaller
-square. Two index arrays map the shrinking square back to the input's rows
-and columns, so each level writes straight into the output: O(m^2) work
-and no recursion depth limit. It cannot fail once :func:`can_construct`
-accepts the sorted input; that guarantee is checked once, on the output
-(its row and column sums), and a failure raises :class:`ConstructionError`
-rather than being rescued.
+row and column, reduce the remaining sums, re-sort them (a swap of two
+adjacent runs), and repeat on the smaller square. Two index arrays map the
+shrinking square back to the input's rows and columns, so each level
+writes straight into the output: O(m^2) work and no recursion depth limit.
+It cannot fail once :func:`can_construct` accepts the sorted input; that is
+checked once, on the output's sums, and a failure raises ConstructionError.
 
 Text format: a matrix serializes as m lines of m characters, ``'1'`` for a
 one and ``'.'`` for a zero, newline-terminated. Degree sequences serialize
@@ -22,6 +21,7 @@ as comma-separated integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 DegreeSequence = tuple[int, ...]
@@ -33,12 +33,12 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """An m x m grid with entries in {0, 1}."""
+    """An m x m grid with entries in {0, 1}, checked at C speed."""
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         m = len(rows)
         if m == 0:
@@ -46,7 +46,12 @@ class BinaryMatrix:
         for row in rows:
             if len(row) != m:
                 raise ValueError(f"matrix must be square, got row of length {len(row)} in a {m}-row matrix")
-            for v in row:
+        try:
+            binary = all(map({0, 1}.issuperset, rows))
+        except TypeError:  # an unhashable entry
+            binary = False
+        if not binary:  # name the first bad entry
+            for v in chain.from_iterable(rows):
                 if v not in (0, 1):
                     raise ValueError(f"matrix entries must be 0 or 1, got {v!r}")
 
@@ -106,11 +111,11 @@ def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
     row and column sums, the first row carries 1s in columns 1..p and the
     first column carries 1s in rows 1..q (sharing the corner), so the
     remaining (m-1)-square must realize r' = (r2-1, ..., rq-1, r(q+1), ...,
-    rm) and the mirror c'; those are stably re-sorted and form the next
-    level. Two index arrays map each sorted position to its row and column
-    in the input, starting at the stable sort of the input, so every level
-    writes its row and column straight into the one m x m output: O(m^2)
-    work in all, no sub-matrix copy, no recursion depth limit. Rows
+    rm) and the mirror c'; stably re-sorted (a swap of two runs), those form
+    the next level. Two index arrays map each sorted position to its row and
+    column in the input, starting at the stable sort of the input, so every
+    level writes its row and column straight into the one m x m output:
+    O(m^2) work in all, no sub-matrix copy, no recursion depth limit. Rows
     (columns) with equal sums take the sorted construction's rows (columns)
     in input order, so sorted input gives the sorted construction itself.
     Self-dual: equal inputs produce a symmetric matrix. The output's row and
@@ -131,6 +136,7 @@ def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
 
 
 def _construct(r: DegreeSequence, c: DegreeSequence) -> list[list[int]]:
+    """construct_matrix's level loop; _peel re-sorts each level's sums."""
     m = len(r)
     out = [[0] * m for _ in range(m)]
     # Current position -> original row (column) of the output.
@@ -146,9 +152,19 @@ def _construct(r: DegreeSequence, c: DegreeSequence) -> list[list[int]]:
             out[rows[j]][cols[0]] = 1
         # Positions 2..q of r lose one to the first column (and 2..p of c
         # to the first row).
-        r_cur, rows = _sort_descending([v - 1 for v in r_cur[1:q]] + r_cur[q:], rows[1:])
-        c_cur, cols = _sort_descending([v - 1 for v in c_cur[1:p]] + c_cur[p:], cols[1:])
+        r_cur, rows = _peel(r_cur, rows, q)
+        c_cur, cols = _peel(c_cur, cols, p)
     return out
+
+
+def _peel(values: list[int], origin: list[int], q: int) -> tuple[list[int], list[int]]:
+    """_sort_descending of values[1:q] less one each, then values[q:], with
+    origin[1:], for gap-free nonincreasing values: a swap of the head's last
+    run (from i) and the tail's run 1 above it (j long, often 0)."""
+    head, tail, origin = [v - 1 for v in values[1:q]], values[q:], origin[1:]
+    i, h, j = (head.index(head[-1]), len(head), tail.count(head[-1] + 1)) if head else (0, 0, 0)
+    values = head[:i] + tail[:j] + head[i:] + tail[j:]
+    return values, origin[:i] + origin[h : h + j] + origin[i:h] + origin[h + j :]
 
 
 def _sort_descending(values: list[int], origin: list[int]) -> tuple[list[int], list[int]]:

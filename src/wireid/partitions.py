@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import isqrt
-from operator import add, index
+from operator import add, index, itemgetter
 from typing import Collection, Hashable, Iterable, Sequence
 
 from ._jsonout import dumps_indent2
@@ -160,10 +160,23 @@ def represent(n: int, m: int) -> Representation:
     return Representation(m=m, t=tuple(t), s=s, k=k)
 
 
-def _canonical_key(s: Collection) -> tuple:
-    """Canonical set order, shared by KgPartition and cable.ConnectionPlan:
-    by cardinality, then by sorted content."""
-    return len(s), tuple(sorted(s))
+def _canonical_order(sets: Iterable[Collection]) -> tuple[frozenset, ...]:
+    """The sets as frozensets sorted by cardinality, then sorted content. Keys of
+    cardinality and first sorted element decide that alone when distinct with int
+    firsts (one pass if already in order); empty sets, ties and the rest fully sort."""
+    frozen = list(map(frozenset, sets))
+    try:
+        firsts = list(map(itemgetter(0), map(sorted, frozen)))
+    except (IndexError, TypeError):  # an empty set, or labels that do not sort
+        firsts = [None]
+    keys = list(zip(map(len, frozen), firsts))
+    if set(map(type, firsts)) == {int} and len(set(keys)) == len(frozen):
+        return tuple(s for _, s in sorted(zip(keys, frozen), key=itemgetter(0)))
+    try:
+        frozen.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    except TypeError:  # mixed label types in a malformed pair
+        frozen.sort(key=lambda s: (len(s), tuple(sorted(map(repr, s)))))
+    return tuple(frozen)
 
 
 @dataclass(frozen=True)
@@ -171,8 +184,8 @@ class KgPartition:
     """Two partitions (A-sets, B-sets) of the same n elements.
 
     Sets are stored in canonical order (by cardinality, then by sorted
-    content). The dataclass itself accepts malformed pairs, overlaps,
-    gaps and all; judging them is kg_violations' job.
+    content; input in that order is checked, not re-sorted). The dataclass
+    accepts malformed pairs, overlaps, gaps and all; kg_violations judges.
     """
 
     n: int
@@ -182,13 +195,8 @@ class KgPartition:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        for name in ("a_sets", "b_sets"):
-            frozen = [frozenset(s) for s in getattr(self, name)]
-            try:
-                frozen.sort(key=_canonical_key)
-            except TypeError:  # mixed label types in a malformed pair
-                frozen.sort(key=lambda s: (len(s), tuple(sorted(map(repr, s)))))
-            object.__setattr__(self, name, tuple(frozen))
+        object.__setattr__(self, "a_sets", _canonical_order(self.a_sets))
+        object.__setattr__(self, "b_sets", _canonical_order(self.b_sets))
 
     @property
     def order(self) -> int:
@@ -383,7 +391,7 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     rep = represent(n, m)
     matrix = construct_matrix(rep.t, rep.t)
     # Equal row and column inputs make the construction self-dual.
-    if matrix != matrix.transpose():
+    if matrix.rows != tuple(zip(*matrix.rows)):
         raise ConstructionError(f"the matrix built for {rep} is not symmetric")
     partition = matrix_to_partition(matrix, range(1, n + 1))
     return Construction(representation=rep, matrix=matrix, partition=partition)

@@ -13,7 +13,9 @@ for the rows and once for the columns. `reference_permute_to_sums` (with
 `_match_targets`) is the stable row and column matching that used to bring
 the sorted construction into the order of the requested sums;
 construct_matrix on unsorted sums must equal it applied to the sorted
-construction.
+construction. `reference_canonical_order` is KgPartition's set order as
+first written: a full sort by cardinality, then sorted content, with a
+repr-keyed fallback for labels that do not sort.
 
 None imports the package's constructor or its matrix-to-partition
 chunking; tests compare those with these bit for bit.
@@ -22,7 +24,7 @@ chunking; tests compare those with these bit for bit.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from wireid.matrices import BinaryMatrix, DegreeSequence, can_construct, format_degree_sequence
 from wireid.partitions import KgPartition
@@ -141,3 +143,19 @@ def reference_matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashabl
 def _blocks(items: list, size: int) -> list[frozenset]:
     assert len(items) % size == 0
     return [frozenset(items[i : i + size]) for i in range(0, len(items), size)]
+
+
+def _canonical_key(s: Collection) -> tuple:
+    """Canonical set order, shared by KgPartition and cable.ConnectionPlan:
+    by cardinality, then by sorted content."""
+    return len(s), tuple(sorted(s))
+
+
+def reference_canonical_order(sets: Iterable[Collection]) -> tuple[frozenset, ...]:
+    """The order KgPartition must store one side's sets in."""
+    frozen = [frozenset(s) for s in sets]
+    try:
+        frozen.sort(key=_canonical_key)
+    except TypeError:  # mixed label types in a malformed pair
+        frozen.sort(key=lambda s: (len(s), tuple(sorted(map(repr, s)))))
+    return tuple(frozen)

@@ -11,6 +11,7 @@ from wireid.cable import (
     END_B,
     CableInstance,
     ConnectionPlan,
+    _is_permutation,
     make_cable,
     probe,
     run_protocol,
@@ -58,6 +59,17 @@ def test_wiring_is_always_a_bijection(n, seed):
     cable = make_cable(n, seed)
     assert sorted(cable.wiring) == list(range(1, n + 1))
     assert cable == make_cable(n, seed)
+
+
+@given(st.lists(st.integers(-2, 8) | st.sampled_from([1.0, 2.0, True, 2.5]), max_size=8), st.integers(0, 7))
+def test_bijection_check_matches_the_sort_it_replaces(values, n):
+    assert _is_permutation(values, n) == (sorted(values) == list(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("values", [(-1, 1), (0, 1), (1, 3), (2, 2), (1.0, 2), (True, 2.0)])
+def test_bijection_check_on_wrapping_and_non_int_positions(values):
+    # -1 would mark position 2 through negative indexing; 1.0 and True equal 1.
+    assert _is_permutation(values, 2) == (sorted(values) == [1, 2])
 
 
 # ── plans and probes ─────────────────────────────────────────────────────

@@ -17,6 +17,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# ── the grid set writer ──────────────────────────────────────────────────
+
+@given(st.lists(st.frozensets(st.integers(-5, 40) | st.integers(2**63, 2**64), max_size=5), max_size=15))
+def test_fmt_sets_matches_the_f_string_join(sets):
+    sets = sorted(sets, key=len) if len(sets) % 2 else sets  # canonical runs and scattered sizes
+    expected = " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
+    assert cli._fmt_sets(sets) == expected
+
+
 # ── bounds ───────────────────────────────────────────────────────────────
 
 def test_bounds_table(capsys):

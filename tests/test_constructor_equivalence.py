@@ -11,6 +11,8 @@ back to the given order.
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import LETTERS, gapfree_sequences
 from reference_constructor import (
@@ -18,7 +20,7 @@ from reference_constructor import (
     reference_matrix_to_partition,
     reference_permute_to_sums,
 )
-from wireid.matrices import construct_matrix
+from wireid.matrices import _peel, _sort_descending, construct_matrix
 from wireid.partitions import feasible_orders, matrix_to_partition, represent
 
 
@@ -90,3 +92,16 @@ def test_pipeline_matches_reference_on_seeded_large_n():
 
 def test_matrix_to_partition_matches_reference_with_letter_labels(matrix26):
     assert matrix_to_partition(matrix26, LETTERS) == reference_matrix_to_partition(matrix26, LETTERS)
+
+
+@given(st.integers(-2, 12), st.lists(st.booleans(), max_size=14), st.data())
+def test_peel_is_the_stable_sort_of_the_peeled_sums(start, drops, data):
+    """The block swap equals _sort_descending of the peeled sums on gap-free
+    nonincreasing sequences, for every valid q."""
+    values = [start]
+    for drop in drops:
+        values.append(values[-1] - drop)
+    origin = data.draw(st.permutations(range(len(values))))
+    for q in range(1, len(values) + 1):
+        expected = _sort_descending([v - 1 for v in values[1:q]] + values[q:], list(origin[1:]))
+        assert _peel(list(values), list(origin), q) == expected, (values, q)

@@ -59,6 +59,19 @@ def test_matrix_validation():
         BinaryMatrix(())
 
 
+@pytest.mark.parametrize("bad", [2, [1], float("nan"), -1, "1", None])
+def test_matrix_names_its_first_bad_entry(bad):
+    # The first bad entry in row-major order is named, hashable or not.
+    with pytest.raises(ValueError) as excinfo:
+        BinaryMatrix(((0, 1, 1), (1, bad, 0), (0, 3, 1)))
+    assert str(excinfo.value) == f"matrix entries must be 0 or 1, got {bad!r}"
+
+
+def test_matrix_accepts_entries_equal_to_0_or_1():
+    matrix = BinaryMatrix(((True, 1.0), (0, False)))
+    assert matrix.rows == ((1, 1), (0, 0)) and matrix.row_sums() == (2, 0)
+
+
 # ── text format ──────────────────────────────────────────────────────────
 
 def test_text_round_trip(matrix26):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import A_SETS_26, B_SETS_26, LETTERS
 from oracles import gale_ryser_feasible, matrix_from_text, partition_to_matrix
+from reference_constructor import reference_canonical_order
 from wireid.matrices import BinaryMatrix
 import wireid
 from wireid import partitions
@@ -388,3 +389,45 @@ def test_invalid_pair_parses_but_fails_verification():
     text = '{"schema": "kg-partition/1", "n": 2, "a_sets": [[1], [2]], "b_sets": [[1], [2]]}'
     pair = partition_from_json(text)
     assert kg_violations(pair)
+
+
+# ── canonical order against the full-content sort ────────────────────────
+
+NAN = float("nan")
+odd_labels = st.sampled_from([True, 1.0, "1", NAN]) | st.builds(float, st.just("nan"))
+order_sides = st.lists(
+    st.frozensets(st.integers(-2, 8) | odd_labels, max_size=4)
+    | st.frozensets(st.integers(-2, 8), max_size=4),
+    max_size=10,
+)
+
+
+@given(order_sides, st.booleans())
+def test_canonical_order_matches_the_full_content_sort(sets, presorted):
+    """Ties on (len, min), overlaps, empty sets, True/1.0/'1' and NaN labels:
+    KgPartition stores the very sets the old full-key sort would, in its order."""
+    if presorted:
+        sets = list(reference_canonical_order(sets))
+    pair = KgPartition(3, tuple(sets), tuple(reversed(sets)))
+    for side, given_sets in ((pair.a_sets, sets), (pair.b_sets, list(reversed(sets)))):
+        assert list(map(id, side)) == list(map(id, reference_canonical_order(given_sets)))
+
+
+def test_canonical_order_keys_on_the_first_sorted_element_not_the_min():
+    # Iterated as 9, NaN, 5, a set sorts to (9, NaN, 5) although its min is
+    # 5; the full sort puts {6, 7, 8} first, and so must KgPartition.
+    nans = [float("nan") for _ in range(1000)]
+    odd = next(s for s in (frozenset({9, x, 5}) for x in nans) if sorted(s)[0] == 9 and min(s) == 5)
+    plain = frozenset({6, 7, 8})
+    for sets in ((odd, plain), (plain, odd)):
+        assert reference_canonical_order(sets) == (plain, odd)
+        assert KgPartition(3, sets, sets).a_sets == (plain, odd)
+
+
+def test_constructed_sets_arrive_in_strictly_increasing_len_min_order():
+    # The order KgPartition checks and keeps instead of re-sorting.
+    pair = construct(5_000)
+    for sets in (pair.a_sets, pair.b_sets):
+        keys = [(len(s), min(s)) for s in sets]
+        assert keys == sorted(set(keys))
+        assert sets == reference_canonical_order(reversed(sets))

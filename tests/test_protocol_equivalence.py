@@ -270,3 +270,28 @@ def test_writer_writes_sets_as_ascending_lists(sets):
     as_lists = [sorted(s) for s in sets]
     expected = {"sets": as_lists, "tuple": as_lists, "nested": [as_lists], "union": sorted(union)}
     assert dumps_indent2(payload) == json.dumps(expected, indent=2)
+
+
+int_rows = st.lists(
+    st.lists(st.integers(-3, 3) | st.integers(2**63, 2**64) | st.integers(), max_size=4).flatmap(
+        lambda row: st.sampled_from([list(row), tuple(row), set(row), frozenset(row)])
+    ),
+    max_size=12,
+)
+
+
+@given(int_rows)
+def test_writer_matches_json_dumps_on_runs_of_mixed_int_rows(rows):
+    """Rows of every kind and mixed lengths, empty rows included, go through
+    the %-template runs; sets come out ascending."""
+    as_lists = [sorted(row) if isinstance(row, (set, frozenset)) else list(row) for row in rows]
+    payload = {"rows": rows, "nested": [rows, tuple(rows)]}
+    expected = {"rows": as_lists, "nested": [as_lists, as_lists]}
+    assert dumps_indent2(payload) == json.dumps(expected, indent=2)
+
+
+def test_writer_keeps_bools_off_the_row_template():
+    # %d would write True as 1; json writes true.
+    rows = [[1, 2], [True, 0], (False,), [3]]
+    assert dumps_indent2(rows) == json.dumps(rows, indent=2)
+    assert dumps_indent2({"rows": [frozenset({True})]}) == json.dumps({"rows": [[True]]}, indent=2)
