@@ -211,45 +211,46 @@ def kg_violations(partition: KgPartition) -> list[str]:
     listed with its witnesses. Empty list means the pair is valid.
 
     Labels are compared by value, as sets compare them, so 1.0 stands for 1.
-    A valid pair costs a few passes over flat lists; the Counters that name
-    the culprits run only when something is wrong.
+    The pigeonhole pass of _side_sizes decides the structure; each element
+    then gets the flat key j * width + k of its (j, k) cell, and the pair is
+    valid iff the keys differ. Sets and Counters are built only to word a
+    structure failure or to map value-equal labels onto ints, and the key
+    list only to name crowded cells.
     """
-    messages: list[str] = []
     n = partition.n
-    universe = set(range(1, n + 1))
-    for name, sets in (("A", partition.a_sets), ("B", partition.b_sets)):
-        if not all(sets):
-            messages.append(f"{name}-sets contain an empty set")
-        # Built one element at a time, as set(Counter(...)) would be, so the
-        # labels outside 1..n come out in the same order even when they have
-        # no total order (NaN, say).
-        covered = set(chain.from_iterable(sets))
-        if sum(map(len, sets)) != len(covered):
-            counts = Counter(chain.from_iterable(sets))
-            duplicated = _ordered(x for x, c in counts.items() if c > 1)
-            messages.append(f"{name}-sets overlap on elements {duplicated}")
-        if covered != universe:
-            missing = universe - covered
-            if missing:
-                messages.append(f"{name}-sets do not cover elements {sorted(missing)}")
-            extra = covered - universe
-            if extra:
-                messages.append(f"{name}-sets contain elements outside 1..{n}: {_ordered(extra)}")
-    if messages:
-        return messages
-
-    # Both sides partition 1..n: give each element x the flat key
-    # j * width + k of its (j, k) cell; the pair is valid iff the keys differ.
     a_sets, b_sets = partition.a_sets, partition.b_sets
-    width = max(map(len, chain(a_sets, b_sets))) + 1
-    try:
-        keys = list(map(add, _size_of(a_sets, n, width), _size_of(b_sets, n)))
-    except TypeError:  # labels equal to 1..n but not ints, 1.0 say
+    width = max(map(len, chain(a_sets, b_sets)), default=0) + 1
+    size_a, size_b = _side_sizes(a_sets, n, width), _side_sizes(b_sets, n)
+    messages: list[str] = []
+    if size_a is None or size_b is None:
+        universe = set(range(1, n + 1))
+        for name, sets in (("A", a_sets), ("B", b_sets)):
+            if not all(sets):
+                messages.append(f"{name}-sets contain an empty set")
+            # Built one element at a time, as set(Counter(...)) would be, so the
+            # labels outside 1..n come out in the same order even when they have
+            # no total order (NaN, say).
+            covered = set(chain.from_iterable(sets))
+            if sum(map(len, sets)) != len(covered):
+                counts = Counter(chain.from_iterable(sets))
+                duplicated = _ordered(x for x, c in counts.items() if c > 1)
+                messages.append(f"{name}-sets overlap on elements {duplicated}")
+            if covered != universe:
+                missing = universe - covered
+                if missing:
+                    messages.append(f"{name}-sets do not cover elements {sorted(missing)}")
+                extra = covered - universe
+                if extra:
+                    messages.append(f"{name}-sets contain elements outside 1..{n}: {_ordered(extra)}")
+        if messages:
+            return messages
+        # Labels equal to 1..n but not ints, 1.0 say.
         as_int = {x: x for x in universe}
         a_sets, b_sets = ([[as_int[x] for x in s] for s in sets] for sets in (a_sets, b_sets))
-        keys = list(map(add, _size_of(a_sets, n, width), _size_of(b_sets, n)))
-    if len(set(keys)) == n + 1:
+        size_a, size_b = _size_of(a_sets, n, width), _size_of(b_sets, n)
+    if len(set(map(add, size_a, size_b))) == n + 1:
         return messages
+    keys = list(map(add, size_a, size_b))
     crowded = sorted(key for key, count in Counter(keys).items() if count > 1)
     members: dict[int, list[int]] = {key: [] for key in crowded}
     for x, key in enumerate(keys):  # keys[0] == 0 is never crowded
@@ -259,6 +260,24 @@ def kg_violations(partition: KgPartition) -> list[str]:
         j, k = divmod(key, width)
         messages.append(f"cell ({j},{k}) holds {len(xs)} elements: {xs}")
     return messages
+
+
+def _side_sizes(sets: Collection[Collection], n: int, unit: int = 1) -> list[int] | None:
+    """_size_of(sets, n, unit) if the sets exactly partition the ints 1..n, else None.
+
+    By pigeonhole: n labels in all, none below 1 (-1 would write slot n),
+    none above n, and every slot 1..n written. Nothing of size n is allocated
+    unless the label count is n.
+    """
+    if not all(sets) or sum(map(len, sets)) != n:
+        return None
+    try:
+        if min(chain.from_iterable(sets)) < 1:
+            return None
+        size_of = _size_of(sets, n, unit)
+    except (IndexError, TypeError):  # labels above n or not ints
+        return None
+    return size_of if size_of.count(0) == 1 else None
 
 
 def _size_of(sets: Iterable[Collection], n: int, unit: int = 1) -> list[int]:
@@ -286,27 +305,15 @@ def _kg_scheme(partition: KgPartition) -> tuple[list[int], list[list[int]]] | No
     Returns (size_a, rows): size_a[x] is the size of the A-set holding x
     (entry 0 unused) and rows[j-1] lists, ascending, the k whose (j, k)
     cell holds an element, i.e. row j of the pair's matrix. Returns None
-    unless both sides exactly partition the integers 1..n and no cell holds
-    two elements; kg_violations then says why. Labels that are not ints
-    (1.0, say) also give None, although kg_violations compares them by value.
+    unless both sides exactly partition the integers 1..n (the structure
+    check kg_violations shares, _side_sizes) and no cell holds two elements;
+    kg_violations then says why. Labels that are not ints (1.0, say) also
+    give None, although kg_violations compares them by value.
     """
     n = partition.n
-    sizes = []
-    for sets in (partition.a_sets, partition.b_sets):
-        # n labels, all >= 1, none above n and every position 1..n written:
-        # by pigeonhole the side partitions 1..n exactly.
-        if not all(sets) or sum(map(len, sets)) != n:
-            return None
-        try:
-            if min(chain.from_iterable(sets)) < 1:
-                return None
-            size_of = _size_of(sets, n)
-        except (IndexError, TypeError):  # labels above n or not ints
-            return None
-        if size_of.count(0) != 1:
-            return None
-        sizes.append(size_of)
-    size_a, size_b = sizes
+    size_a, size_b = _side_sizes(partition.a_sets, n), _side_sizes(partition.b_sets, n)
+    if size_a is None or size_b is None:
+        return None
     width = max(max(size_a), max(size_b)) + 1
     grid = bytearray(width * width)
     for j, k in zip(size_a, size_b):  # entry 0 marks the unused cell (0, 0)
@@ -442,5 +449,5 @@ def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,))
         if not set(map(type, chain.from_iterable(raw))) <= {int}:
             x = next(x for x in chain.from_iterable(raw) if type(x) is not int)
             raise ValueError(f"field {field!r} must contain only integers, got {x!r}")
-        sides.append(tuple(frozenset(s) for s in raw))
+        sides.append(tuple(map(frozenset, raw)))
     return KgPartition(n=n, a_sets=sides[0], b_sets=sides[1])

@@ -2,6 +2,7 @@
 the same message list, in the same order and wording, on every input."""
 
 import ast
+import dataclasses
 import inspect
 import random
 
@@ -161,8 +162,64 @@ def test_matches_reference_on_value_equal_non_int_labels(data):
     _same_messages(KgPartition(n, tuple(map(convert, pair.a_sets)), pair.b_sets))
 
 
+# ── the shared structure check: partitions._side_sizes ──────────────────
+
+def _check_side_sizes(pair, unit):
+    """_side_sizes gives a list exactly when the reference finds nothing wrong
+    with that side and all its labels are ints (bools are ints), and the list
+    is unit * the size of the set holding each element, read off directly."""
+    reference = reference_kg_violations(pair)
+    for name, sets in (("A", pair.a_sets), ("B", pair.b_sets)):
+        sizes = partitions._side_sizes(sets, pair.n, unit)
+        exact = not any(message.startswith(f"{name}-sets") for message in reference)
+        ints = all(isinstance(x, int) for s in sets for x in s)
+        assert (sizes is not None) == (exact and ints), (name, sets, reference)
+        if sizes is not None:
+            size = {x: len(s) for s in sets for x in s}
+            assert sizes == [0] + [unit * size[x] for x in range(1, pair.n + 1)]
+
+
+@given(st.data())
+def test_side_sizes_matches_reference_structure_on_mutated_pairs(data):
+    n = data.draw(st.integers(1, 40).filter(lambda n: n not in (2, 5, 9)))
+    m = data.draw(st.sampled_from(feasible_orders(n)))
+    _check_side_sizes(_mutate(data, construct(n, m)), data.draw(st.integers(1, 50)))
+
+
+@given(st.integers(1, 8), st.lists(st.sets(labels, max_size=4), max_size=6),
+       st.lists(st.sets(labels, max_size=4), max_size=6), st.integers(1, 50))
+def test_side_sizes_matches_reference_structure_on_arbitrary_pairs(n, a_sets, b_sets, unit):
+    pair = KgPartition(n, tuple(map(frozenset, a_sets)), tuple(map(frozenset, b_sets)))
+    _check_side_sizes(pair, unit)
+
+
+BOUNDARY_N = 12
+
+
+@pytest.mark.parametrize("side", ["a_sets", "b_sets"])
+@pytest.mark.parametrize("old, new, scheme_accepts", [
+    (BOUNDARY_N, -1, False),  # writes slot n, so every slot 1..n is written
+    (1, -(BOUNDARY_N + 1), False),  # writes slot 0 in place of slot 1
+    (1, 0, False),
+    (1, BOUNDARY_N + 1, False),
+    (1, True, True),
+    (1, 1.0, False),
+])
+def test_boundary_labels_with_n_labels_in_all(side, old, new, scheme_accepts):
+    # A valid pair with one label replaced: the label count stays n, so the
+    # count check passes and only the guard named in each case can reject.
+    pair = construct(BOUNDARY_N)
+    sets = tuple(frozenset(new if x == old else x for x in s) for s in getattr(pair, side))
+    assert sum(map(len, sets)) == BOUNDARY_N
+    pair = dataclasses.replace(pair, **{side: sets})
+    assert (_same_messages(pair) == []) == (new == old)  # True and 1.0 stand for 1
+    assert (partitions._kg_scheme(pair) is not None) == scheme_accepts
+
+
 def test_oracle_stays_independent_of_the_matrix_layer():
-    source = inspect.getsource(kg_violations) + inspect.getsource(partitions._size_of)
+    source = "".join(
+        map(inspect.getsource, (kg_violations, partitions._side_sizes, partitions._size_of))
+    )
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     matrix_layer = {"_kg_scheme", "partition_to_matrix", "matrix_to_partition", "BinaryMatrix",
                     "matrices", "construct_matrix", "permute_to_sums"}
