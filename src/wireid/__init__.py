@@ -5,12 +5,7 @@ partition-pair layer: bounds, representation, construction, verification)
 and cable (the two-ended identification protocol simulator).
 """
 
-from .matrices import (
-    BinaryMatrix,
-    can_construct,
-    construct_matrix,
-    format_degree_sequence,
-)
+from .matrices import BinaryMatrix, construct_matrix
 from .partitions import (
     Construction,
     ConstructionError,
@@ -56,12 +51,10 @@ __all__ = [
     "ProtocolError",
     "ProtocolTranscript",
     "Representation",
-    "can_construct",
     "construct",
     "construct_matrix",
     "construct_trace",
     "feasible_orders",
-    "format_degree_sequence",
     "kg_violations",
     "make_cable",
     "matrix_to_partition",

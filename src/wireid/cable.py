@@ -30,7 +30,9 @@ from itertools import chain, islice
 from typing import Sequence
 
 from ._jsonout import dumps_indent2
-from .partitions import KgPartition, _blocks, _canonical_order, _kg_scheme, _size_of, kg_violations
+from .partitions import (
+    KgPartition, _canonical_order, _column_blocks, _kg_scheme, _side_sizes, _size_of, kg_violations,
+)
 
 END_A = "A"
 END_B = "B"
@@ -59,16 +61,14 @@ class CableInstance:
 
 
 def _is_permutation(values: Sequence, n: int) -> bool:
-    """Whether values are 1..n in some order; labels that are not ints (1.0, say) take a sort."""
-    marks = bytearray(n + 1)
+    """Whether values are 1..n in some order: _side_sizes' pigeonhole pass for
+    ints, a sort for labels that only equal them (1.0, say)."""
+    if _side_sizes((values,), n) is not None:
+        return True
     try:
-        for v in values:
-            marks[v] = 1
-    except IndexError:  # above n (or below -n - 1)
-        return False
-    except TypeError:
         return sorted(values) == list(range(1, n + 1))
-    return len(values) == n and min(values, default=1) >= 1 and marks.count(1) == n
+    except TypeError:  # labels that do not order against ints
+        return False
 
 
 def make_cable(n: int, seed: int) -> CableInstance:
@@ -155,33 +155,25 @@ def _assemble_b_sets(
 
     rows[j-1] lists, ascending, the columns of row j of the agreed matrix.
     One pass buckets the wires by reading, in ascending position order;
-    within each row the bucket's wires then take that row's columns in
-    ascending order, and each column's wires, rows ascending, chunk into
-    blocks of the column index. Returns the blocks and column_of, where
-    column_of[b] is the column assigned to B-position b (entry 0 unused).
+    the buckets, rows ascending, then take the matrix's cells in row-major
+    order, as labels do in matrix_to_partition, and _column_blocks cuts
+    the B-sets. Returns the blocks and column_of, where column_of[b] is the
+    column assigned to B-position b (entry 0 unused): the size of its block.
     """
     m = len(rows)
     by_size: list[list[int]] = [[] for _ in range(m + 1)]
     for pos, size in enumerate(readings, start=1):
         if 0 < size <= m:
             by_size[size].append(pos)
-    column_of = [0] * (len(readings) + 1)
-    per_column: list[list[int]] = [[] for _ in range(m + 1)]
-    for j, columns in enumerate(rows, start=1):
-        wires = by_size[j]
+    for j, (wires, columns) in enumerate(zip(by_size[1:], rows), start=1):
         if len(wires) != len(columns):
             raise ValueError(
                 f"observed {len(wires)} wires of bundle size {j} but the scheme has {len(columns)}"
             )
-        for wire, k in zip(wires, columns):
-            column_of[wire] = k
-            per_column[k].append(wire)  # rows processed ascending
     if sum(map(len, rows)) != len(readings):
         raise ValueError("some observed bundle sizes do not occur in the scheme")
-    groups: list[frozenset[int]] = []
-    for k in range(1, m + 1):
-        groups.extend(_blocks(per_column[k], k))
-    return tuple(groups), column_of
+    groups = tuple(_column_blocks(rows, chain.from_iterable(by_size)))
+    return groups, _size_of(groups, len(readings))
 
 
 def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTranscript:

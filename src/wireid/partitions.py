@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import isqrt
-from operator import add, index, itemgetter
+from operator import add, index
 from typing import Collection, Hashable, Iterable, Sequence
 
 from ._jsonout import dumps_indent2
@@ -44,6 +44,8 @@ class InfeasibleOrderError(ValueError):
         self.m = m
         if m is None:
             message = f"no order exists for n (n={n})"
+        elif n < min_elements(m):  # max_elements(m) costs O(m); m may be huge
+            message = f"n out of range for order m (n={n}, m={m}, needs n >= {min_elements(m)})"
         else:
             message = (
                 f"n out of range for order m (n={n}, m={m}, "
@@ -161,21 +163,12 @@ def represent(n: int, m: int) -> Representation:
 
 
 def _canonical_order(sets: Iterable[Collection]) -> tuple[frozenset, ...]:
-    """The sets as frozensets sorted by cardinality, then sorted content. Keys of
-    cardinality and first sorted element decide that alone when distinct with int
-    firsts (one pass if already in order); empty sets, ties and the rest fully sort."""
+    """The sets as frozensets sorted by cardinality, then sorted content."""
     frozen = list(map(frozenset, sets))
     try:
-        firsts = list(map(itemgetter(0), map(sorted, frozen)))
-    except (IndexError, TypeError):  # an empty set, or labels that do not sort
-        firsts = [None]
-    keys = list(zip(map(len, frozen), firsts))
-    if set(map(type, firsts)) == {int} and len(set(keys)) == len(frozen):
-        return tuple(s for _, s in sorted(zip(keys, frozen), key=itemgetter(0)))
-    try:
-        frozen.sort(key=lambda s: (len(s), tuple(sorted(s))))
+        frozen.sort(key=lambda s: (len(s), sorted(s)))
     except TypeError:  # mixed label types in a malformed pair
-        frozen.sort(key=lambda s: (len(s), tuple(sorted(map(repr, s)))))
+        frozen.sort(key=lambda s: (len(s), sorted(map(repr, s))))
     return tuple(frozen)
 
 
@@ -184,7 +177,7 @@ class KgPartition:
     """Two partitions (A-sets, B-sets) of the same n elements.
 
     Sets are stored in canonical order (by cardinality, then by sorted
-    content; input in that order is checked, not re-sorted). The dataclass
+    content; input already in that order sorts in one pass). The dataclass
     accepts malformed pairs, overlaps, gaps and all; kg_violations judges.
     """
 
@@ -331,6 +324,19 @@ def _blocks(items: Sequence, size: int) -> list[frozenset]:
     return [frozenset(items[i : i + size]) for i in range(0, len(items), size)]
 
 
+def _column_blocks(rows: Sequence[Iterable[int]], labels: Iterable) -> list[frozenset]:
+    """The B-sets: column k's labels, rows ascending, cut into blocks of k.
+
+    rows[j-1] yields row j's 1-based columns in ascending order, and the
+    labels attach to those cells in row-major order. End B forms its
+    B-sets by this rule too, with its wires in place of the labels.
+    """
+    per_column: list[list] = [[] for _ in range(len(rows) + 1)]
+    for k, label in zip(chain.from_iterable(rows), labels):
+        per_column[k].append(label)
+    return [block for k in range(1, len(rows) + 1) for block in _blocks(per_column[k], k)]
+
+
 def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgPartition:
     """Turn a matrix with index-divisible sums into a partition pair.
 
@@ -354,21 +360,15 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
 
-    # One walk over each row's 1-columns: labels go out in row-major order,
-    # each row's labels chunk into A-sets at once, and each label also
-    # queues on its column for the B-sets.
+    # Labels go out in row-major order: row j's chunk into A-sets of size j,
+    # and the same order queues them on their columns for the B-sets.
     a_sets: list[frozenset] = []
-    col_labels: list[list] = [[] for _ in range(m)]
     start = 0
-    for i, row in enumerate(matrix.rows):
-        row_labels = labels[start : start + r[i]]
-        start += r[i]
-        a_sets.extend(_blocks(row_labels, i + 1))
-        for j, label in zip(compress(range(m), row), row_labels):
-            col_labels[j].append(label)
-    b_sets: list[frozenset] = []
-    for j, column in enumerate(col_labels):
-        b_sets.extend(_blocks(column, j + 1))
+    for j, size in enumerate(r, start=1):
+        a_sets.extend(_blocks(labels[start : start + size], j))
+        start += size
+    columns = range(1, m + 1)
+    b_sets = _column_blocks([compress(columns, row) for row in matrix.rows], labels)
     return KgPartition(n=len(labels), a_sets=tuple(a_sets), b_sets=tuple(b_sets))
 
 

@@ -52,6 +52,8 @@ def test_cable_validation():
         make_cable(0, 1)
     with pytest.raises(ValueError):
         CableInstance(3, (1, 1, 2), seed=0)
+    with pytest.raises(ValueError):
+        CableInstance(2, (2, "a"), 0)  # "a" does not order against ints
 
 
 @given(st.integers(1, 40), st.integers(0, 5000))
@@ -81,6 +83,16 @@ def test_plan_validation():
         ConnectionPlan(END_A, (frozenset({1}), frozenset({3})))  # misses 2
     with pytest.raises(ValueError):
         ConnectionPlan(END_A, (frozenset({1, 2}), frozenset({2})))
+    with pytest.raises(ValueError):
+        ConnectionPlan(END_A, (frozenset({1, "a"}),))
+    # Groupings accepted by value: an empty group and the label 1.0 fail the
+    # pigeonhole pass and take the sort; True indexes as 1 and passes it.
+    for groups in (
+        (frozenset(), frozenset({1})),
+        (frozenset({1.0}), frozenset({2, 3})),
+        (frozenset({True}),),
+    ):
+        assert ConnectionPlan(END_A, groups).groups == groups
 
 
 def test_probe_all_singletons():

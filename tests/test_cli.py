@@ -93,6 +93,13 @@ def test_construct_out_of_range_for_order(capsys):
     assert "n out of range for order m" in err
 
 
+def test_construct_rejects_a_huge_order_without_summing_up_to_it(capsys):
+    # max_elements(m) is an O(m) sum; the lower bound alone rules this out.
+    code, out, err = run(capsys, "construct", "--n", "26", "--m", "1000000000000")
+    assert (code, out) == (EXIT_INFEASIBLE, "")
+    assert "n out of range for order m (n=26, m=1000000000000," in err
+
+
 def test_construct_structured_output(capsys):
     code, out, _ = run(capsys, "construct", "--n", "26", "--format", "structured")
     assert code == EXIT_OK

@@ -29,12 +29,10 @@ PUBLIC_NAMES = [
     "ProtocolError",
     "ProtocolTranscript",
     "Representation",
-    "can_construct",
     "construct",
     "construct_matrix",
     "construct_trace",
     "feasible_orders",
-    "format_degree_sequence",
     "kg_violations",
     "make_cable",
     "matrix_to_partition",
@@ -62,10 +60,12 @@ TEST_ONLY_NAMES = [
 # Functions allowed an assert, each because an explicit check has already
 # established what the assert restates.
 ALLOWED_ASSERTS = {
-    # _blocks chunks two callers' lists, and each caller has checked the
-    # lengths: matrix_to_partition checks that every row and column sum is a
-    # multiple of its index, and run_protocol's _kg_scheme validated the
-    # pair, so _assemble_b_sets hands over each column's wires in whole blocks.
+    # _blocks chunks its callers' lists, whose lengths were checked first:
+    # matrix_to_partition (its A-sets, and through _column_blocks its B-sets)
+    # checks that every row and column sum is a multiple of its index, and
+    # _column_blocks' other caller, _assemble_b_sets, runs on a pair that
+    # run_protocol's _kg_scheme validated, so each column's wires fill whole
+    # blocks.
     "partitions._blocks",
 }
 

@@ -425,7 +425,8 @@ def test_canonical_order_keys_on_the_first_sorted_element_not_the_min():
 
 
 def test_constructed_sets_arrive_in_strictly_increasing_len_min_order():
-    # The order KgPartition checks and keeps instead of re-sorting.
+    # matrix_to_partition emits each side already in canonical order, so
+    # KgPartition's sort finds a single run.
     pair = construct(5_000)
     for sets in (pair.a_sets, pair.b_sets):
         keys = [(len(s), min(s)) for s in sets]
