@@ -25,13 +25,14 @@ twin, and make_cable rejects it instead.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Sequence
 
 from ._jsonout import dumps_indent2
 from .partitions import (
-    KgPartition, _canonical_order, _column_blocks, _kg_scheme, _side_sizes, _size_of, kg_violations,
+    KgPartition, _canonical_order, _cell_keys, _column_blocks, _side_sizes, _size_of, kg_violations,
 )
 
 END_A = "A"
@@ -112,7 +113,8 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
 
     The plan must sit at the opposite end; a queried wire's reading is the
     size of the plan group containing its counterpart through the cable.
-    Group sizes and the inverse wiring live in lists indexed by position.
+    Group sizes and the inverse wiring live in lists indexed by position,
+    so the wiring and the plan's positions must be the ints 1..n.
     """
     if queried_end not in (END_A, END_B):
         raise ValueError(f"queried end must be {END_A!r} or {END_B!r}, got {queried_end!r}")
@@ -122,7 +124,12 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
     n = len(wiring)
     if plan.n != n:
         raise ValueError(f"plan covers {plan.n} positions but the cable has {n} wires")
-    size_at = _size_of(plan.groups, n)
+    if n and _side_sizes((wiring,), n) is None:
+        raise ValueError("wiring must be a bijection on the ints 1..n")
+    try:
+        size_at = _size_of(plan.groups, n)
+    except TypeError:  # a plan accepts positions by value, 1.0 say
+        raise ValueError("plan positions must be the ints 1..n") from None
     if queried_end == END_B:
         inverse = [0] * (n + 1)
         for a, b in enumerate(wiring, start=1):
@@ -136,8 +143,9 @@ class ProtocolTranscript:
     """Everything both ends did and saw, plus the coordinates they derived.
 
     Probes and coordinate tuples are indexed by wire position (entry i is
-    position i+1) at the probing end. coords_a composed with the hidden
-    wiring must equal coords_b; run_protocol checks this.
+    position i+1) at the probing end. coords_b read through the hidden
+    wiring must equal coords_a: coords_b[wiring[a-1]-1] == coords_a[a-1]
+    at every A-position a. run_protocol checks this.
     """
 
     phase1_plan: ConnectionPlan
@@ -149,38 +157,38 @@ class ProtocolTranscript:
 
 
 def _assemble_b_sets(
-    rows: Sequence[Sequence[int]], readings: Sequence[int]
+    width: int, cells: Sequence[int], readings: Sequence[int]
 ) -> tuple[tuple[frozenset[int], ...], list[int]]:
     """End B's canonical grouping and the column it gives each wire.
 
-    rows[j-1] lists, ascending, the columns of row j of the agreed matrix.
-    One pass buckets the wires by reading, in ascending position order;
-    the buckets, rows ascending, then take the matrix's cells in row-major
-    order, as labels do in matrix_to_partition, and _column_blocks cuts
-    the B-sets. Returns the blocks and column_of, where column_of[b] is the
-    column assigned to B-position b (entry 0 unused): the size of its block.
+    cells lists, ascending, the keys j * width + k of the agreed matrix's
+    1-cells (j, k): row-major order. One pass buckets the wires by reading,
+    in ascending position order; the buckets, rows ascending, take the cells
+    as labels do in matrix_to_partition, and _column_blocks cuts the
+    B-sets. Returns the blocks and column_of: column_of[b] is the column of
+    B-position b (entry 0 unused), the size of its block.
     """
-    m = len(rows)
-    by_size: list[list[int]] = [[] for _ in range(m + 1)]
+    by_size: list[list[int]] = [[] for _ in range(width)]
     for pos, size in enumerate(readings, start=1):
-        if 0 < size <= m:
+        if 0 < size < width:
             by_size[size].append(pos)
-    for j, (wires, columns) in enumerate(zip(by_size[1:], rows), start=1):
-        if len(wires) != len(columns):
-            raise ValueError(
-                f"observed {len(wires)} wires of bundle size {j} but the scheme has {len(columns)}"
-            )
-    if sum(map(len, rows)) != len(readings):
+    for j in range(1, width):
+        count = bisect_left(cells, (j + 1) * width) - bisect_left(cells, j * width)
+        if len(by_size[j]) != count:
+            raise ValueError(f"observed {len(by_size[j])} wires of bundle size {j} but the scheme has {count}")
+    if len(cells) != len(readings):
         raise ValueError("some observed bundle sizes do not occur in the scheme")
-    groups = tuple(_column_blocks(rows, chain.from_iterable(by_size)))
+    columns = (key % width for key in cells)
+    groups = tuple(_column_blocks(columns, width - 1, chain.from_iterable(by_size)))
     return groups, _size_of(groups, len(readings))
 
 
 def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTranscript:
     """Run both phases and derive consistent coordinates at both ends.
 
-    One pass over position-indexed lists validates the pair and yields the
-    scheme's matrix (kg_violations runs only to explain a rejection).
+    _cell_keys, which kg_violations shares, keys every element by its cell;
+    the keys must differ, and sorted they are the matrix both ends agreed
+    on (kg_violations runs only to explain a rejection).
     Phase 1: end A joins its A-sets; end B probes and learns each wire's
     row, then assembles B-sets canonically from the matrix. Phase 2: end A
     disconnects, end B joins its B-sets, end A probes and learns each
@@ -190,20 +198,21 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     """
     if partition.n != cable.n:
         raise ValueError(f"partition covers {partition.n} elements but the cable has {cable.n} wires")
-    scheme = _kg_scheme(partition)  # the matrix both ends agreed on
-    if scheme is None:
+    scheme = _cell_keys(cable.n, partition.a_sets, partition.b_sets)
+    cells = sorted(set(scheme[1])) if scheme else []  # keys[0] == 0 sorts first
+    if len(cells) != cable.n + 1:
         problems = kg_violations(partition) or ["labels must be the integers 1..n"]
         raise ValueError("invalid partition pair:\n" + "\n".join(problems))
-    size_a, rows = scheme
+    width, keys = scheme
 
     phase1_plan = ConnectionPlan(end=END_A, groups=partition.a_sets)
     phase1_probe = probe(phase1_plan, cable.wiring, END_B)
 
-    b_sets, column_of = _assemble_b_sets(rows, phase1_probe)
+    b_sets, column_of = _assemble_b_sets(width, cells[1:], phase1_probe)
     phase2_plan = ConnectionPlan(end=END_B, groups=b_sets)
     phase2_probe = probe(phase2_plan, cable.wiring, END_A)
 
-    coords_a = tuple(zip(islice(size_a, 1, None), phase2_probe))
+    coords_a = tuple(zip((key // width for key in islice(keys, 1, None)), phase2_probe))
     coords_b = tuple(zip(phase1_probe, islice(column_of, 1, None)))
 
     through_wiring = tuple(map(((None,) + coords_b).__getitem__, cable.wiring))

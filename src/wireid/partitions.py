@@ -204,18 +204,16 @@ def kg_violations(partition: KgPartition) -> list[str]:
     listed with its witnesses. Empty list means the pair is valid.
 
     Labels are compared by value, as sets compare them, so 1.0 stands for 1.
-    The pigeonhole pass of _side_sizes decides the structure; each element
-    then gets the flat key j * width + k of its (j, k) cell, and the pair is
-    valid iff the keys differ. Sets and Counters are built only to word a
-    structure failure or to map value-equal labels onto ints, and the key
-    list only to name crowded cells.
+    _cell_keys decides the structure and gives each element the flat key of
+    its (j, k) cell; the pair is valid iff the keys differ. Sets and Counters
+    are built only to word a structure failure or to map value-equal labels
+    onto ints, and the key Counter only to name crowded cells.
     """
     n = partition.n
     a_sets, b_sets = partition.a_sets, partition.b_sets
-    width = max(map(len, chain(a_sets, b_sets)), default=0) + 1
-    size_a, size_b = _side_sizes(a_sets, n, width), _side_sizes(b_sets, n)
+    cells = _cell_keys(n, a_sets, b_sets)
     messages: list[str] = []
-    if size_a is None or size_b is None:
+    if cells is None:
         universe = set(range(1, n + 1))
         for name, sets in (("A", a_sets), ("B", b_sets)):
             if not all(sets):
@@ -240,10 +238,10 @@ def kg_violations(partition: KgPartition) -> list[str]:
         # Labels equal to 1..n but not ints, 1.0 say.
         as_int = {x: x for x in universe}
         a_sets, b_sets = ([[as_int[x] for x in s] for s in sets] for sets in (a_sets, b_sets))
-        size_a, size_b = _size_of(a_sets, n, width), _size_of(b_sets, n)
-    if len(set(map(add, size_a, size_b))) == n + 1:
+        cells = _cell_keys(n, a_sets, b_sets)
+    width, keys = cells
+    if len(set(keys)) == n + 1:
         return messages
-    keys = list(map(add, size_a, size_b))
     crowded = sorted(key for key, count in Counter(keys).items() if count > 1)
     members: dict[int, list[int]] = {key: [] for key in crowded}
     for x, key in enumerate(keys):  # keys[0] == 0 is never crowded
@@ -253,6 +251,19 @@ def kg_violations(partition: KgPartition) -> list[str]:
         j, k = divmod(key, width)
         messages.append(f"cell ({j},{k}) holds {len(xs)} elements: {xs}")
     return messages
+
+
+def _cell_keys(n: int, a_sets: Collection, b_sets: Collection) -> tuple[int, list[int]] | None:
+    """(width, keys), keys[x] = j * width + k for the element x of an A-set of
+    size j and a B-set of size k (keys[0] == 0), or None unless both sides
+    exactly partition the ints 1..n. No set reaches width, so the pair is a KG
+    pair iff the n + 1 keys differ; sorted, they list its matrix's 1-cells
+    in row-major order."""
+    width = max(map(len, chain(a_sets, b_sets)), default=0) + 1
+    size_a, size_b = _side_sizes(a_sets, n, width), _side_sizes(b_sets, n)
+    if size_a is None or size_b is None:
+        return None
+    return width, list(map(add, size_a, size_b))
 
 
 def _side_sizes(sets: Collection[Collection], n: int, unit: int = 1) -> list[int] | None:
@@ -292,49 +303,22 @@ def _ordered(items: Iterable) -> list:
         return sorted(items, key=repr)
 
 
-def _kg_scheme(partition: KgPartition) -> tuple[list[int], list[list[int]]] | None:
-    """Validate an integer-labelled pair in O(n) and read off its matrix.
-
-    Returns (size_a, rows): size_a[x] is the size of the A-set holding x
-    (entry 0 unused) and rows[j-1] lists, ascending, the k whose (j, k)
-    cell holds an element, i.e. row j of the pair's matrix. Returns None
-    unless both sides exactly partition the integers 1..n (the structure
-    check kg_violations shares, _side_sizes) and no cell holds two elements;
-    kg_violations then says why. Labels that are not ints (1.0, say) also
-    give None, although kg_violations compares them by value.
-    """
-    n = partition.n
-    size_a, size_b = _side_sizes(partition.a_sets, n), _side_sizes(partition.b_sets, n)
-    if size_a is None or size_b is None:
-        return None
-    width = max(max(size_a), max(size_b)) + 1
-    grid = bytearray(width * width)
-    for j, k in zip(size_a, size_b):  # entry 0 marks the unused cell (0, 0)
-        cell = j * width + k
-        if grid[cell]:
-            return None
-        grid[cell] = 1
-    columns = range(1, width)
-    rows = [list(compress(columns, grid[j * width + 1 : (j + 1) * width])) for j in columns]
-    return size_a, rows
-
-
 def _blocks(items: Sequence, size: int) -> list[frozenset]:
     assert len(items) % size == 0
     return [frozenset(items[i : i + size]) for i in range(0, len(items), size)]
 
 
-def _column_blocks(rows: Sequence[Iterable[int]], labels: Iterable) -> list[frozenset]:
+def _column_blocks(columns: Iterable[int], m: int, labels: Iterable) -> list[frozenset]:
     """The B-sets: column k's labels, rows ascending, cut into blocks of k.
 
-    rows[j-1] yields row j's 1-based columns in ascending order, and the
-    labels attach to those cells in row-major order. End B forms its
-    B-sets by this rule too, with its wires in place of the labels.
+    columns yields the column (1..m) of each 1-cell in row-major order, and
+    the labels attach to those cells in that order. End B forms its B-sets
+    by this rule too, with its wires in place of the labels.
     """
-    per_column: list[list] = [[] for _ in range(len(rows) + 1)]
-    for k, label in zip(chain.from_iterable(rows), labels):
+    per_column: list[list] = [[] for _ in range(m + 1)]
+    for k, label in zip(columns, labels):
         per_column[k].append(label)
-    return [block for k in range(1, len(rows) + 1) for block in _blocks(per_column[k], k)]
+    return [block for k in range(1, m + 1) for block in _blocks(per_column[k], k)]
 
 
 def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgPartition:
@@ -368,7 +352,7 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
         a_sets.extend(_blocks(labels[start : start + size], j))
         start += size
     columns = range(1, m + 1)
-    b_sets = _column_blocks([compress(columns, row) for row in matrix.rows], labels)
+    b_sets = _column_blocks(chain.from_iterable(compress(columns, row) for row in matrix.rows), m, labels)
     return KgPartition(n=len(labels), a_sets=tuple(a_sets), b_sets=tuple(b_sets))
 
 

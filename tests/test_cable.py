@@ -119,6 +119,20 @@ def test_probe_size_mismatch():
         probe(plan, (1, 2), END_B)
 
 
+@pytest.mark.parametrize("queried_end", [END_A, END_B])
+@pytest.mark.parametrize("groups, wiring", [
+    ((frozenset({1}), frozenset({2, 3})), (1, 1, 3)),  # read (1,1,2) at A and (2,0,2) at B
+    ((frozenset({1}), frozenset({2, 3})), (-1, 2, 3)),  # -1 indexes the last position
+    ((frozenset({1}), frozenset({2, 3})), (1, 2, 2.0)),
+    ((frozenset({1}), frozenset({2, 3})), (1.0, 2, 3)),  # CableInstance accepts it by value
+    ((frozenset({1.0}), frozenset({2, 3})), (1, 2, 3)),  # so does ConnectionPlan
+])
+def test_probe_rejects_positions_other_than_the_ints_1_to_n(groups, wiring, queried_end):
+    plan = ConnectionPlan(END_B if queried_end == END_A else END_A, groups)
+    with pytest.raises(ValueError, match="the ints 1..n"):
+        probe(plan, wiring, queried_end)
+
+
 def test_worked_group_sizes_reach_the_far_end(matrix26):
     pair = matrix_to_partition(matrix26, range(1, 27))
     plan = ConnectionPlan(END_A, pair.a_sets)

@@ -283,8 +283,8 @@ def test_nonpositive_sizes_exit_3(argv, capsys):
 def test_protocol_error_exits_4(capsys, monkeypatch):
     original = cable._assemble_b_sets
 
-    def miswired(rows, readings):
-        groups, column_of = original(rows, readings)
+    def miswired(*args):
+        groups, column_of = original(*args)
         return swap_first_and_last(groups), column_of
 
     monkeypatch.setattr(cable, "_assemble_b_sets", miswired)

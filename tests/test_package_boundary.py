@@ -63,9 +63,9 @@ ALLOWED_ASSERTS = {
     # _blocks chunks its callers' lists, whose lengths were checked first:
     # matrix_to_partition (its A-sets, and through _column_blocks its B-sets)
     # checks that every row and column sum is a multiple of its index, and
-    # _column_blocks' other caller, _assemble_b_sets, runs on a pair that
-    # run_protocol's _kg_scheme validated, so each column's wires fill whole
-    # blocks.
+    # _column_blocks' other caller, _assemble_b_sets, runs on a pair whose
+    # n + 1 _cell_keys run_protocol found distinct, so each column's wires
+    # fill whole blocks.
     "partitions._blocks",
 }
 
@@ -97,7 +97,7 @@ def test_oracles_stay_independent_of_the_code_they_check():
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     assert {"BinaryMatrix", "KgPartition", "ConnectionPlan"} <= names  # the walk sees the imports
-    checked = {"construct_matrix", "_construct", "can_construct", "matrix_to_partition", "_kg_scheme",
+    checked = {"construct_matrix", "_construct", "can_construct", "matrix_to_partition", "_cell_keys",
                "kg_violations"}
     assert not names & checked
 

@@ -28,7 +28,7 @@ from wireid._jsonout import dumps_indent2
 from wireid.cable import ProtocolError, make_cable, run_protocol, transcript_to_json
 from wireid.partitions import (
     KgPartition,
-    _kg_scheme,
+    _cell_keys,
     construct,
     feasible_orders,
     kg_violations,
@@ -77,14 +77,14 @@ def test_invalid_pair_message_matches_reference():
     tuple(sorted([1, 1] + [2] * 6 + [3] * 3 + [4] * 4 + [5] * 5 + [6] * 6)) + (7,),  # stray size
 ])
 def test_assembly_errors_match_reference(matrix26, readings):
-    rows = [list(compress(range(1, 7), row)) for row in matrix26.rows]
+    cells = [j * 7 + k for j, row in enumerate(matrix26.rows, start=1) for k in compress(range(1, 7), row)]
     messages = []
     for assemble, scheme in (
-        (cable_module._assemble_b_sets, rows),
-        (reference_assemble_b_sets, matrix26),
+        (cable_module._assemble_b_sets, (7, cells)),
+        (reference_assemble_b_sets, (matrix26,)),
     ):
         with pytest.raises(ValueError) as excinfo:
-            assemble(scheme, readings)
+            assemble(*scheme, readings)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
 
@@ -119,15 +119,24 @@ def _mutate(data, pair):
     return KgPartition(n, tuple(map(frozenset, sides[0])), tuple(map(frozenset, sides[1])))
 
 
+def _cell_keys_accept(pair):
+    """_cell_keys' verdict as run_protocol reads it: a key list whose keys differ."""
+    scheme = _cell_keys(pair.n, pair.a_sets, pair.b_sets)
+    return scheme is not None and len(set(scheme[1])) == pair.n + 1
+
+
 def _check_against_kg_violations(pair):
-    scheme = _kg_scheme(pair)
     problems = kg_violations(pair)
-    assert (scheme is None) == bool(problems), (pair, problems)
-    if scheme is not None:
-        size_a, rows = scheme
+    assert _cell_keys_accept(pair) == (not problems), (pair, problems)
+    if not problems:
+        width, keys = _cell_keys(pair.n, pair.a_sets, pair.b_sets)
         matrix = partition_to_matrix(pair)
-        assert rows == [list(compress(range(1, matrix.m + 1), row)) for row in matrix.rows]
-        assert size_a[1:] == [len(s) for x in range(1, pair.n + 1) for s in pair.a_sets if x in s]
+        assert [divmod(key, width) for key in sorted(keys)[1:]] == [
+            (j, k) for j, row in enumerate(matrix.rows, start=1) for k in compress(range(1, matrix.m + 1), row)
+        ]
+        for x in range(1, pair.n + 1):
+            sizes = [len(s) for side in (pair.a_sets, pair.b_sets) for s in side if x in s]
+            assert divmod(keys[x], width) == tuple(sizes)
 
 
 @given(st.data())
@@ -150,13 +159,13 @@ def test_single_pass_agrees_on_arbitrary_pairs(data):
 
 def test_single_pass_rejects_non_integer_labels():
     singleton = (frozenset({"a"}),)
-    assert _kg_scheme(KgPartition(1, singleton, singleton)) is None
+    assert _cell_keys(1, singleton, singleton) is None
     assert kg_violations(KgPartition(1, singleton, singleton))
     # kg_violations compares labels by value and accepts 1.0 for 1; the
     # protocol wants integer positions and says so.
     floats = (frozenset({1.0}),)
     pair = KgPartition(1, floats, floats)
-    assert _kg_scheme(pair) is None and not kg_violations(pair)
+    assert _cell_keys(1, floats, floats) is None and not kg_violations(pair)
     with pytest.raises(ValueError, match="labels must be the integers 1..n"):
         run_protocol(pair, make_cable(1, 0))
 
@@ -166,8 +175,8 @@ def test_single_pass_rejects_non_integer_labels():
 def test_coordinate_disagreement_raises(monkeypatch):
     original = cable_module._assemble_b_sets
 
-    def miswired(rows, readings):
-        groups, column_of = original(rows, readings)
+    def miswired(*args):
+        groups, column_of = original(*args)
         return swap_first_and_last(groups), column_of
 
     monkeypatch.setattr(cable_module, "_assemble_b_sets", miswired)
@@ -191,8 +200,8 @@ def test_repeated_coordinates_raise(monkeypatch):
     )
     original = cable_module._assemble_b_sets
 
-    def exchanged(rows, readings):
-        groups, column_of = original(rows, readings)
+    def exchanged(*args):
+        groups, column_of = original(*args)
         swap = {x: y, y: x}
         groups = tuple(frozenset(swap.get(w, w) for w in g) for g in groups)
         column_of = list(column_of)
@@ -214,8 +223,8 @@ def test_coordinate_guard_survives_optimized_mode():
             sys.exit("not running under -O")
         original = cable._assemble_b_sets
 
-        def miswired(rows, readings):
-            groups, column_of = original(rows, readings)
+        def miswired(*args):
+            groups, column_of = original(*args)
             return swap_first_and_last(groups), column_of
 
         cable._assemble_b_sets = miswired

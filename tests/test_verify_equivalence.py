@@ -213,14 +213,16 @@ def test_boundary_labels_with_n_labels_in_all(side, old, new, scheme_accepts):
     assert sum(map(len, sets)) == BOUNDARY_N
     pair = dataclasses.replace(pair, **{side: sets})
     assert (_same_messages(pair) == []) == (new == old)  # True and 1.0 stand for 1
-    assert (partitions._kg_scheme(pair) is not None) == scheme_accepts
+    scheme = partitions._cell_keys(pair.n, pair.a_sets, pair.b_sets)
+    assert (scheme is not None and len(set(scheme[1])) == BOUNDARY_N + 1) == scheme_accepts
 
 
 def test_oracle_stays_independent_of_the_matrix_layer():
     source = "".join(
-        map(inspect.getsource, (kg_violations, partitions._side_sizes, partitions._size_of))
+        map(inspect.getsource,
+            (kg_violations, partitions._cell_keys, partitions._side_sizes, partitions._size_of))
     )
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
-    matrix_layer = {"_kg_scheme", "partition_to_matrix", "matrix_to_partition", "BinaryMatrix",
+    matrix_layer = {"_column_blocks", "partition_to_matrix", "matrix_to_partition", "BinaryMatrix",
                     "matrices", "construct_matrix", "permute_to_sums"}
     assert not names & matrix_layer
