@@ -42,12 +42,13 @@ TRANSCRIPT_SCHEMA = "cable-transcript/1"
 
 
 class ProtocolError(RuntimeError):
-    """The two ends' coordinates disagree or repeat: the scheme failed."""
+    """An internal check failed: end B's readings miss the scheme's row counts,
+    or the two ends' coordinates disagree or repeat."""
 
 
 @dataclass(frozen=True)
 class CableInstance:
-    """n wires with a hidden end-A-position to end-B-position bijection."""
+    """n wires with a hidden end-A-position to end-B-position bijection on the ints 1..n."""
 
     n: int
     wiring: tuple[int, ...]  # wiring[a-1] = B-position of the wire entering A-position a
@@ -57,19 +58,8 @@ class CableInstance:
         if self.n < 1:
             raise ValueError(f"need at least one wire, got n={self.n}")
         object.__setattr__(self, "wiring", tuple(self.wiring))
-        if not _is_permutation(self.wiring, self.n):
+        if _side_sizes((self.wiring,), self.n) is None:
             raise ValueError("wiring must be a bijection on positions 1..n")
-
-
-def _is_permutation(values: Sequence, n: int) -> bool:
-    """Whether values are 1..n in some order: _side_sizes' pigeonhole pass for
-    ints, a sort for labels that only equal them (1.0, say)."""
-    if _side_sizes((values,), n) is not None:
-        return True
-    try:
-        return sorted(values) == list(range(1, n + 1))
-    except TypeError:  # labels that do not order against ints
-        return False
 
 
 def make_cable(n: int, seed: int) -> CableInstance:
@@ -91,7 +81,8 @@ def make_cable(n: int, seed: int) -> CableInstance:
 
 @dataclass(frozen=True)
 class ConnectionPlan:
-    """Disjoint groups of wire positions, electrically joined at one end."""
+    """Disjoint groups of wire positions, electrically joined at one end, that
+    hold each of the ints 1..n once between them (a group may be empty)."""
 
     end: str
     groups: tuple[frozenset[int], ...]
@@ -100,7 +91,7 @@ class ConnectionPlan:
         if self.end not in (END_A, END_B):
             raise ValueError(f"end must be {END_A!r} or {END_B!r}, got {self.end!r}")
         object.__setattr__(self, "groups", _canonical_order(self.groups))
-        if not _is_permutation(list(chain.from_iterable(self.groups)), self.n):
+        if self.n and _side_sizes((list(chain.from_iterable(self.groups)),), self.n) is None:
             raise ValueError("groups must be disjoint and cover positions 1..n")
 
     @property
@@ -113,8 +104,8 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
 
     The plan must sit at the opposite end; a queried wire's reading is the
     size of the plan group containing its counterpart through the cable.
-    Group sizes and the inverse wiring live in lists indexed by position,
-    so the wiring and the plan's positions must be the ints 1..n.
+    The wiring must be a bijection on the ints 1..n, as in CableInstance;
+    a plan holds only those ints already.
     """
     if queried_end not in (END_A, END_B):
         raise ValueError(f"queried end must be {END_A!r} or {END_B!r}, got {queried_end!r}")
@@ -126,12 +117,14 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
         raise ValueError(f"plan covers {plan.n} positions but the cable has {n} wires")
     if n and _side_sizes((wiring,), n) is None:
         raise ValueError("wiring must be a bijection on the ints 1..n")
-    try:
-        size_at = _size_of(plan.groups, n)
-    except TypeError:  # a plan accepts positions by value, 1.0 say
-        raise ValueError("plan positions must be the ints 1..n") from None
-    if queried_end == END_B:
-        inverse = [0] * (n + 1)
+    return _readings(plan, wiring)
+
+
+def _readings(plan: ConnectionPlan, wiring: tuple[int, ...]) -> tuple[int, ...]:
+    """probe at the end opposite the plan, for a wiring already checked."""
+    size_at = _size_of(plan.groups, len(wiring))
+    if plan.end == END_A:
+        inverse = [0] * (len(wiring) + 1)
         for a, b in enumerate(wiring, start=1):
             inverse[b] = a
         return tuple(map(size_at.__getitem__, islice(inverse, 1, None)))
@@ -167,6 +160,8 @@ def _assemble_b_sets(
     as labels do in matrix_to_partition, and _column_blocks cuts the
     B-sets. Returns the blocks and column_of: column_of[b] is the column of
     B-position b (entry 0 unused), the size of its block.
+    A valid pair read through a bijective wiring has the scheme's row counts,
+    so other readings are an internal fault and raise ProtocolError.
     """
     by_size: list[list[int]] = [[] for _ in range(width)]
     for pos, size in enumerate(readings, start=1):
@@ -175,9 +170,9 @@ def _assemble_b_sets(
     for j in range(1, width):
         count = bisect_left(cells, (j + 1) * width) - bisect_left(cells, j * width)
         if len(by_size[j]) != count:
-            raise ValueError(f"observed {len(by_size[j])} wires of bundle size {j} but the scheme has {count}")
+            raise ProtocolError(f"observed {len(by_size[j])} wires of bundle size {j} but the scheme has {count}")
     if len(cells) != len(readings):
-        raise ValueError("some observed bundle sizes do not occur in the scheme")
+        raise ProtocolError("some observed bundle sizes do not occur in the scheme")
     columns = (key % width for key in cells)
     groups = tuple(_column_blocks(columns, width - 1, chain.from_iterable(by_size)))
     return groups, _size_of(groups, len(readings))
@@ -188,7 +183,8 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
 
     _cell_keys, which kg_violations shares, keys every element by its cell;
     the keys must differ, and sorted they are the matrix both ends agreed
-    on (kg_violations runs only to explain a rejection).
+    on (kg_violations runs only to explain a rejection). The cable checked
+    its wiring when it was built, so the phases read it without probe's checks.
     Phase 1: end A joins its A-sets; end B probes and learns each wire's
     row, then assembles B-sets canonically from the matrix. Phase 2: end A
     disconnects, end B joins its B-sets, end A probes and learns each
@@ -206,11 +202,11 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     width, keys = scheme
 
     phase1_plan = ConnectionPlan(end=END_A, groups=partition.a_sets)
-    phase1_probe = probe(phase1_plan, cable.wiring, END_B)
+    phase1_probe = _readings(phase1_plan, cable.wiring)
 
     b_sets, column_of = _assemble_b_sets(width, cells[1:], phase1_probe)
     phase2_plan = ConnectionPlan(end=END_B, groups=b_sets)
-    phase2_probe = probe(phase2_plan, cable.wiring, END_A)
+    phase2_probe = _readings(phase2_plan, cable.wiring)
 
     coords_a = tuple(zip((key // width for key in islice(keys, 1, None)), phase2_probe))
     coords_b = tuple(zip(phase1_probe, islice(column_of, 1, None)))

@@ -11,12 +11,12 @@ from wireid.cable import (
     END_B,
     CableInstance,
     ConnectionPlan,
-    _is_permutation,
     make_cable,
     probe,
     run_protocol,
     transcript_to_json,
 )
+from wireid import cable as cable_module, partitions
 from wireid.partitions import KgPartition, construct, feasible_orders, matrix_to_partition
 
 
@@ -53,7 +53,7 @@ def test_cable_validation():
     with pytest.raises(ValueError):
         CableInstance(3, (1, 1, 2), seed=0)
     with pytest.raises(ValueError):
-        CableInstance(2, (2, "a"), 0)  # "a" does not order against ints
+        CableInstance(2, (2, "a"), 0)
 
 
 @given(st.integers(1, 40), st.integers(0, 5000))
@@ -63,15 +63,29 @@ def test_wiring_is_always_a_bijection(n, seed):
     assert cable == make_cable(n, seed)
 
 
-@given(st.lists(st.integers(-2, 8) | st.sampled_from([1.0, 2.0, True, 2.5]), max_size=8), st.integers(0, 7))
-def test_bijection_check_matches_the_sort_it_replaces(values, n):
-    assert _is_permutation(values, n) == (sorted(values) == list(range(1, n + 1)))
+def _check_one_wiring_rule(values, n):
+    """CableInstance and probe both accept exactly the ints 1..n in some order."""
+    expected = all(isinstance(v, int) for v in values) and sorted(values) == list(range(1, n + 1))
+    plan = ConnectionPlan(END_A, tuple(frozenset({i}) for i in range(1, n + 1)))
+    for build in (lambda: CableInstance(n, values, 0), lambda: probe(plan, values, END_B)):
+        try:
+            build()
+        except ValueError:
+            assert not expected, values
+        else:
+            assert expected, values
+
+
+@given(st.lists(st.integers(-2, 8) | st.sampled_from([1.0, 2.0, True, 2.5]), max_size=8), st.integers(1, 7))
+def test_cable_and_probe_accept_the_same_wirings(values, n):
+    _check_one_wiring_rule(values, n)
 
 
 @pytest.mark.parametrize("values", [(-1, 1), (0, 1), (1, 3), (2, 2), (1.0, 2), (True, 2.0)])
 def test_bijection_check_on_wrapping_and_non_int_positions(values):
-    # -1 would mark position 2 through negative indexing; 1.0 and True equal 1.
-    assert _is_permutation(values, 2) == (sorted(values) == [1, 2])
+    # -1 would mark position 2 through negative indexing; 1.0 and 2.0 only
+    # equal positions; True is the int 1.
+    _check_one_wiring_rule(values, 2)
 
 
 # ── plans and probes ─────────────────────────────────────────────────────
@@ -85,13 +99,10 @@ def test_plan_validation():
         ConnectionPlan(END_A, (frozenset({1, 2}), frozenset({2})))
     with pytest.raises(ValueError):
         ConnectionPlan(END_A, (frozenset({1, "a"}),))
-    # Groupings accepted by value: an empty group and the label 1.0 fail the
-    # pigeonhole pass and take the sort; True indexes as 1 and passes it.
-    for groups in (
-        (frozenset(), frozenset({1})),
-        (frozenset({1.0}), frozenset({2, 3})),
-        (frozenset({True}),),
-    ):
+    with pytest.raises(ValueError, match="cover positions 1..n"):
+        ConnectionPlan(END_A, (frozenset({1.0}), frozenset({2, 3})))  # 1.0 only equals a position
+    # An empty group adds no position, True is the int 1, and a plan may be empty.
+    for groups in ((frozenset(), frozenset({1})), (frozenset({True}),), ()):
         assert ConnectionPlan(END_A, groups).groups == groups
 
 
@@ -124,13 +135,17 @@ def test_probe_size_mismatch():
     ((frozenset({1}), frozenset({2, 3})), (1, 1, 3)),  # read (1,1,2) at A and (2,0,2) at B
     ((frozenset({1}), frozenset({2, 3})), (-1, 2, 3)),  # -1 indexes the last position
     ((frozenset({1}), frozenset({2, 3})), (1, 2, 2.0)),
-    ((frozenset({1}), frozenset({2, 3})), (1.0, 2, 3)),  # CableInstance accepts it by value
-    ((frozenset({1.0}), frozenset({2, 3})), (1, 2, 3)),  # so does ConnectionPlan
+    ((frozenset({1}), frozenset({2, 3})), (1.0, 2, 3)),
+    ((frozenset({1.0}), frozenset({2, 3})), (1, 2, 3)),  # the plan itself is rejected
 ])
 def test_probe_rejects_positions_other_than_the_ints_1_to_n(groups, wiring, queried_end):
-    plan = ConnectionPlan(END_B if queried_end == END_A else END_A, groups)
+    plan_end = END_B if queried_end == END_A else END_A
+    if not all(isinstance(x, int) for g in groups for x in g):
+        with pytest.raises(ValueError, match="cover positions 1..n"):
+            ConnectionPlan(plan_end, groups)
+        return
     with pytest.raises(ValueError, match="the ints 1..n"):
-        probe(plan, wiring, queried_end)
+        probe(ConnectionPlan(plan_end, groups), wiring, queried_end)
 
 
 def test_worked_group_sizes_reach_the_far_end(matrix26):
@@ -219,6 +234,21 @@ def test_protocol_sweep():
                     b = cable.wiring[a - 1]
                     assert transcript.coords_b[b - 1] == transcript.coords_a[a - 1]
                 assert len(set(transcript.coords_a)) == n
+
+
+def test_protocol_checks_the_wiring_only_when_the_cable_is_built(monkeypatch):
+    cable, pair = make_cable(26, 3), construct(26)
+    checked = []
+    original = partitions._side_sizes
+
+    def counting(sets, n, *rest):
+        checked.extend(map(tuple, sets))
+        return original(sets, n, *rest)
+
+    monkeypatch.setattr(partitions, "_side_sizes", counting)
+    monkeypatch.setattr(cable_module, "_side_sizes", counting)
+    run_protocol(pair, cable)
+    assert checked and cable.wiring not in checked
 
 
 def test_protocol_rejects_size_mismatch():

@@ -295,6 +295,21 @@ def test_protocol_error_exits_4(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_assembly_error_exits_4(capsys, monkeypatch):
+    original = cable._assemble_b_sets
+
+    def misread(width, cells, readings):
+        readings = list(readings)
+        readings[readings.index(5)] = 6
+        return original(width, cells, readings)
+
+    monkeypatch.setattr(cable, "_assemble_b_sets", misread)
+    code, out, err = run(capsys, "simulate", "--n", "26", "--seed", "3")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: internal check failed: observed 4 wires of bundle size 5 but the scheme has 5\n"
+
+
 def test_construction_error_exits_4(capsys, monkeypatch):
     asymmetric = matrix_from_text("11\n..\n")
     monkeypatch.setattr(partitions, "construct_matrix", lambda r, c: asymmetric)
