@@ -1,0 +1,83 @@
+"""One SHA-256 over what the wireid command writes across a sweep of inputs.
+
+Runs ``wireid.cli.main`` in-process and hashes the exit status, stdout and
+stderr of every request:
+
+- ``construct`` and ``simulate`` (wiring seeds 0 and 3) in both formats for
+  every n below 200 (or below --max-n) at up to three feasible orders (an n
+  with none runs once, without --m), and for n = 1000, 5000 and 20000 where
+  they do not exceed --max-n;
+- ``verify -`` of every structured construct document, and of a copy whose
+  first A-set label is moved out of range;
+- ``bounds`` in both formats at a few --max-m values, 0 included.
+
+Two checkouts write the same bytes for these requests iff they print the
+same digest:
+
+    PYTHONPATH=src python scripts/stdout_digest.py [--max-n N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+from wireid.cli import main
+from wireid.partitions import feasible_orders
+
+SMALL_N = 200
+LARGE_N = (1000, 5000, 20000)
+BOUNDS_MAX_M = (0, 1, 2, 3, 10, 50, 300)
+
+
+def run(digest, argv: list[str], stdin: str = "") -> str:
+    """Run one request into digest; returns its stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                status = exc.code
+    finally:
+        sys.stdin = saved_stdin
+    for part in (" ".join(argv), str(status), out.getvalue(), err.getvalue()):
+        digest.update(part.encode() + b"\0")
+    return out.getvalue()
+
+
+def sweep(digest, n: int) -> None:
+    orders = [str(m) for m in feasible_orders(n)[:3]]
+    for order in ([["--m", m] for m in orders] or [[]]):
+        run(digest, ["construct", "--n", str(n), *order, "--format", "grid"])
+        doc = run(digest, ["construct", "--n", str(n), *order, "--format", "structured"])
+        for fmt in ("grid", "structured"):
+            for seed in ("0", "3"):
+                run(digest, ["simulate", "--n", str(n), *order, "--seed", seed, "--format", fmt])
+        if orders:
+            run(digest, ["verify", "-"], doc)
+            payload = json.loads(doc)
+            payload["a_sets"][0][0] = n + 1
+            run(digest, ["verify", "-"], json.dumps(payload, indent=2))
+
+
+def main_sweep(max_n: int) -> str:
+    digest = hashlib.sha256()
+    for n in [*range(1, min(max_n, SMALL_N)), *(n for n in LARGE_N if n <= max_n)]:
+        sweep(digest, n)
+    for max_m in BOUNDS_MAX_M:
+        for fmt in ("grid", "structured"):
+            run(digest, ["bounds", "--max-m", str(max_m), "--format", fmt])
+    return digest.hexdigest()
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-n", type=int, default=LARGE_N[-1],
+                        help="sweep n below min(200, this) and the large n up to it (default 20000)")
+    print(main_sweep(parser.parse_args().max_n))

@@ -3,26 +3,38 @@
 With ``indent`` set, CPython's ``json`` falls back to its pure-Python
 encoder, which yields every token from nested generators. The documents
 this package writes are mostly long lists of ints and of int rows (sets,
-coordinates), so one ``map(str, ...)`` per int list and one %-operation per
-run of equal-length rows produce the same bytes several times faster.
+coordinates as IntPairs), so one ``map(str, ...)`` per int list and one
+%-operation per run of equal-length rows write the same bytes several times
+faster.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, groupby
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+
+class IntPairs(NamedTuple):
+    """Int rows [firsts[i], seconds[i]], kept as the two lists (dumps_indent2 writes them as rows)."""
+    firsts: Sequence[int]
+    seconds: Sequence[int]
 
 
 def dumps_indent2(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` for dicts with str keys, lists, tuples,
     ints and strs (any other scalar goes through ``json.dumps``). Sets and
-    frozensets are written as ascending lists; int rows, one run at a time.
+    frozensets are written as ascending lists, lists of int sets one run of
+    equal-size sets at a time, and IntPairs as rows of two.
 
     ``newline`` is the line break plus the indentation of the enclosing
     level; callers leave it at its default.
     """
     inner = newline + "  "
+    if isinstance(obj, IntPairs):
+        leaf = inner + "  "
+        pairs = format_int_pairs(obj, "[" + leaf + "%d," + leaf + "%d" + inner + "]", "," + inner)
+        return "[" + inner + pairs + newline + "]" if obj.firsts else "[]"
     if isinstance(obj, (set, frozenset)):
         obj = sorted(obj)
     if isinstance(obj, dict):
@@ -35,17 +47,15 @@ def dumps_indent2(obj, newline: str = "\n") -> str:
     if not obj:
         return "[]"
     kinds = set(map(type, obj))
-    if kinds <= {list, tuple, set, frozenset} and not kinds <= {list, tuple}:
-        obj = [sorted(row) if type(row) in {set, frozenset} else row for row in obj]
     if kinds == {int}:
         body = ("," + inner).join(map(str, obj))
-    elif kinds <= {list, tuple, set, frozenset} and set(map(type, chain.from_iterable(obj))) <= {int}:
+    elif kinds <= {set, frozenset} and set(map(type, chain.from_iterable(obj))) <= {int}:
         leaf = inner + "  "
 
         def template(size: int) -> str:
             return "[" + leaf + ("," + leaf).join(["%d"] * size) + inner + "]" if size else "[]"
 
-        body = format_int_rows(obj, template, "," + inner)
+        body = format_int_rows(map(sorted, obj), template, "," + inner)
     else:
         body = ("," + inner).join(dumps_indent2(item, inner) for item in obj)
     return "[" + inner + body + newline + "]"
@@ -56,3 +66,11 @@ def format_int_rows(rows: Iterable, template: Callable[[int], str], sep: str) ->
     by sep: one %-operation per run of consecutive equal-length rows."""
     runs = (list(run) for _, run in groupby(rows, len))
     return sep.join(sep.join([template(len(r[0]))] * len(r)) % tuple(chain.from_iterable(r)) for r in runs)
+
+
+def format_int_pairs(pairs: IntPairs, template: str, sep: str) -> str:
+    """Each pair written as ``template % pair`` and joined by sep, by one
+    %-operation over the two lists interleaved."""
+    flat = [0] * (2 * len(pairs.firsts))
+    flat[::2], flat[1::2] = pairs
+    return sep.join([template] * len(pairs.firsts)) % tuple(flat)

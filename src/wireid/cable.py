@@ -27,10 +27,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice
+from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import add, mul
 from typing import Sequence
 
-from ._jsonout import dumps_indent2
+from ._jsonout import IntPairs, dumps_indent2
 from .partitions import (
     KgPartition, _canonical_order, _cell_keys, _column_blocks, _side_sizes, _size_of, kg_violations,
 )
@@ -82,7 +84,9 @@ def make_cable(n: int, seed: int) -> CableInstance:
 @dataclass(frozen=True)
 class ConnectionPlan:
     """Disjoint groups of wire positions, electrically joined at one end, that
-    hold each of the ints 1..n once between them (a group may be empty)."""
+    hold each of the ints 1..n once between them (a group may be empty). The
+    check keeps its size map, _size_at[x] = the size of x's group; not being
+    a field, it takes no part in == or repr."""
 
     end: str
     groups: tuple[frozenset[int], ...]
@@ -91,12 +95,15 @@ class ConnectionPlan:
         if self.end not in (END_A, END_B):
             raise ValueError(f"end must be {END_A!r} or {END_B!r}, got {self.end!r}")
         object.__setattr__(self, "groups", _canonical_order(self.groups))
-        if self.n and _side_sizes((list(chain.from_iterable(self.groups)),), self.n) is None:
+        n = sum(map(len, self.groups))
+        size_at = _side_sizes(tuple(filter(None, self.groups)), n) if n else [0]
+        if size_at is None:
             raise ValueError("groups must be disjoint and cover positions 1..n")
+        object.__setattr__(self, "_size_at", size_at)
 
     @property
     def n(self) -> int:
-        return sum(map(len, self.groups))
+        return len(self._size_at) - 1
 
 
 def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tuple[int, ...]:
@@ -122,18 +129,20 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
 
 def _readings(plan: ConnectionPlan, wiring: tuple[int, ...]) -> tuple[int, ...]:
     """probe at the end opposite the plan, for a wiring already checked."""
-    size_at = _size_of(plan.groups, len(wiring))
-    if plan.end == END_A:
-        inverse = [0] * (len(wiring) + 1)
-        for a, b in enumerate(wiring, start=1):
-            inverse[b] = a
-        return tuple(map(size_at.__getitem__, islice(inverse, 1, None)))
+    size_at = plan._size_at
+    if plan.end == END_A:  # B-position wiring[a-1] reads the size of a's group
+        readings = [0] * (len(wiring) + 1)
+        for b, size in zip(wiring, islice(size_at, 1, None)):
+            readings[b] = size
+        return tuple(islice(readings, 1, None))
     return tuple(map(size_at.__getitem__, wiring))
 
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    """Everything both ends did and saw, plus the coordinates they derived.
+    """Everything both ends did and saw, from which each end derives its
+    coordinates: A's are (phase-1 group size, phase-2 reading), B's are
+    (phase-1 reading, phase-2 group size), read off the plans' size maps.
 
     Probes and coordinate tuples are indexed by wire position (entry i is
     position i+1) at the probing end. coords_b read through the hidden
@@ -145,8 +154,20 @@ class ProtocolTranscript:
     phase1_probe: tuple[int, ...]
     phase2_plan: ConnectionPlan
     phase2_probe: tuple[int, ...]
-    coords_a: tuple[tuple[int, int], ...]
-    coords_b: tuple[tuple[int, int], ...]
+
+    def _pairs(self, end: str) -> IntPairs:
+        """One end's coordinates as two int lists, for the writers."""
+        if end == END_A:
+            return IntPairs(self.phase1_plan._size_at[1:], self.phase2_probe)
+        return IntPairs(self.phase1_probe, self.phase2_plan._size_at[1:])
+
+    @cached_property
+    def coords_a(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self._pairs(END_A)))
+
+    @cached_property
+    def coords_b(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self._pairs(END_B)))
 
 
 def _assemble_b_sets(
@@ -208,38 +229,31 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     phase2_plan = ConnectionPlan(end=END_B, groups=b_sets)
     phase2_probe = _readings(phase2_plan, cable.wiring)
 
-    coords_a = tuple(zip((key // width for key in islice(keys, 1, None)), phase2_probe))
-    coords_b = tuple(zip(phase1_probe, islice(column_of, 1, None)))
-
-    through_wiring = tuple(map(((None,) + coords_b).__getitem__, cable.wiring))
-    if through_wiring != coords_a:
-        a = next(a for a, (x, y) in enumerate(zip(through_wiring, coords_a), start=1) if x != y)
+    # Each end's coordinate (j, k) as the key j * width + k.
+    key_a = list(map(add, map(mul, islice(phase1_plan._size_at, 1, None), repeat(width)), phase2_probe))
+    key_b = list(map(add, map(mul, chain((0,), phase1_probe), repeat(width)), column_of))
+    through_wiring = list(map(key_b.__getitem__, cable.wiring))
+    if through_wiring != key_a:
+        a = next(a for a, (x, y) in enumerate(zip(through_wiring, key_a), start=1) if x != y)
         raise ProtocolError(
             f"coordinate mismatch at position {a}: ends disagree, which would falsify the scheme"
         )
-    if len(set(coords_a)) != cable.n:
+    if len(set(key_a)) != cable.n:
         raise ProtocolError("coordinates must be unique per wire")
 
-    return ProtocolTranscript(
-        phase1_plan=phase1_plan,
-        phase1_probe=phase1_probe,
-        phase2_plan=phase2_plan,
-        phase2_probe=phase2_probe,
-        coords_a=coords_a,
-        coords_b=coords_b,
-    )
+    return ProtocolTranscript(phase1_plan, phase1_probe, phase2_plan, phase2_probe)
 
 
 def transcript_to_json(transcript: ProtocolTranscript) -> str:
-    """Schema-tagged JSON document with the six transcript fields,
-    suitable for golden-file comparison."""
+    """Schema-tagged JSON document with the four transcript fields and both
+    ends' coordinates, suitable for golden-file comparison."""
     payload = {
         "schema": TRANSCRIPT_SCHEMA,
         "phase1_plan": transcript.phase1_plan.groups,
         "phase1_probe": transcript.phase1_probe,
         "phase2_plan": transcript.phase2_plan.groups,
         "phase2_probe": transcript.phase2_probe,
-        "coords_a": transcript.coords_a,
-        "coords_b": transcript.coords_b,
+        "coords_a": transcript._pairs(END_A),
+        "coords_b": transcript._pairs(END_B),
     }
     return dumps_indent2(payload) + "\n"

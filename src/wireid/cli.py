@@ -4,17 +4,20 @@ Exit statuses are stable: 0 success, 1 infeasible input, 2 verification
 failure, 3 parse or usage error, 4 internal error (the constructed pair or
 the protocol's coordinates did not pass a check on the output, or any other
 unexpected exception; one line on stderr, never a traceback).
+
+The cyclic garbage collector is off while a command runs (the pipeline
+builds no reference cycles) and then back in its caller's state.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
-from itertools import chain
 from typing import Iterable
 
-from ._jsonout import dumps_indent2, format_int_rows
-from .cable import ProtocolError, make_cable, run_protocol, transcript_to_json
+from ._jsonout import dumps_indent2, format_int_pairs, format_int_rows
+from .cable import END_A, END_B, ProtocolError, make_cable, run_protocol, transcript_to_json
 from .matrices import format_degree_sequence
 from .partitions import (
     PARTITION_SCHEMA,
@@ -160,13 +163,15 @@ def cmd_simulate(args) -> int:
         print(f"phase1_probe: {format_degree_sequence(transcript.phase1_probe)}")
         print(f"phase2_plan: {_fmt_sets(transcript.phase2_plan.groups)}")
         print(f"phase2_probe: {format_degree_sequence(transcript.phase2_probe)}")
-        for end, coords in (("a", transcript.coords_a), ("b", transcript.coords_b)):
-            print(f"coords_{end}:", " ".join(["(%d,%d)"] * len(coords)) % tuple(chain.from_iterable(coords)))
+        for end in (END_A, END_B):
+            print(f"coords_{end.lower()}:", format_int_pairs(transcript._pairs(end), "(%d,%d)", " "))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except InfeasibleOrderError as exc:
@@ -181,6 +186,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

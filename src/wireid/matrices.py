@@ -76,7 +76,7 @@ class BinaryMatrix:
 
 
 def format_degree_sequence(seq: Sequence[int]) -> str:
-    return ",".join(str(v) for v in seq)
+    return ",".join(map(str, seq))
 
 
 def can_construct(r: Sequence[int], c: Sequence[int]) -> bool:

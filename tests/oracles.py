@@ -158,16 +158,19 @@ def transcript_from_json(text: str) -> ProtocolTranscript:
     if not isinstance(payload, dict) or payload.get("schema") != TRANSCRIPT_SCHEMA:
         raise ValueError(f"expected a {TRANSCRIPT_SCHEMA!r} document")
     try:
-        return ProtocolTranscript(
+        transcript = ProtocolTranscript(
             phase1_plan=ConnectionPlan(END_A, tuple(frozenset(g) for g in payload["phase1_plan"])),
             phase1_probe=tuple(payload["phase1_probe"]),
             phase2_plan=ConnectionPlan(END_B, tuple(frozenset(g) for g in payload["phase2_plan"])),
             phase2_probe=tuple(payload["phase2_probe"]),
-            coords_a=tuple((j, k) for j, k in payload["coords_a"]),
-            coords_b=tuple((j, k) for j, k in payload["coords_b"]),
         )
+        # The transcript derives its coordinates; the document must state the same.
+        for name in ("coords_a", "coords_b"):
+            if payload[name] != [list(pair) for pair in getattr(transcript, name)]:
+                raise ValueError(f"{name} differ from the coordinates the plans and probes give")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed transcript document: {exc}") from exc
+    return transcript
 
 
 def matrix_from_text(text: str) -> BinaryMatrix:

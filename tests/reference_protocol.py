@@ -4,7 +4,9 @@
 pair with kg_violations and then rebuilds its matrix with
 partition_to_matrix, probes through dicts keyed by position, and end B
 rescans every reading once per matrix row, so it costs O(m * n).
-`reference_transcript_to_json` serializes through ``json.dumps(indent=2)``.
+`reference_coordinates` derives both ends' coordinates from a transcript's
+plans and probes the same way. `reference_transcript_to_json` serializes
+through ``json.dumps(indent=2)``.
 
 Neither imports the package's probe, B-set assembly, single-pass validation
 or JSON writer; tests compare those with these bit for bit.
@@ -79,25 +81,30 @@ def reference_run_protocol(partition: KgPartition, cable: CableInstance) -> Prot
     phase2_plan = ConnectionPlan(end=END_B, groups=reference_assemble_b_sets(matrix, phase1_probe))
     phase2_probe = reference_probe(phase2_plan, cable.wiring, END_A)
 
-    size_a = {pos: len(g) for g in phase1_plan.groups for pos in g}
-    size_b = {pos: len(g) for g in phase2_plan.groups for pos in g}
+    transcript = ProtocolTranscript(
+        phase1_plan=phase1_plan,
+        phase1_probe=phase1_probe,
+        phase2_plan=phase2_plan,
+        phase2_probe=phase2_probe,
+    )
     n = cable.n
-    coords_a = tuple((size_a[a], phase2_probe[a - 1]) for a in range(1, n + 1))
-    coords_b = tuple((phase1_probe[b - 1], size_b[b]) for b in range(1, n + 1))
+    coords_a, coords_b = reference_coordinates(transcript)
     for a in range(1, n + 1):
         if coords_b[cable.wiring[a - 1] - 1] != coords_a[a - 1]:
             raise AssertionError(f"coordinate mismatch at position {a}")
     if len(set(coords_a)) != n:
         raise AssertionError("coordinates must be unique per wire")
+    return transcript
 
-    return ProtocolTranscript(
-        phase1_plan=phase1_plan,
-        phase1_probe=phase1_probe,
-        phase2_plan=phase2_plan,
-        phase2_probe=phase2_probe,
-        coords_a=coords_a,
-        coords_b=coords_b,
-    )
+
+def reference_coordinates(transcript: ProtocolTranscript) -> tuple[tuple, tuple]:
+    """(coords_a, coords_b) from the plans and probes, through dicts keyed by position."""
+    size_a = {pos: len(g) for g in transcript.phase1_plan.groups for pos in g}
+    size_b = {pos: len(g) for g in transcript.phase2_plan.groups for pos in g}
+    n = len(transcript.phase1_probe)
+    coords_a = tuple((size_a[a], transcript.phase2_probe[a - 1]) for a in range(1, n + 1))
+    coords_b = tuple((transcript.phase1_probe[b - 1], size_b[b]) for b in range(1, n + 1))
+    return coords_a, coords_b
 
 
 def reference_transcript_to_json(transcript: ProtocolTranscript) -> str:
@@ -107,7 +114,7 @@ def reference_transcript_to_json(transcript: ProtocolTranscript) -> str:
         "phase1_probe": list(transcript.phase1_probe),
         "phase2_plan": [sorted(g) for g in transcript.phase2_plan.groups],
         "phase2_probe": list(transcript.phase2_probe),
-        "coords_a": [list(c) for c in transcript.coords_a],
-        "coords_b": [list(c) for c in transcript.coords_b],
+        "coords_a": [list(c) for c in reference_coordinates(transcript)[0]],
+        "coords_b": [list(c) for c in reference_coordinates(transcript)[1]],
     }
     return json.dumps(payload, indent=2) + "\n"

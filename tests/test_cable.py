@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from conftest import json_values
 from oracles import transcript_from_json
+from reference_protocol import reference_coordinates, reference_probe
 from wireid.cable import (
     END_A,
     END_B,
     CableInstance,
     ConnectionPlan,
+    ProtocolTranscript,
     make_cable,
     probe,
     run_protocol,
@@ -190,6 +192,27 @@ def test_probe_is_invariant_under_within_group_relabeling(data):
     assert probe(plan, relabeled, END_B) == probe(plan, wiring, END_B)
 
 
+def _draw_plan(data, n, end):
+    """A plan at end over positions 1..n, with up to two empty groups."""
+    labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return ConnectionPlan(end, _grouping(labels) + (frozenset(),) * data.draw(st.integers(0, 2)))
+
+
+@given(st.data())
+def test_probe_and_coordinates_read_the_plans_size_maps_as_the_reference_does(data):
+    """Each plan keeps the size map of its one structure check; probe and the
+    transcript's derived coordinates read it. n = 0 draws the empty plan."""
+    n = data.draw(st.integers(0, 12))
+    wiring = tuple(data.draw(st.permutations(range(1, n + 1))))
+    plan_a, plan_b = _draw_plan(data, n, END_A), _draw_plan(data, n, END_B)
+    assert plan_a.n == plan_b.n == n
+    probe_b, probe_a = probe(plan_a, wiring, END_B), probe(plan_b, wiring, END_A)
+    assert probe_b == reference_probe(plan_a, wiring, END_B)
+    assert probe_a == reference_probe(plan_b, wiring, END_A)
+    transcript = ProtocolTranscript(plan_a, probe_b, plan_b, probe_a)
+    assert (transcript.coords_a, transcript.coords_b) == reference_coordinates(transcript)
+
+
 # ── the identification protocol ──────────────────────────────────────────
 
 def test_protocol_single_wire():
@@ -287,6 +310,14 @@ def test_transcript_from_json_fuzz_raises_only_value_error(text):
 def test_transcript_from_json_rejects_deep_nesting():
     with pytest.raises(ValueError, match="not valid JSON"):
         transcript_from_json("[" * 100_000)
+
+
+def test_transcript_from_json_rejects_coordinates_the_transcript_does_not_give():
+    document = json.loads(transcript_to_json(run_protocol(construct(12), make_cable(12, 5))))
+    for name in ("coords_a", "coords_b"):
+        tampered = dict(document, **{name: document[name][1:] + document[name][:1]})
+        with pytest.raises(ValueError, match=f"{name} differ"):
+            transcript_from_json(json.dumps(tampered))
 
 
 def test_transcript_json_rejects_bad_documents():

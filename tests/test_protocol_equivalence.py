@@ -20,11 +20,12 @@ from conftest import swap_first_and_last
 from oracles import partition_to_matrix
 from reference_protocol import (
     reference_assemble_b_sets,
+    reference_coordinates,
     reference_run_protocol,
     reference_transcript_to_json,
 )
 from wireid import cable as cable_module
-from wireid._jsonout import dumps_indent2
+from wireid._jsonout import IntPairs, dumps_indent2, format_int_pairs
 from wireid.cable import ProtocolError, make_cable, run_protocol, transcript_to_json
 from wireid.partitions import (
     KgPartition,
@@ -43,7 +44,10 @@ def test_protocol_matches_reference_for_small_n():
             pair = construct(n, m)
             for seed in (0, 1, 2):
                 cable = make_cable(n, seed)
-                assert run_protocol(pair, cable) == reference_run_protocol(pair, cable), (n, m, seed)
+                transcript, reference = run_protocol(pair, cable), reference_run_protocol(pair, cable)
+                # == compares the four stored fields; the derived coordinates separately.
+                assert transcript == reference, (n, m, seed)
+                assert (transcript.coords_a, transcript.coords_b) == reference_coordinates(reference), (n, m, seed)
 
 
 @pytest.mark.slow
@@ -58,6 +62,7 @@ def test_protocol_and_json_match_reference_for_sampled_large_n():
         transcript = run_protocol(pair, cable)
         reference = reference_run_protocol(pair, cable)
         assert transcript == reference, n
+        assert (transcript.coords_a, transcript.coords_b) == reference_coordinates(reference), n
         assert transcript_to_json(transcript) == reference_transcript_to_json(reference), n
 
 
@@ -299,6 +304,15 @@ def test_writer_matches_json_dumps_on_runs_of_mixed_int_rows(rows):
     payload = {"rows": rows, "nested": [rows, tuple(rows)]}
     expected = {"rows": as_lists, "nested": [as_lists, as_lists]}
     assert dumps_indent2(payload) == json.dumps(expected, indent=2)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3) | st.integers(2**63, 2**64) | st.integers(), st.integers())))
+def test_writer_writes_int_pairs_as_rows_of_two(pairs):
+    firsts, seconds = [a for a, _ in pairs], tuple(b for _, b in pairs)
+    payload = {"pairs": IntPairs(firsts, seconds), "nested": [IntPairs(firsts, seconds)]}
+    expected = {"pairs": pairs, "nested": [pairs]}
+    assert dumps_indent2(payload) == json.dumps(expected, indent=2)
+    assert format_int_pairs(IntPairs(firsts, seconds), "(%d,%d)", " ") == " ".join(f"({a},{b})" for a, b in pairs)
 
 
 def test_writer_keeps_bools_off_the_row_template():

@@ -28,3 +28,11 @@ def test_bounds_experiment_reports_the_exceptional_sizes():
     result = run_script("bounds_experiment.py", "--max-m", "8", "--scan-n", "200")
     assert result.returncode == 0, result.stderr
     assert "n with no feasible order in 1..200: [2, 5, 9]" in result.stdout
+
+
+def test_stdout_digest_pins_the_small_sweep():
+    # Hashes exit statuses, stdout and stderr of every request for n < 20;
+    # a change to any of those bytes changes the digest.
+    result = run_script("stdout_digest.py", "--max-n", "20")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "20fe75f49dd4c7b69725e32cf72c583d9f17811bc60a77f7cf38f725f4c47ae3\n"
