@@ -13,41 +13,29 @@ Usage:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from wireid import construct_trace, make_cable, run_protocol
 from wireid.cli import _fmt_sets as fmt_sets
 
 
-@dataclass
-class Config:
-    n: int = 26
-    m: int | None = None
-    seed: int = 42
-
-
-def parse_config() -> Config:
+def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=26)
     parser.add_argument("--m", type=int, default=None)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
-    return Config(n=args.n, m=args.m, seed=args.seed)
 
-
-def main() -> None:
-    config = parse_config()
-    trace = construct_trace(config.n, config.m)
+    trace = construct_trace(args.n, args.m)
     rep = trace.representation
 
-    print(f"scheme for n={config.n}: order m={rep.m}, sums t={list(rep.t)} (s={rep.s}, k={rep.k})")
+    print(f"scheme for n={args.n}: order m={rep.m}, sums t={list(rep.t)} (s={rep.s}, k={rep.k})")
     print("matrix (rows will become A-sets, columns B-sets):")
     print(trace.matrix.to_text(), end="")
     print(f"A-sets: {fmt_sets(trace.partition.a_sets)}")
     print(f"B-sets: {fmt_sets(trace.partition.b_sets)}")
 
-    cable = make_cable(config.n, config.seed)
-    print(f"\nhidden wiring (seed {config.seed}): A position a -> B position {list(cable.wiring)}")
+    cable = make_cable(args.n, args.seed)
+    print(f"\nhidden wiring (seed {args.seed}): A position a -> B position {list(cable.wiring)}")
 
     transcript = run_protocol(trace.partition, cable)
     print(f"\nphase 1: end A joins its A-sets: {fmt_sets(transcript.phase1_plan.groups)}")
@@ -57,7 +45,7 @@ def main() -> None:
 
     print("\nwire-by-wire conclusion:")
     print(f"{'A pos':>6} {'coord at A':>11} {'B pos':>6} {'coord at B':>11} {'agree':>6}")
-    for a in range(1, config.n + 1):
+    for a in range(1, args.n + 1):
         b = cable.wiring[a - 1]
         ca = transcript.coords_a[a - 1]
         cb = transcript.coords_b[b - 1]
@@ -65,7 +53,7 @@ def main() -> None:
 
     assert all(
         transcript.coords_b[cable.wiring[a - 1] - 1] == transcript.coords_a[a - 1]
-        for a in range(1, config.n + 1)
+        for a in range(1, args.n + 1)
     )
     print("\nall wires labeled consistently at both ends.")
 

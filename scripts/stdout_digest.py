@@ -9,7 +9,10 @@ stderr of every request:
   they do not exceed --max-n;
 - ``verify -`` of every structured construct document, and of a copy whose
   first A-set label is moved out of range;
-- ``bounds`` in both formats at a few --max-m values, 0 included.
+- ``bounds`` in both formats at a few --max-m values, 0 included;
+- requests that fail on their input: ``verify`` of a missing file, ``verify
+  -`` of malformed JSON, of a wrong schema and of a non-integer label, a
+  negative wiring seed, n = 0 and an order too small for n.
 
 Two checkouts write the same bytes for these requests iff they print the
 same digest:
@@ -32,6 +35,17 @@ from wireid.partitions import feasible_orders
 SMALL_N = 200
 LARGE_N = (1000, 5000, 20000)
 BOUNDS_MAX_M = (0, 1, 2, 3, 10, 50, 300)
+MISSING_PATH = "/nonexistent/wireid-digest.json"
+BAD_DOCUMENTS = (
+    '{"schema": "kg-partition/1", "n": 1, "a_sets": [[1]]',
+    '{"schema": "kg-other/1", "n": 1, "a_sets": [[1]], "b_sets": [[1]]}',
+    '{"schema": "kg-partition/1", "n": 2, "a_sets": [[1, 2.5]], "b_sets": [[1], [2]]}',
+)
+REJECTED = (
+    ["simulate", "--n", "10", "--seed", "-1"],
+    ["construct", "--n", "0"],
+    ["construct", "--n", "10", "--m", "2"],
+)
 
 
 def run(digest, argv: list[str], stdin: str = "") -> str:
@@ -73,6 +87,11 @@ def main_sweep(max_n: int) -> str:
     for max_m in BOUNDS_MAX_M:
         for fmt in ("grid", "structured"):
             run(digest, ["bounds", "--max-m", str(max_m), "--format", fmt])
+    run(digest, ["verify", MISSING_PATH])
+    for doc in BAD_DOCUMENTS:
+        run(digest, ["verify", "-"], doc)
+    for argv in REJECTED:
+        run(digest, argv)
     return digest.hexdigest()
 
 

@@ -1,10 +1,10 @@
 """Command line front end: construct, bounds, verify, simulate.
 
 Exit statuses are stable: 0 success, 1 infeasible input, 2 verification
-failure, 3 parse or usage error, 4 internal error (the constructed pair or
-the protocol's coordinates did not pass a check on the output, or any other
-unexpected exception; one line on stderr, never a traceback).
-
+failure, 3 parse or usage error, 4 internal error (an output check failed,
+or any other unexpected exception). Past verify's 2, commands raise: main
+alone turns a failure into its status and one ``error:`` line on stderr,
+never a traceback. A reader closing stdout early gets 0 and no stderr line.
 The cyclic garbage collector is off while a command runs (the pipeline
 builds no reference cycles) and then back in its caller's state.
 """
@@ -12,7 +12,9 @@ builds no reference cycles) and then back in its caller's state.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import os
 import sys
 from typing import Iterable
 
@@ -43,8 +45,7 @@ GRID, STRUCTURED = "grid", "structured"
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is reserved for
-    # verification failures here.
+    # argparse's usage errors exit 2, which is verify's verdict here; they exit 3.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -112,8 +113,7 @@ def cmd_construct(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.max_m < 1:
-        print("error: --max-m must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--max-m must be at least 1")
     rows = [(m, min_elements(m), max_elements(m)) for m in range(1, args.max_m + 1)]
     if args.format == STRUCTURED:
         payload = {
@@ -129,23 +129,15 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        if args.path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.path, encoding="utf-8") as handle:
-                text = handle.read()
+        with contextlib.nullcontext(sys.stdin) if args.path == "-" else open(args.path, encoding="utf-8") as source:
+            text = source.read()
     except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        partition = partition_from_json(text, schemas=(PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot read {args.path}: {exc}") from exc
+    partition = partition_from_json(text, schemas=(PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
     problems = kg_violations(partition)
     if problems:
-        for line in problems:
-            print(line, file=sys.stderr)
+        with contextlib.suppress(BrokenPipeError):  # a reader closing stderr early leaves the verdict standing
+            print(*problems, sep="\n", file=sys.stderr)
         return EXIT_INVALID
     print(f"valid Knowlton-Graham pair: n={partition.n} order={partition.order}")
     return EXIT_OK
@@ -174,6 +166,10 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout early; devnull takes the interpreter's last flush
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_OK
     except InfeasibleOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

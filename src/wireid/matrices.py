@@ -72,7 +72,11 @@ class BinaryMatrix:
 
     def to_text(self) -> str:
         """Render as m newline-terminated lines of '.'/'1' characters."""
-        return "".join("".join("1" if v else "." for v in row) + "\n" for row in self.rows)
+        try:  # C speed for int and bool entries
+            grid = b"\n".join(map(bytes, self.rows))
+        except TypeError:  # other entries equal to 0 or 1, such as 1.0
+            grid = b"\n".join(bytes(map(bool, row)) for row in self.rows)
+        return (grid + b"\n").translate(bytes.maketrans(b"\0\1", b".1")).decode()
 
 
 def format_degree_sequence(seq: Sequence[int]) -> str:

@@ -1,11 +1,17 @@
+import ast
 import gc
+import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wireid
 from conftest import flip_first_cell, json_values, swap_first_and_last
 from oracles import matrix_from_text, transcript_from_json
 from wireid import cable, cli, matrices, partitions
@@ -339,6 +345,56 @@ def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "error: internal error: KeyError: 'lost'\n"
+
+
+# ── the exit table ───────────────────────────────────────────────────────
+
+def test_only_main_picks_a_failure_status():
+    """The commands raise and main's except clauses alone map the exception
+    to exit 1, 3 or 4; a command returns 0, or 2 for verify's verdict."""
+    tree = ast.parse(inspect.getsource(cli))
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert {node.name for node in commands} == {"cmd_construct", "cmd_bounds", "cmd_verify", "cmd_simulate"}
+    failure_statuses = {"EXIT_INFEASIBLE", "EXIT_USAGE", "EXIT_INTERNAL"}
+    named = sorted(f"{node.name} names {name.id}" for node in commands for name in ast.walk(node)
+                   if isinstance(name, ast.Name) and name.id in failure_statuses)
+    assert not named, named
+
+
+# ── a reader that closes a stream early ──────────────────────────────────
+
+def run_and_close_early(argv, stream):
+    """Exit status and the bytes left on the other stream when a reader
+    takes 10 bytes of stream ("stdout" or "stderr") and closes it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "wireid.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    closed, other = (proc.stdout, proc.stderr) if stream == "stdout" else (proc.stderr, proc.stdout)
+    try:
+        assert len(closed.read(10)) == 10
+        closed.close()
+        rest = other.read()
+        return proc.wait(timeout=60), rest
+    finally:
+        proc.kill()
+        proc.wait()
+        other.close()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "100000"],  # print
+    ["simulate", "--n", "50000", "--format", "structured"],  # one sys.stdout.write
+    ["bounds", "--max-m", "3000"],  # one print per row
+])
+def test_a_reader_closing_stdout_early_gets_exit_0_and_no_stderr(argv):
+    assert run_and_close_early(argv, "stdout") == (EXIT_OK, b"")
+
+
+def test_a_reader_closing_stderr_early_leaves_the_verdict(tmp_path):
+    # One "do not cover" line lists 99,999 labels, far more than a pipe holds.
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps({"schema": "kg-partition/1", "n": 100000, "a_sets": [[1]], "b_sets": [[1]]}))
+    assert run_and_close_early(["verify", str(path)], "stderr") == (EXIT_INVALID, b"")
 
 
 # ── the cyclic collector ─────────────────────────────────────────────────

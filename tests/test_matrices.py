@@ -78,6 +78,15 @@ def test_text_round_trip(matrix26):
     assert matrix_from_text(matrix26.to_text()) == matrix26
 
 
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(st.sampled_from([0, 1, False, True, 0.0, 1.0, 1 + 0j]), min_size=m, max_size=m),
+    min_size=m, max_size=m)))
+def test_text_is_the_per_entry_rendering(rows):
+    # Entries need only equal 0 or 1: bools and 1.0 render as ints do.
+    matrix = BinaryMatrix(rows)
+    assert matrix.to_text() == "".join("".join("1" if v else "." for v in row) + "\n" for row in rows)
+
+
 def test_text_rejects_ragged_lines():
     with pytest.raises(ValueError, match="ragged"):
         matrix_from_text(".1\n1\n")

@@ -35,4 +35,4 @@ def test_stdout_digest_pins_the_small_sweep():
     # a change to any of those bytes changes the digest.
     result = run_script("stdout_digest.py", "--max-n", "20")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "20fe75f49dd4c7b69725e32cf72c583d9f17811bc60a77f7cf38f725f4c47ae3\n"
+    assert result.stdout == "548dea2b3b6637b5e9ebc9fe6b8d6c6ccff92d551bd45b1c62ebf419d042a812\n"
