@@ -22,10 +22,12 @@ class IntPairs(NamedTuple):
 
 
 def dumps_indent2(obj, newline: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)`` for dicts with str keys, lists, tuples,
-    ints and strs (any other scalar goes through ``json.dumps``). Sets and
-    frozensets are written as ascending lists, lists of int sets one run of
-    equal-size sets at a time, and IntPairs as rows of two.
+    """``json.dumps(obj, indent=2, default=sorted)``, so sets and frozensets
+    come out as ascending lists. IntPairs (as rows of two), non-empty dicts
+    with str keys and non-empty lists and tuples are written directly, int
+    lists and runs of equal-size int sets by one %-operation each; anything
+    else is ``json.dumps``, re-indented (json escapes the newlines inside
+    strings, so each one it writes is a line break).
 
     ``newline`` is the line break plus the indentation of the enclosing
     level; callers leave it at its default.
@@ -35,17 +37,11 @@ def dumps_indent2(obj, newline: str = "\n") -> str:
         leaf = inner + "  "
         pairs = format_int_pairs(obj, "[" + leaf + "%d," + leaf + "%d" + inner + "]", "," + inner)
         return "[" + inner + pairs + newline + "]" if obj.firsts else "[]"
-    if isinstance(obj, (set, frozenset)):
-        obj = sorted(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if isinstance(obj, dict) and obj:
         items = (json.dumps(key) + ": " + dumps_indent2(value, inner) for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
-    if not obj:
-        return "[]"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return json.dumps(obj, indent=2, default=sorted).replace("\n", newline)
     kinds = set(map(type, obj))
     if kinds == {int}:
         body = ("," + inner).join(map(str, obj))

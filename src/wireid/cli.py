@@ -92,7 +92,7 @@ def cmd_construct(args) -> int:
             "schema": CONSTRUCTION_SCHEMA,
             "n": partition.n,
             "m": rep.m,
-            "t": list(rep.t),
+            "t": rep.t,
             "s": rep.s,
             "k": rep.k,
             "matrix": trace.matrix.to_text().splitlines(),
@@ -129,6 +129,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        if args.path == "-" and sys.stdin is None:  # fd 0 was closed before startup
+            raise OSError("stdin is closed")
         with contextlib.nullcontext(sys.stdin) if args.path == "-" else open(args.path, encoding="utf-8") as source:
             text = source.read()
     except OSError as exc:

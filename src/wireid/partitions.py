@@ -31,7 +31,7 @@ from operator import add, index
 from typing import Collection, Hashable, Iterable, Sequence
 
 from ._jsonout import dumps_indent2
-from .matrices import BinaryMatrix, ConstructionError, construct_matrix
+from .matrices import BinaryMatrix, ConstructionError, can_construct, construct_matrix
 
 PARTITION_SCHEMA = "kg-partition/1"
 
@@ -86,11 +86,11 @@ def feasible_orders(n: int) -> list[int]:
 class Representation:
     """n written as t_1 + ... + t_m with each t_j a positive multiple of j.
 
-    The shape is pinned by (s, k): t_j = j for j > s; t_s = k*s with
-    1 < k <= floor(m/s) when s >= 1; t_j = j*floor(m/j) for 1 < j < s; and
-    m - s < t_1 <= m when s > 1. By convention k = 1 when s = 0 (the
-    triangular case t_j = j). The value multiset always forms a consecutive
-    run, so sorted descending it decreases by at most 1 per step.
+    Valid iff it is what :func:`represent` builds for its own sum, so (s, k)
+    pin the shape: t_j = j for j > s; t_s = k*s with 1 < k <= floor(m/s) when
+    s >= 1; t_j = j*floor(m/j) for 1 < j < s; m - s < t_1 <= m when s > 1;
+    k = 1 when s = 0. The values form a consecutive run, so sorted descending
+    they are gap-free, as :func:`can_construct` checks.
     """
 
     m: int
@@ -100,30 +100,15 @@ class Representation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", tuple(self.t))
-        m, t, s, k = self.m, self.t, self.s, self.k
+        m, t = self.m, self.t
         if m < 1 or len(t) != m:
             raise ValueError(f"need m >= 1 values, got m={m}, t={t}")
-        if not 0 <= s <= m // 2:
-            raise ValueError(f"s must lie in [0, m/2], got s={s} for m={m}")
-        for j, value in enumerate(t, start=1):
-            if value <= 0 or value % j:
-                raise ValueError(f"t_{j}={value} is not a positive multiple of {j}")
-            if j > s and value != j:
-                raise ValueError(f"t_{j}={value} but positions past s={s} must equal their index")
-            if 1 < j < s and value != j * (m // j):
-                raise ValueError(f"t_{j}={value} must be the largest multiple of {j} not exceeding {m}")
-        if s == 0:
-            if k != 1:
-                raise ValueError(f"k must be 1 when s=0, got {k}")
-        else:
-            if t[s - 1] != k * s or not 1 < k <= m // s:
-                raise ValueError(f"t_{s}={t[s - 1]} must be k*s with 1 < k <= {m // s}, got k={k}")
-        if s > 1 and not m - s < t[0] <= m:
-            raise ValueError(f"t_1={t[0]} must lie in ({m - s}, {m}] when s={s} > 1")
+        canonical = _canonical(self.n, m)
+        if (t, self.s, self.k) != canonical:
+            raise ValueError(f"(t, s, k)={(t, self.s, self.k)} is not represent({self.n}, {m}), which is {canonical}")
         ordered = sorted(t, reverse=True)
-        for a, b in zip(ordered, ordered[1:]):
-            if a - b > 1:
-                raise ValueError(f"sorted values must drop by at most 1: {ordered}")
+        if not can_construct(ordered, ordered):
+            raise ValueError(f"sorted values must drop by at most 1: {ordered}")
 
     @property
     def n(self) -> int:
@@ -138,11 +123,14 @@ def represent(n: int, m: int) -> Representation:
     decrement t_1; if s > 1 and t_1 has dropped to m - s, reset t_1 to m
     and take s out of t_s; if t_s has reached s, shrink s by one. The walk
     ends exactly at the triangular case t_j = j (s = 0).
-
-    The code computes where the walk ends, in O(m): level s takes
-    s*(floor(m/s) - 1) of the d = max_elements(m) - n units, and the level
-    where d runs out gives k and t_1 by division. n must be an int.
     """
+    return Representation(m, *_canonical(n, m))
+
+
+def _canonical(n: int, m: int) -> tuple[tuple[int, ...], int, int]:
+    """(t, s, k) of represent(n, m), where the walk ends, in O(m): level s
+    takes s*(floor(m/s) - 1) of the d = max_elements(m) - n units, and the
+    level where d runs out gives k and t_1 by division. n must be an int."""
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if not min_elements(m) <= n <= max_elements(m):
@@ -159,7 +147,7 @@ def represent(n: int, m: int) -> Representation:
         t[s - 1] = k * s
     if s > 1:
         t[0] = m - d % s
-    return Representation(m=m, t=tuple(t), s=s, k=k)
+    return tuple(t), s, k
 
 
 def _canonical_order(sets: Iterable[Collection]) -> tuple[frozenset, ...]:
@@ -382,7 +370,7 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     rep = represent(n, m)
     matrix = construct_matrix(rep.t, rep.t)
     # Equal row and column inputs make the construction self-dual.
-    if matrix.rows != tuple(zip(*matrix.rows)):
+    if matrix != matrix.transpose():
         raise ConstructionError(f"the matrix built for {rep} is not symmetric")
     partition = matrix_to_partition(matrix, range(1, n + 1))
     return Construction(representation=rep, matrix=matrix, partition=partition)

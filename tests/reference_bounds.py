@@ -1,8 +1,10 @@
-"""The original per-order feasibility loop and unit-step representation walk.
+"""The original per-order feasibility loop, unit-step representation walk
+and piecewise representation rules.
 
 Test-only references: ``feasible_orders`` and ``represent`` in
 ``wireid.partitions`` compute in closed form what these loops simulate, and
-must return the same results.
+must return the same results; ``Representation`` accepts exactly what the
+piecewise rules accept.
 """
 
 from __future__ import annotations
@@ -56,3 +58,33 @@ def reference_walk(m: int):
             t[s - 1] -= s
         if s >= 1 and t[s - 1] == s:
             s -= 1
+
+
+def reference_representation_ok(m: int, t: tuple, s: int, k: int) -> bool:
+    """Whether Representation(m, t, s, k) is valid, by the piecewise rules it
+    once checked one by one: the length, seven rules on (s, k) and each t_j,
+    and the gap-free sorted values."""
+    if m < 1 or len(t) != m:
+        return False
+    if not 0 <= s <= m // 2:
+        return False
+    for j, value in enumerate(t, start=1):
+        if value <= 0 or value % j:
+            return False
+        if j > s and value != j:
+            return False
+        if 1 < j < s and value != j * (m // j):
+            return False
+    if s == 0:
+        if k != 1:
+            return False
+    else:
+        if t[s - 1] != k * s or not 1 < k <= m // s:
+            return False
+    if s > 1 and not m - s < t[0] <= m:
+        return False
+    ordered = sorted(t, reverse=True)
+    for a, b in zip(ordered, ordered[1:]):
+        if a - b > 1:
+            return False
+    return True

@@ -7,13 +7,16 @@ on a seeded large sample. The exceptional-set lemma is checked with a
 divisor-sum sieve.
 """
 
+import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from reference_bounds import reference_feasible_orders, reference_walk
-from wireid.partitions import feasible_orders, max_elements, min_elements, represent
+from reference_bounds import reference_feasible_orders, reference_representation_ok, reference_walk
+from wireid.partitions import Representation, feasible_orders, max_elements, min_elements, represent
 
 
 # ── feasible_orders ──────────────────────────────────────────────────────
@@ -102,6 +105,44 @@ def test_represent_matches_walk_on_sampled_pairs_through_order_2000():
                 assert (rep.t, rep.s, rep.k) == (tuple(t), s, k), (n, m)
             if n == lowest:
                 break
+
+
+# ── Representation's validation ──────────────────────────────────────────
+
+def representation_ok(m, t, s, k):
+    try:
+        Representation(m, t, s, k)
+    except ValueError:
+        return False
+    return True
+
+
+def test_representation_accepts_what_the_piecewise_rules_accept_through_order_6():
+    # t_j over {0, j, j+1} and the multiples of j up to m; s and k one past
+    # their ranges on each side.
+    cases = accepted = 0
+    for m in range(1, 7):
+        values = [sorted({0, j, j + 1, *range(j, m + 1, j)}) for j in range(1, m + 1)]
+        for t in itertools.product(*values):
+            for s in range(-1, m // 2 + 2):
+                for k in range(m + 2):
+                    expected = reference_representation_ok(m, t, s, k)
+                    assert representation_ok(m, t, s, k) == expected, (m, t, s, k)
+                    cases += 1
+                    accepted += expected
+    assert (cases, accepted) == (210_411, sum(max_elements(m) - min_elements(m) + 1 for m in range(1, 7)))
+
+
+@given(st.integers(1, 2000).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(min_elements(m), max_elements(m)), st.integers(0, m + 1), st.sampled_from((-1, 1)))))
+def test_representation_agrees_with_the_piecewise_rules_one_step_off_represent(case):
+    # field 0..m-1 moves t_(field+1), m moves s and m + 1 moves k.
+    m, n, field, step = case
+    rep = represent(n, m)
+    fields = [*rep.t, rep.s, rep.k]
+    fields[field] += step
+    t, s, k = tuple(fields[:m]), fields[m], fields[m + 1]
+    assert representation_ok(m, t, s, k) == reference_representation_ok(m, t, s, k)
 
 
 # ── the exceptional set {2, 5, 9} ────────────────────────────────────────

@@ -177,6 +177,19 @@ def test_verify_rejects_deeply_nested_json(capsys, monkeypatch):
     assert out == "" and err.startswith("error: not valid JSON:") and err.count("\n") == 1
 
 
+
+def test_verify_with_stdin_closed_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", None)  # what the interpreter leaves when fd 0 is closed
+    assert run(capsys, "verify", "-") == (EXIT_USAGE, "", "error: cannot read -: stdin is closed\n")
+
+
+def test_verify_with_fd_0_closed_exits_3():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+    result = subprocess.run([sys.executable, "-m", "wireid.cli", "verify", "-"], capture_output=True, text=True,
+                            preexec_fn=lambda: os.close(0), env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (EXIT_USAGE, "", "error: cannot read -: stdin is closed\n")
+
+
 label_lists = st.lists(st.lists(st.integers(-2, 40) | json_values, max_size=6), max_size=8)
 partition_documents = st.fixed_dictionaries(
     {"schema": st.sampled_from(["kg-partition/1", "kg-construction/1"])},
