@@ -22,17 +22,19 @@ class IntPairs(NamedTuple):
 
 
 def dumps_indent2(obj, newline: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, default=sorted)``, so sets and frozensets
-    come out as ascending lists. IntPairs (as rows of two), non-empty dicts
-    with str keys and non-empty lists and tuples are written directly, int
-    lists and runs of equal-size int sets by one %-operation each; anything
-    else is ``json.dumps``, re-indented (json escapes the newlines inside
-    strings, so each one it writes is a line break).
+    """``json.dumps(obj, indent=2)`` with sets and frozensets written as
+    ascending lists. IntPairs (as rows of two), non-empty dicts with str keys
+    and non-empty lists and tuples are written directly, int lists and runs
+    of equal-size int sets by one %-operation each; anything else is
+    ``json.dumps``, re-indented (json escapes the newlines inside strings, so
+    each one it writes is a line break), with its TypeError for the rest.
 
     ``newline`` is the line break plus the indentation of the enclosing
     level; callers leave it at its default.
     """
     inner = newline + "  "
+    if isinstance(obj, (set, frozenset)):  # so json.dumps below meets no set: containers recurse first
+        obj = sorted(obj)
     if isinstance(obj, IntPairs):
         leaf = inner + "  "
         pairs = format_int_pairs(obj, "[" + leaf + "%d," + leaf + "%d" + inner + "]", "," + inner)
@@ -41,7 +43,7 @@ def dumps_indent2(obj, newline: str = "\n") -> str:
         items = (json.dumps(key) + ": " + dumps_indent2(value, inner) for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if not isinstance(obj, (list, tuple)) or not obj:
-        return json.dumps(obj, indent=2, default=sorted).replace("\n", newline)
+        return json.dumps(obj, indent=2).replace("\n", newline)
     kinds = set(map(type, obj))
     if kinds == {int}:
         body = ("," + inner).join(map(str, obj))

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from ._jsonout import IntPairs, dumps_indent2
 from .partitions import (
-    KgPartition, _canonical_order, _cell_keys, _column_blocks, _side_sizes, _size_of, kg_violations,
+    KgPartition, _canonical_order, _cell_keys, _column_blocks, _side_sizes, _size_of, _unchecked, kg_violations,
 )
 
 END_A = "A"
@@ -178,9 +178,10 @@ def _assemble_b_sets(
     cells lists, ascending, the keys j * width + k of the agreed matrix's
     1-cells (j, k): row-major order. One pass buckets the wires by reading,
     in ascending position order; the buckets, rows ascending, take the cells
-    as labels do in matrix_to_partition, and _column_blocks cuts the
-    B-sets. Returns the blocks and column_of: column_of[b] is the column of
-    B-position b (entry 0 unused), the size of its block.
+    as labels do in matrix_to_partition, _column_blocks cuts the B-sets, and
+    (size, least wire) puts those disjoint blocks in canonical order. Returns
+    the blocks and column_of: column_of[b] is the column of B-position b
+    (entry 0 unused), the size of its block.
     A valid pair read through a bijective wiring has the scheme's row counts,
     so other readings are an internal fault and raise ProtocolError.
     """
@@ -194,8 +195,8 @@ def _assemble_b_sets(
             raise ProtocolError(f"observed {len(by_size[j])} wires of bundle size {j} but the scheme has {count}")
     if len(cells) != len(readings):
         raise ProtocolError("some observed bundle sizes do not occur in the scheme")
-    columns = (key % width for key in cells)
-    groups = tuple(_column_blocks(columns, width - 1, chain.from_iterable(by_size)))
+    blocks = _column_blocks(cells, width, chain.from_iterable(by_size))
+    groups = tuple(sorted(blocks, key=lambda block: (len(block), min(block))))
     return groups, _size_of(groups, len(readings))
 
 
@@ -211,7 +212,8 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     disconnects, end B joins its B-sets, end A probes and learns each
     wire's column. Both ends' coordinates must agree through the hidden
     wiring and be unique; a failure would falsify the scheme itself, so it
-    raises ProtocolError instead of being returned as data.
+    raises ProtocolError instead of being returned as data. `wireid
+    simulate` runs the same phases on construct_trace's own cell keys.
     """
     if partition.n != cable.n:
         raise ValueError(f"partition covers {partition.n} elements but the cable has {cable.n} wires")
@@ -220,25 +222,31 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     if len(cells) != cable.n + 1:
         problems = kg_violations(partition) or ["labels must be the integers 1..n"]
         raise ValueError("invalid partition pair:\n" + "\n".join(problems))
-    width, keys = scheme
+    return _phases(scheme[0], cells[1:], partition.a_sets, cable.wiring)
 
-    phase1_plan = ConnectionPlan(end=END_A, groups=partition.a_sets)
-    phase1_probe = _readings(phase1_plan, cable.wiring)
 
-    b_sets, column_of = _assemble_b_sets(width, cells[1:], phase1_probe)
-    phase2_plan = ConnectionPlan(end=END_B, groups=b_sets)
-    phase2_probe = _readings(phase2_plan, cable.wiring)
+def _phases(width: int, cells: Sequence[int], a_sets: tuple, wiring: tuple[int, ...]) -> ProtocolTranscript:
+    """run_protocol's phases on a valid pair's canonical a_sets and ascending cell keys. No
+    plan is sorted or checked again, but each maps sizes from its own groups, so the
+    agreement check still compares end B's columns with the plan end A probes."""
+    n = len(wiring)
+    phase1_plan = _unchecked(ConnectionPlan, end=END_A, groups=a_sets, _size_at=_size_of(a_sets, n))
+    phase1_probe = _readings(phase1_plan, wiring)
+
+    b_sets, column_of = _assemble_b_sets(width, cells, phase1_probe)
+    phase2_plan = _unchecked(ConnectionPlan, end=END_B, groups=b_sets, _size_at=_size_of(b_sets, n))
+    phase2_probe = _readings(phase2_plan, wiring)
 
     # Each end's coordinate (j, k) as the key j * width + k.
     key_a = list(map(add, map(mul, islice(phase1_plan._size_at, 1, None), repeat(width)), phase2_probe))
     key_b = list(map(add, map(mul, chain((0,), phase1_probe), repeat(width)), column_of))
-    through_wiring = list(map(key_b.__getitem__, cable.wiring))
+    through_wiring = list(map(key_b.__getitem__, wiring))
     if through_wiring != key_a:
         a = next(a for a, (x, y) in enumerate(zip(through_wiring, key_a), start=1) if x != y)
         raise ProtocolError(
             f"coordinate mismatch at position {a}: ends disagree, which would falsify the scheme"
         )
-    if len(set(key_a)) != cable.n:
+    if len(set(key_a)) != n:
         raise ProtocolError("coordinates must be unique per wire")
 
     return ProtocolTranscript(phase1_plan, phase1_probe, phase2_plan, phase2_probe)

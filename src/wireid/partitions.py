@@ -25,9 +25,9 @@ import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import isqrt
-from operator import add, index
+from operator import add, index, mod
 from typing import Collection, Hashable, Iterable, Sequence
 
 from ._jsonout import dumps_indent2
@@ -296,17 +296,17 @@ def _blocks(items: Sequence, size: int) -> list[frozenset]:
     return [frozenset(items[i : i + size]) for i in range(0, len(items), size)]
 
 
-def _column_blocks(columns: Iterable[int], m: int, labels: Iterable) -> list[frozenset]:
+def _column_blocks(cells: Iterable[int], width: int, labels: Iterable) -> list[frozenset]:
     """The B-sets: column k's labels, rows ascending, cut into blocks of k.
 
-    columns yields the column (1..m) of each 1-cell in row-major order, and
-    the labels attach to those cells in that order. End B forms its B-sets
-    by this rule too, with its wires in place of the labels.
+    cells yields the key j * width + k of each 1-cell (j, k) in row-major
+    order, and the labels attach to those cells in that order. End B forms
+    its B-sets by this rule too, with its wires in place of the labels.
     """
-    per_column: list[list] = [[] for _ in range(m + 1)]
-    for k, label in zip(columns, labels):
+    per_column: list[list] = [[] for _ in range(width)]
+    for k, label in zip(map(mod, cells, repeat(width)), labels):
         per_column[k].append(label)
-    return [block for k in range(1, m + 1) for block in _blocks(per_column[k], k)]
+    return [block for k in range(1, width) for block in _blocks(per_column[k], k)]
 
 
 def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgPartition:
@@ -319,6 +319,14 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     (A-size, B-size) coordinate pair.
     """
     labels = tuple(labels)
+    a_sets, b_sets, _ = _chunk(matrix, labels)
+    return KgPartition(n=len(labels), a_sets=a_sets, b_sets=b_sets)
+
+
+def _chunk(matrix: BinaryMatrix, labels: Sequence) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...], list[int]]:
+    """matrix_to_partition's checks and sets, each side in the order it is cut (canonical
+    for ascending labels: by size, then runs of ascending labels), and the row-major keys
+    j * (m + 1) + k of the matrix's 1-cells (j, k)."""
     m = matrix.m
     r, c = matrix.row_sums(), matrix.col_sums()
     for j in range(1, m + 1):
@@ -329,7 +337,7 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     total = sum(r)
     if len(labels) != total:
         raise ValueError(f"need exactly {total} labels (one per 1-entry), got {len(labels)}")
-    if len(set(labels)) != len(labels):
+    if not isinstance(labels, range) and len(set(labels)) != len(labels):  # a range never repeats
         raise ValueError("labels must be distinct")
 
     # Labels go out in row-major order: row j's chunk into A-sets of size j,
@@ -339,14 +347,25 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     for j, size in enumerate(r, start=1):
         a_sets.extend(_blocks(labels[start : start + size], j))
         start += size
-    columns = range(1, m + 1)
-    b_sets = _column_blocks(chain.from_iterable(compress(columns, row) for row in matrix.rows), m, labels)
-    return KgPartition(n=len(labels), a_sets=tuple(a_sets), b_sets=tuple(b_sets))
+    width = m + 1
+    row_cells = (compress(range(j * width + 1, (j + 1) * width), row) for j, row in enumerate(matrix.rows, start=1))
+    cells = list(chain.from_iterable(row_cells))
+    b_sets = _column_blocks(cells, width, labels)
+    return tuple(a_sets), tuple(b_sets), cells
+
+
+def _unchecked(cls: type, **attributes):
+    """A frozen dataclass holding attributes as given: the caller vouches for its __post_init__."""
+    instance = object.__new__(cls)
+    for name, value in attributes.items():
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 @dataclass(frozen=True)
 class Construction:
-    """The three artifacts of the constructive pipeline: representation, matrix, partition."""
+    """The three artifacts of the constructive pipeline: representation, matrix, partition.
+    construct_trace also sets _cells, _chunk's cell keys; not being a field, it is not in == or repr."""
 
     representation: Representation
     matrix: BinaryMatrix
@@ -370,10 +389,11 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     rep = represent(n, m)
     matrix = construct_matrix(rep.t, rep.t)
     # Equal row and column inputs make the construction self-dual.
-    if matrix != matrix.transpose():
+    if matrix.rows != tuple(zip(*matrix.rows)):
         raise ConstructionError(f"the matrix built for {rep} is not symmetric")
-    partition = matrix_to_partition(matrix, range(1, n + 1))
-    return Construction(representation=rep, matrix=matrix, partition=partition)
+    a_sets, b_sets, cells = _chunk(matrix, range(1, n + 1))  # canonical order already
+    partition = _unchecked(KgPartition, n=n, a_sets=a_sets, b_sets=b_sets)
+    return _unchecked(Construction, representation=rep, matrix=matrix, partition=partition, _cells=cells)
 
 
 def construct(n: int, m: int | None = None) -> KgPartition:
@@ -383,8 +403,9 @@ def construct(n: int, m: int | None = None) -> KgPartition:
 
 def partition_to_json(partition: KgPartition) -> str:
     """Serialize an integer-labelled pair as a schema-tagged JSON document."""
-    for s in partition.a_sets + partition.b_sets:
-        for x in s:
+    sets = partition.a_sets + partition.b_sets
+    if not set(map(type, chain.from_iterable(sets))) <= {int}:  # else name the first non-int or bool
+        for x in chain.from_iterable(sets):
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"only integer-labelled partitions serialize, got {x!r}")
     payload = {

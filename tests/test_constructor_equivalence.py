@@ -5,7 +5,8 @@ permutation that brought its output into the order of the requested sums,
 and the map-and-rescan matrix_to_partition; the package's versions must
 match them cell for cell and set for set. construct_matrix on sums in any
 order must equal the reference construction on the sorted sums, permuted
-back to the given order.
+back to the given order. construct_trace stores its sets unsorted, so its
+pair must equal the reference's sorted one.
 """
 
 import random
@@ -21,7 +22,7 @@ from reference_constructor import (
     reference_permute_to_sums,
 )
 from wireid.matrices import _peel, _sort_descending, construct_matrix
-from wireid.partitions import feasible_orders, matrix_to_partition, represent
+from wireid.partitions import construct_trace, feasible_orders, matrix_to_partition, represent
 
 
 def reference_in_order(r, c):
@@ -31,11 +32,18 @@ def reference_in_order(r, c):
 
 
 def assert_pipeline_matches(n, m):
-    rep = represent(n, m)
-    matrix = construct_matrix(rep.t, rep.t)
-    assert matrix == reference_in_order(rep.t, rep.t), (n, m)
+    t = represent(n, m).t
+    trace = construct_trace(n, m)
+    assert trace.matrix == construct_matrix(t, t) == reference_in_order(t, t), (n, m)
     labels = range(1, n + 1)
-    assert matrix_to_partition(matrix, labels) == reference_matrix_to_partition(matrix, labels), (n, m)
+    reference = reference_matrix_to_partition(trace.matrix, labels)
+    assert trace.partition == matrix_to_partition(trace.matrix, labels) == reference, (n, m)
+
+
+def test_pipeline_matches_reference_through_n_300():
+    for n in range(1, 301):
+        for m in feasible_orders(n):
+            assert_pipeline_matches(n, m)
 
 
 def test_constructor_matches_reference_on_all_gapfree_pairs_through_order_7():
@@ -92,6 +100,19 @@ def test_pipeline_matches_reference_on_seeded_large_n():
 
 def test_matrix_to_partition_matches_reference_with_letter_labels(matrix26):
     assert matrix_to_partition(matrix26, LETTERS) == reference_matrix_to_partition(matrix26, LETTERS)
+
+
+def test_matrix_to_partition_sorts_labels_given_in_any_order():
+    # Only ascending labels cut the sets in canonical order; any other order
+    # needs KgPartition's sort.
+    rng = random.Random(16)
+    for n in range(1, 121):
+        for m in feasible_orders(n):
+            matrix = construct_trace(n, m).matrix
+            shuffled = list(range(1, n + 1))
+            rng.shuffle(shuffled)
+            for labels in (shuffled, range(n, 0, -1)):
+                assert matrix_to_partition(matrix, labels) == reference_matrix_to_partition(matrix, labels), (n, m)
 
 
 @given(st.integers(-2, 12), st.lists(st.booleans(), max_size=14), st.data())

@@ -61,11 +61,13 @@ TEST_ONLY_NAMES = [
 # established what the assert restates.
 ALLOWED_ASSERTS = {
     # _blocks chunks its callers' lists, whose lengths were checked first:
-    # matrix_to_partition (its A-sets, and through _column_blocks its B-sets)
-    # checks that every row and column sum is a multiple of its index, and
-    # _column_blocks' other caller, _assemble_b_sets, runs on a pair whose
-    # n + 1 _cell_keys run_protocol found distinct, so each column's wires
-    # fill whole blocks.
+    # _chunk (its A-sets, and through _column_blocks its B-sets) checks that
+    # every row and column sum is a multiple of its index, and
+    # _column_blocks' other caller, _assemble_b_sets, runs in the phases on
+    # a valid pair's cells: run_protocol found its n + 1 _cell_keys
+    # distinct, or construct_trace built it and _chunk checked its sums. It
+    # has also checked that each row holds as many wires as cells, so each
+    # column's wires fill whole blocks.
     "partitions._blocks",
 }
 

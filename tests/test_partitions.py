@@ -1,3 +1,4 @@
+import enum
 import itertools
 import json
 import os
@@ -357,6 +358,17 @@ def test_partition_json_rejects_letters():
     )
     with pytest.raises(ValueError, match="integer"):
         partition_to_json(pair)
+
+
+def test_partition_json_names_the_first_label_that_is_not_an_int():
+    for odd in (True, 1.0):
+        pair = KgPartition(2, (frozenset({odd}), frozenset({2})), (frozenset({odd, 2}),))
+        with pytest.raises(ValueError, match=f"got {odd!r}$"):
+            partition_to_json(pair)
+    one = enum.IntEnum("Label", {"ONE": 1}).ONE  # other int subclasses write as their int
+    pair = KgPartition(2, (frozenset({one}), frozenset({2})), (frozenset({one, 2}),))
+    plain = KgPartition(2, (frozenset({1}), frozenset({2})), (frozenset({1, 2}),))
+    assert partition_to_json(pair) == partition_to_json(plain)
 
 
 def test_partition_from_json_rejects_malformed_documents():

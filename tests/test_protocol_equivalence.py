@@ -1,6 +1,7 @@
 """The O(n) protocol run, its single validation pass and the indent-2 JSON
 writer against the references they replace (tests/reference_protocol.py,
-kg_violations and json.dumps)."""
+kg_violations and json.dumps), and the phases fed by the construction (as
+`wireid simulate` runs them) against the public run_protocol."""
 
 import inspect
 import json
@@ -26,11 +27,12 @@ from reference_protocol import (
 )
 from wireid import cable as cable_module
 from wireid._jsonout import IntPairs, dumps_indent2, format_int_pairs
-from wireid.cable import ProtocolError, make_cable, run_protocol, transcript_to_json
+from wireid.cable import ConnectionPlan, ProtocolError, _phases, make_cable, run_protocol, transcript_to_json
 from wireid.partitions import (
     KgPartition,
     _cell_keys,
     construct,
+    construct_trace,
     feasible_orders,
     kg_violations,
 )
@@ -64,6 +66,35 @@ def test_protocol_and_json_match_reference_for_sampled_large_n():
         assert transcript == reference, n
         assert (transcript.coords_a, transcript.coords_b) == reference_coordinates(reference), n
         assert transcript_to_json(transcript) == reference_transcript_to_json(reference), n
+
+
+def assert_construction_fed_phases_match(n, m, seed):
+    trace, cable = construct_trace(n, m), make_cable(n, seed)
+    fed = _phases(m + 1, trace._cells, trace.partition.a_sets, cable.wiring)
+    # The pair again through KgPartition's sort, which construct_trace skips.
+    public = run_protocol(KgPartition(n, trace.partition.a_sets, trace.partition.b_sets), cable)
+    assert fed == public, (n, m, seed)
+    assert transcript_to_json(fed) == transcript_to_json(public), (n, m, seed)
+    for plan in (fed.phase1_plan, fed.phase2_plan):
+        assert plan._size_at == ConnectionPlan(plan.end, plan.groups)._size_at, (n, m, seed, plan.end)
+
+
+def test_construction_fed_phases_match_run_protocol_through_n_300():
+    for n in range(1, 301):
+        for m in feasible_orders(n):
+            for seed in (0, 1, 7):
+                assert_construction_fed_phases_match(n, m, seed)
+
+
+@pytest.mark.slow
+def test_construction_fed_phases_match_run_protocol_for_sampled_large_n():
+    rng = random.Random(16)
+    for _ in range(3):
+        n = rng.randrange(10_000, 30_001)
+        while not feasible_orders(n):
+            n += 1
+        for seed in (0, 1, 7):
+            assert_construction_fed_phases_match(n, feasible_orders(n)[0], seed)
 
 
 def test_invalid_pair_message_matches_reference():
@@ -313,6 +344,14 @@ def test_writer_writes_int_pairs_as_rows_of_two(pairs):
     expected = {"pairs": pairs, "nested": [pairs]}
     assert dumps_indent2(payload) == json.dumps(expected, indent=2)
     assert format_int_pairs(IntPairs(firsts, seconds), "(%d,%d)", " ") == " ".join(f"({a},{b})" for a, b in pairs)
+
+
+@pytest.mark.parametrize("value", [b"ab", (x for x in (2, 1)), bytearray(b"ab")])
+def test_writer_raises_like_json_dumps_on_what_json_cannot_write(value):
+    # Only sets and frozensets are written as sorted lists.
+    for payload in ({"a": value}, [value]):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            dumps_indent2(payload)
 
 
 def test_writer_keeps_bools_off_the_row_template():

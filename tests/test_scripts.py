@@ -4,17 +4,19 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import wireid
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
-def run_script(name, *args):
+def run_script(name, *args, timeout=60):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, name), *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -36,3 +38,12 @@ def test_stdout_digest_pins_the_small_sweep():
     result = run_script("stdout_digest.py", "--max-n", "20")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "548dea2b3b6637b5e9ebc9fe6b8d6c6ccff92d551bd45b1c62ebf419d042a812\n"
+
+
+@pytest.mark.slow
+def test_stdout_digest_pins_the_default_sweep():
+    # Every n below 200 and n = 1000, 5000 and 20000, where the small sweep
+    # stops at n < 20.
+    result = run_script("stdout_digest.py", timeout=600)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "a2d01b8b74a079afb24016155ddb9a900ac3ab86b46e8cb8bc4a36bf3aa403c4\n"
