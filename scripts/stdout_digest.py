@@ -7,8 +7,11 @@ stderr of every request:
   every n below 200 (or below --max-n) at up to three feasible orders (an n
   with none runs once, without --m), and for n = 1000, 5000 and 20000 where
   they do not exceed --max-n;
-- ``verify -`` of every structured construct document, and of a copy whose
-  first A-set label is moved out of range;
+- ``verify -`` of every structured construct document and of four copies:
+  its first A-set label moved out of range; the pair relabelled with its
+  sets shuffled (valid, not in canonical order); two labels swapped between
+  A-sets of different sizes so that some cell holds two elements (where such
+  a swap exists); and one label repeated inside its own set;
 - ``bounds`` in both formats at a few --max-m values, 0 included;
 - requests that fail on their input: ``verify`` of a missing file, ``verify
   -`` of malformed JSON, of a wrong schema and of a non-integer label, a
@@ -27,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 
 from wireid.cli import main
@@ -65,6 +69,41 @@ def run(digest, argv: list[str], stdin: str = "") -> str:
     return out.getvalue()
 
 
+def relabelled(rng: random.Random, n: int, payload: dict) -> dict:
+    """The pair under a random relabelling of 1..n, each side's sets and each
+    set's labels shuffled."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    out = dict(payload)
+    for field in ("a_sets", "b_sets"):
+        sets = [[perm[x - 1] for x in s] for s in payload[field]]
+        for s in sets:
+            rng.shuffle(s)
+        rng.shuffle(sets)
+        out[field] = sets
+    return out
+
+
+def crowding_swap(payload: dict) -> dict | None:
+    """A copy with two labels swapped between A-sets of different sizes so
+    that some (j, k) cell holds two elements, or None if no swap does that."""
+    a_sets, b_sets = payload["a_sets"], payload["b_sets"]
+    b_size = {x: len(s) for s in b_sets for x in s}
+    holder = {(len(s), b_size[x]): x for s in a_sets for x in s}
+    for i, s in enumerate(a_sets):
+        for t in a_sets[i + 1 :]:
+            if len(s) == len(t):
+                continue
+            for x in s:
+                for y in t:
+                    # x moves to cell (|t|, k_x), y to (|s|, k_y); each cell keeps its old holder
+                    if holder.get((len(t), b_size[x]), y) != y or holder.get((len(s), b_size[y]), x) != x:
+                        swap = {x: y, y: x}
+                        sets = [[swap.get(z, z) for z in u] for u in a_sets]
+                        return {**payload, "a_sets": sets}
+    return None
+
+
 def sweep(digest, n: int) -> None:
     orders = [str(m) for m in feasible_orders(n)[:3]]
     for order in ([["--m", m] for m in orders] or [[]]):
@@ -76,8 +115,14 @@ def sweep(digest, n: int) -> None:
         if orders:
             run(digest, ["verify", "-"], doc)
             payload = json.loads(doc)
+            rng = random.Random(f"{n}:{order}")
+            shuffled, swapped, repeated = (relabelled(rng, n, payload) for _ in range(3))
+            side = rng.choice(repeated["a_sets"] + repeated["b_sets"])
+            side.append(rng.choice(side))
             payload["a_sets"][0][0] = n + 1
-            run(digest, ["verify", "-"], json.dumps(payload, indent=2))
+            for copy in (payload, shuffled, crowding_swap(swapped), repeated):
+                if copy is not None:
+                    run(digest, ["verify", "-"], json.dumps(copy, indent=2))
 
 
 def main_sweep(max_n: int) -> str:

@@ -23,11 +23,12 @@ class IntPairs(NamedTuple):
 
 def dumps_indent2(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` with sets and frozensets written as
-    ascending lists. IntPairs (as rows of two), non-empty dicts with str keys
-    and non-empty lists and tuples are written directly, int lists and runs
-    of equal-size int sets by one %-operation each; anything else is
-    ``json.dumps``, re-indented (json escapes the newlines inside strings, so
-    each one it writes is a line break), with its TypeError for the rest.
+    ascending lists. IntPairs (as rows of two), non-empty dicts (each key as
+    json.dumps writes it, TypeError included) and non-empty lists and tuples
+    are written directly, int lists and runs of equal-size int sets by one
+    %-operation each; anything else is ``json.dumps``, re-indented (json
+    escapes the newlines inside strings, so each one it writes is a line
+    break), with its TypeError for the rest.
 
     ``newline`` is the line break plus the indentation of the enclosing
     level; callers leave it at its default.
@@ -40,7 +41,8 @@ def dumps_indent2(obj, newline: str = "\n") -> str:
         pairs = format_int_pairs(obj, "[" + leaf + "%d," + leaf + "%d" + inner + "]", "," + inner)
         return "[" + inner + pairs + newline + "]" if obj.firsts else "[]"
     if isinstance(obj, dict) and obj:
-        items = (json.dumps(key) + ": " + dumps_indent2(value, inner) for key, value in obj.items())
+        keys = (json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1 : -len(": null}")] for k in obj)
+        items = (key + ": " + dumps_indent2(value, inner) for key, value in zip(keys, obj.values()))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if not isinstance(obj, (list, tuple)) or not obj:
         return json.dumps(obj, indent=2).replace("\n", newline)

@@ -25,11 +25,13 @@ from .partitions import (
     PARTITION_SCHEMA,
     ConstructionError,
     InfeasibleOrderError,
+    KgPartition,
+    _kg_order,
+    _read_partition,
     construct_trace,
     kg_violations,
     max_elements,
     min_elements,
-    partition_from_json,
 )
 
 EXIT_OK = 0
@@ -128,6 +130,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Decide a valid pair on its parsed lists; freeze and sort the sets only to word a rejection."""
     try:
         if args.path == "-" and sys.stdin is None:  # fd 0 was closed before startup
             raise OSError("stdin is closed")
@@ -135,13 +138,17 @@ def cmd_verify(args) -> int:
             text = source.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
-    partition = partition_from_json(text, schemas=(PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
-    problems = kg_violations(partition)
-    if problems:
-        with contextlib.suppress(BrokenPipeError):  # a reader closing stderr early leaves the verdict standing
-            print(*problems, sep="\n", file=sys.stderr)
-        return EXIT_INVALID
-    print(f"valid Knowlton-Graham pair: n={partition.n} order={partition.order}")
+    n, a_sets, b_sets = _read_partition(text, (PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
+    order = _kg_order(n, a_sets, b_sets)
+    if order is None:  # invalid, or a label repeated inside a set: judge the sets
+        partition = KgPartition(n, a_sets, b_sets)
+        problems = kg_violations(partition)
+        if problems:
+            with contextlib.suppress(BrokenPipeError):  # a reader closing stderr early leaves the verdict standing
+                print(*problems, sep="\n", file=sys.stderr)
+            return EXIT_INVALID
+        order = partition.order
+    print(f"valid Knowlton-Graham pair: n={n} order={order}")
     return EXIT_OK
 
 

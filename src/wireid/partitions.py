@@ -254,6 +254,13 @@ def _cell_keys(n: int, a_sets: Collection, b_sets: Collection) -> tuple[int, lis
     return width, list(map(add, size_a, size_b))
 
 
+def _kg_order(n: int, a_sets: Collection, b_sets: Collection) -> int | None:
+    """The order of a valid KG pair, else None (also when a set repeats a label). Non-None _cell_keys
+    means each side holds each of 1..n once, so the lists are a KgPartition's sets and kg_violations agrees."""
+    cells = _cell_keys(n, a_sets, b_sets)
+    return cells[0] - 1 if cells is not None and len(set(cells[1])) == n + 1 else None
+
+
 def _side_sizes(sets: Collection[Collection], n: int, unit: int = 1) -> list[int] | None:
     """_size_of(sets, n, unit) if the sets exactly partition the ints 1..n, else None.
 
@@ -319,16 +326,17 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     (A-size, B-size) coordinate pair.
     """
     labels = tuple(labels)
-    a_sets, b_sets, _ = _chunk(matrix, labels)
+    a_sets, b_sets, _ = _chunk(matrix, labels, matrix.row_sums(), matrix.col_sums())
     return KgPartition(n=len(labels), a_sets=a_sets, b_sets=b_sets)
 
 
-def _chunk(matrix: BinaryMatrix, labels: Sequence) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...], list[int]]:
+def _chunk(
+    matrix: BinaryMatrix, labels: Sequence, r: Sequence[int], c: Sequence[int]
+) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...], list[int]]:
     """matrix_to_partition's checks and sets, each side in the order it is cut (canonical
     for ascending labels: by size, then runs of ascending labels), and the row-major keys
-    j * (m + 1) + k of the matrix's 1-cells (j, k)."""
+    j * (m + 1) + k of the matrix's 1-cells (j, k); r and c are the matrix's row and column sums."""
     m = matrix.m
-    r, c = matrix.row_sums(), matrix.col_sums()
     for j in range(1, m + 1):
         if r[j - 1] % j:
             raise ValueError(f"row {j} has sum {r[j - 1]}, not a multiple of {j}")
@@ -391,8 +399,8 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     # Equal row and column inputs make the construction self-dual.
     if matrix.rows != tuple(zip(*matrix.rows)):
         raise ConstructionError(f"the matrix built for {rep} is not symmetric")
-    a_sets, b_sets, cells = _chunk(matrix, range(1, n + 1))  # canonical order already
-    partition = _unchecked(KgPartition, n=n, a_sets=a_sets, b_sets=b_sets)
+    a_sets, b_sets, cells = _chunk(matrix, range(1, n + 1), rep.t, rep.t)  # construct_matrix checked the sums
+    partition = _unchecked(KgPartition, n=n, a_sets=a_sets, b_sets=b_sets)  # canonical order already
     return _unchecked(Construction, representation=rep, matrix=matrix, partition=partition, _cells=cells)
 
 
@@ -418,9 +426,14 @@ def partition_to_json(partition: KgPartition) -> str:
 
 
 def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,)) -> KgPartition:
-    """Parse a partition document. Malformed input raises ValueError; a
-    well-formed document describing an invalid pair parses fine (verification
-    is a separate step)."""
+    """Parse a partition document. Malformed input raises ValueError; a well-formed document
+    describing an invalid pair parses fine (verification is a separate step; ``wireid verify``
+    decides a valid pair on the parsed lists and builds this KgPartition only to word a rejection)."""
+    return KgPartition(*_read_partition(text, schemas))
+
+
+def _read_partition(text: str, schemas: Sequence[str]) -> tuple[int, list[list[int]], list[list[int]]]:
+    """n and the A- and B-sets of a partition document, as the lists json.loads built."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
@@ -433,7 +446,6 @@ def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,))
     n = payload.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"field 'n' must be a positive integer, got {n!r}")
-    sides = []
     for field in ("a_sets", "b_sets"):
         raw = payload.get(field)
         if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
@@ -442,5 +454,4 @@ def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,))
         if not set(map(type, chain.from_iterable(raw))) <= {int}:
             x = next(x for x in chain.from_iterable(raw) if type(x) is not int)
             raise ValueError(f"field {field!r} must contain only integers, got {x!r}")
-        sides.append(tuple(map(frozenset, raw)))
-    return KgPartition(n=n, a_sets=sides[0], b_sets=sides[1])
+    return n, payload["a_sets"], payload["b_sets"]

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wireid
@@ -201,19 +201,93 @@ partition_documents = st.fixed_dictionaries(
 )
 
 
-@given(st.text() | json_values.map(json.dumps) | partition_documents.map(json.dumps))
-def test_verify_fuzz_exits_0_2_or_3_without_traceback(text):
-    # n stays at most 10_000: kg_violations builds a set of 1..n, so a huge
-    # n costs memory and time before any check can reject it.
+def verify_stdin(text):
+    """Exit status, stdout and stderr of ``wireid verify -`` reading text."""
     stdin, stdout, stderr = io.StringIO(text), io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("sys.stdin", stdin)
         patch.setattr("sys.stdout", stdout)
         patch.setattr("sys.stderr", stderr)
         code = main(["verify", "-"])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@given(st.text() | json_values.map(json.dumps) | partition_documents.map(json.dumps))
+def test_verify_fuzz_exits_0_2_or_3_without_traceback(text):
+    # n stays at most 10_000: kg_violations builds a set of 1..n, so a huge
+    # n costs memory and time before any check can reject it.
+    code, out, err = verify_stdin(text)
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_USAGE)
-    assert "Traceback" not in stderr.getvalue()
-    assert (stdout.getvalue() != "") == (code == EXIT_OK)
+    assert "Traceback" not in err
+    assert (out != "") == (code == EXIT_OK)
+    assert (err != "") == (code != EXIT_OK)  # a rejection (exit 2) or an error (exit 3) is worded
+
+
+def public_verify(text):
+    """What verify writes, by the public path: partition_from_json, then
+    kg_violations, then the pair's order."""
+    try:
+        partition = partitions.partition_from_json(text, schemas=(partitions.PARTITION_SCHEMA, cli.CONSTRUCTION_SCHEMA))
+    except ValueError as exc:
+        return EXIT_USAGE, "", f"error: {exc}\n"
+    problems = partitions.kg_violations(partition)
+    if problems:
+        return EXIT_INVALID, "", "\n".join(problems) + "\n"
+    return EXIT_OK, f"valid Knowlton-Graham pair: n={partition.n} order={partition.order}\n", ""
+
+
+@st.composite
+def int_partition_documents(draw):
+    """Partition documents with int labels: a constructed pair relabelled and
+    shuffled, then perhaps broken (labels swapped or moved between sets,
+    repeated in their own set or another, dropped, out of range, an empty
+    set added), or lists of small ints with no structure at all."""
+    schema = draw(st.sampled_from(["kg-partition/1", "kg-construction/1"]))
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(1, 12))
+        sides = draw(st.lists(st.lists(st.lists(st.integers(-1, 14), max_size=5), max_size=6), min_size=2, max_size=2))
+        return json.dumps({"schema": schema, "n": n, "a_sets": sides[0], "b_sets": sides[1]})
+    n = draw(st.integers(1, 60).filter(lambda n: n not in (2, 5, 9)))
+    pair = partitions.construct(n, draw(st.sampled_from(partitions.feasible_orders(n))))
+    perm = draw(st.permutations(range(1, n + 1)))
+    sides = []
+    for sets in (pair.a_sets, pair.b_sets):
+        sides.append([draw(st.permutations([perm[x - 1] for x in s])) for s in draw(st.permutations(sets))])
+    for _ in range(draw(st.integers(0, 2))):
+        side = draw(st.sampled_from(sides))
+        if not all(side):  # an earlier edit emptied a set
+            continue
+        s, t = draw(st.sampled_from(side)), draw(st.sampled_from(side))
+        i, j = draw(st.integers(0, len(s) - 1)), draw(st.integers(0, len(t) - 1))
+        edit = draw(st.sampled_from(["swap", "move", "repeat", "own", "drop", "range", "empty"]))
+        if edit == "swap":  # crowds a cell when s and t differ in size, mostly
+            s[i], t[j] = t[j], s[i]
+        elif edit == "move":
+            t.append(s.pop(i))
+        elif edit in ("repeat", "own"):  # an overlap, or a set that still holds what it held
+            (s if edit == "own" else t).append(s[i])
+        elif edit == "drop":
+            del s[i]
+        elif edit == "range":
+            s[i] = draw(st.sampled_from([0, -1, n + 1]))
+        elif edit == "empty":
+            side.insert(draw(st.integers(0, len(side))), [])
+    return json.dumps({"schema": schema, "n": n, "a_sets": sides[0], "b_sets": sides[1]})
+
+
+@settings(max_examples=300)
+@given(int_partition_documents())
+def test_verify_writes_what_the_public_path_writes(text):
+    assert verify_stdin(text) == public_verify(text)
+
+
+@pytest.mark.parametrize("text, order", [
+    ('{"schema": "kg-partition/1", "n": 1, "a_sets": [[1, 1]], "b_sets": [[1]]}', 1),
+    ('{"schema": "kg-construction/1", "n": 3, "a_sets": [[2, 1, 2], [3]], "b_sets": [[1], [3, 2]]}', 2),
+])
+def test_verify_judges_a_label_repeated_inside_its_set_on_the_sets(text, order):
+    n = json.loads(text)["n"]
+    assert verify_stdin(text) == (EXIT_OK, f"valid Knowlton-Graham pair: n={n} order={order}\n", "")
 
 
 # ── simulate ─────────────────────────────────────────────────────────────

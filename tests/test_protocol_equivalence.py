@@ -359,3 +359,24 @@ def test_writer_keeps_bools_off_the_row_template():
     rows = [[1, 2], [True, 0], (False,), [3]]
     assert dumps_indent2(rows) == json.dumps(rows, indent=2)
     assert dumps_indent2({"rows": [frozenset({True})]}) == json.dumps({"rows": [[True]]}, indent=2)
+
+
+json_keys = st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=3)
+
+
+@given(st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_keys, children, max_size=4),
+    max_leaves=20,
+))
+def test_writer_writes_non_str_keys_like_json_dumps(value):
+    assert dumps_indent2(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("key", [(1, 2), frozenset({1}), b"k"])
+def test_writer_raises_like_json_dumps_on_a_key_json_cannot_write(key):
+    for payload in ({key: 1}, {"a": {"b": 1, key: [2]}}):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            dumps_indent2(payload)

@@ -37,7 +37,7 @@ def test_stdout_digest_pins_the_small_sweep():
     # a change to any of those bytes changes the digest.
     result = run_script("stdout_digest.py", "--max-n", "20")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "548dea2b3b6637b5e9ebc9fe6b8d6c6ccff92d551bd45b1c62ebf419d042a812\n"
+    assert result.stdout == "5f1161c77f4808bc30311a7b7222e07fc87da0cd2e23cff4e769f1420354dfa1\n"
 
 
 @pytest.mark.slow
@@ -46,4 +46,4 @@ def test_stdout_digest_pins_the_default_sweep():
     # stops at n < 20.
     result = run_script("stdout_digest.py", timeout=600)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "a2d01b8b74a079afb24016155ddb9a900ac3ab86b46e8cb8bc4a36bf3aa403c4\n"
+    assert result.stdout == "56a96594b7e31e752d7311b133d56fe008bb04d6a85b21e69cf28c3295d2003e\n"
