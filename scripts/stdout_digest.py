@@ -7,6 +7,8 @@ stderr of every request:
   every n below 200 (or below --max-n) at up to three feasible orders (an n
   with none runs once, without --m), and for n = 1000, 5000 and 20000 where
   they do not exceed --max-n;
+- ``construct`` in both formats at the largest feasible order of n = 1000,
+  5000 and 20000 (again up to --max-n), where every set size has many sets;
 - ``verify -`` of every structured construct document and of four copies:
   its first A-set label moved out of range; the pair relabelled with its
   sets shuffled (valid, not in canonical order); two labels swapped between
@@ -125,10 +127,19 @@ def sweep(digest, n: int) -> None:
                     run(digest, ["verify", "-"], json.dumps(copy, indent=2))
 
 
+def widest(digest, n: int) -> None:
+    m = str(feasible_orders(n)[-1])
+    for fmt in ("grid", "structured"):
+        run(digest, ["construct", "--n", str(n), "--m", m, "--format", fmt])
+
+
 def main_sweep(max_n: int) -> str:
     digest = hashlib.sha256()
     for n in [*range(1, min(max_n, SMALL_N)), *(n for n in LARGE_N if n <= max_n)]:
         sweep(digest, n)
+    for n in LARGE_N:
+        if n <= max_n:
+            widest(digest, n)
     for max_m in BOUNDS_MAX_M:
         for fmt in ("grid", "structured"):
             run(digest, ["bounds", "--max-m", str(max_m), "--format", fmt])

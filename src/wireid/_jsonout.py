@@ -3,16 +3,18 @@
 With ``indent`` set, CPython's ``json`` falls back to its pure-Python
 encoder, which yields every token from nested generators. The documents
 this package writes are mostly long lists of ints and of int rows (sets,
-coordinates as IntPairs), so one ``map(str, ...)`` per int list and one
-%-operation per run of equal-length rows write the same bytes several times
-faster.
+coordinates as IntPairs, sets cut from one flat list as IntRuns), so one
+``map(str, ...)`` per int list and one %-operation per run of equal-length
+rows write the same bytes several times faster. A dict document can also be
+written one field at a time (``dict_pieces``), so that no whole-document
+string is built.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, groupby
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class IntPairs(NamedTuple):
@@ -21,10 +23,17 @@ class IntPairs(NamedTuple):
     seconds: Sequence[int]
 
 
+class IntRuns(NamedTuple):
+    """Int rows cut from one flat list, in order: each (size, count) of runs
+    takes count rows of size ints (dumps_indent2 writes them as rows)."""
+    flat: Sequence[int]
+    runs: Sequence[tuple[int, int]]
+
+
 def dumps_indent2(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` with sets and frozensets written as
-    ascending lists. IntPairs (as rows of two), non-empty dicts (each key as
-    json.dumps writes it, TypeError included) and non-empty lists and tuples
+    ascending lists. IntPairs (as rows of two), IntRuns (as their rows),
+    non-empty dicts (dict_pieces, joined) and non-empty lists and tuples
     are written directly, int lists and runs of equal-size int sets by one
     %-operation each; anything else is ``json.dumps``, re-indented (json
     escapes the newlines inside strings, so each one it writes is a line
@@ -40,25 +49,46 @@ def dumps_indent2(obj, newline: str = "\n") -> str:
         leaf = inner + "  "
         pairs = format_int_pairs(obj, "[" + leaf + "%d," + leaf + "%d" + inner + "]", "," + inner)
         return "[" + inner + pairs + newline + "]" if obj.firsts else "[]"
+    if isinstance(obj, IntRuns):
+        rows = format_int_runs(obj, _row_template(inner), "," + inner)
+        return "[" + inner + rows + newline + "]" if rows else "[]"
     if isinstance(obj, dict) and obj:
-        keys = (json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1 : -len(": null}")] for k in obj)
-        items = (key + ": " + dumps_indent2(value, inner) for key, value in zip(keys, obj.values()))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return "".join(dict_pieces(obj, newline))
     if not isinstance(obj, (list, tuple)) or not obj:
         return json.dumps(obj, indent=2).replace("\n", newline)
     kinds = set(map(type, obj))
     if kinds == {int}:
         body = ("," + inner).join(map(str, obj))
     elif kinds <= {set, frozenset} and set(map(type, chain.from_iterable(obj))) <= {int}:
-        leaf = inner + "  "
-
-        def template(size: int) -> str:
-            return "[" + leaf + ("," + leaf).join(["%d"] * size) + inner + "]" if size else "[]"
-
-        body = format_int_rows(map(sorted, obj), template, "," + inner)
+        body = format_int_rows(map(sorted, obj), _row_template(inner), "," + inner)
     else:
         body = ("," + inner).join(dumps_indent2(item, inner) for item in obj)
     return "[" + inner + body + newline + "]"
+
+
+def dict_pieces(obj: dict, newline: str = "\n") -> Iterator[str]:
+    """dumps_indent2 of a non-empty dict in pieces that join to it: each key
+    (as json.dumps writes it, TypeError included) with its separators, then
+    its value's text, then the closing brace. Writing them one by one puts
+    no more than one field's text in memory."""
+    inner = newline + "  "
+    keys = (json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1 : -len(": null}")] for k in obj)
+    opening = "{" + inner
+    for key, value in zip(keys, obj.values()):
+        yield opening + key + ": "
+        yield dumps_indent2(value, inner)
+        opening = "," + inner
+    yield newline + "}"
+
+
+def _row_template(inner: str) -> Callable[[int], str]:
+    """The %-template of one int row of a given size inside a list at indentation inner."""
+    leaf = inner + "  "
+
+    def template(size: int) -> str:
+        return "[" + leaf + ("," + leaf).join(["%d"] * size) + inner + "]" if size else "[]"
+
+    return template
 
 
 def format_int_rows(rows: Iterable, template: Callable[[int], str], sep: str) -> str:
@@ -66,6 +96,23 @@ def format_int_rows(rows: Iterable, template: Callable[[int], str], sep: str) ->
     by sep: one %-operation per run of consecutive equal-length rows."""
     runs = (list(run) for _, run in groupby(rows, len))
     return sep.join(sep.join([template(len(r[0]))] * len(r)) % tuple(chain.from_iterable(r)) for r in runs)
+
+
+def format_int_runs(rows: IntRuns, template: Callable[[int], str], sep: str) -> str:
+    """The rows of rows, each written as ``template(size) % tuple(row)`` and
+    joined by sep, as format_int_rows writes them: one %-operation per
+    (size, count) run. The runs must take the flat list exactly."""
+    flat, runs = rows
+    taken = sum(size * count for size, count in runs)
+    if taken != len(flat):
+        raise ValueError(f"the runs take {taken} ints, but the flat list holds {len(flat)}")
+    pieces, start = [], 0
+    for size, count in runs:
+        if count:
+            end = start + size * count
+            pieces.append(sep.join([template(size)] * count) % tuple(flat[start:end]))
+            start = end
+    return sep.join(pieces)
 
 
 def format_int_pairs(pairs: IntPairs, template: str, sep: str) -> str:

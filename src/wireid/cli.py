@@ -16,17 +16,19 @@ import contextlib
 import gc
 import os
 import sys
+from itertools import chain
 from typing import Iterable
 
-from ._jsonout import dumps_indent2, format_int_pairs, format_int_rows
-from .cable import END_A, END_B, ProtocolError, _phases, make_cable, transcript_to_json
+from ._jsonout import IntRuns, dict_pieces, dumps_indent2, format_int_pairs, format_int_rows, format_int_runs
+from .cable import END_A, END_B, ProtocolError, _phases, _transcript_pieces, make_cable
 from .matrices import format_degree_sequence
 from .partitions import (
     PARTITION_SCHEMA,
     ConstructionError,
     InfeasibleOrderError,
     KgPartition,
-    _kg_order,
+    _cell_keys,
+    _crowded_cells,
     _read_partition,
     construct_trace,
     kg_violations,
@@ -82,34 +84,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _braces(size: int) -> str:
+    return "{" + ",".join(["%d"] * size) + "}"
+
+
 def _fmt_sets(sets: Iterable[frozenset]) -> str:
-    return format_int_rows(map(sorted, sets), lambda size: "{" + ",".join(["%d"] * size) + "}", " ")
+    return format_int_rows(map(sorted, sets), _braces, " ")
 
 
 def cmd_construct(args) -> int:
     trace = construct_trace(args.n, args.m)
-    rep, partition = trace.representation, trace.partition
+    rep, n = trace.representation, trace.partition.n
+    # The partition's sets in canonical order, written from the labels in the order the
+    # construction cut them (see Construction): t_j // j sets of size j on each side.
+    runs = [(j, t // j) for j, t in enumerate(rep.t, start=1)]
+    a_rows = IntRuns(range(1, n + 1), runs)
+    b_rows = IntRuns(list(chain.from_iterable(trace._columns)), runs)
     if args.format == STRUCTURED:
         payload = {
             "schema": CONSTRUCTION_SCHEMA,
-            "n": partition.n,
+            "n": n,
             "m": rep.m,
             "t": rep.t,
             "s": rep.s,
             "k": rep.k,
             "matrix": trace.matrix.to_text().splitlines(),
-            "a_sets": partition.a_sets,
-            "b_sets": partition.b_sets,
+            "a_sets": a_rows,
+            "b_sets": b_rows,
         }
-        print(dumps_indent2(payload))
+        sys.stdout.writelines(dict_pieces(payload))
+        sys.stdout.write("\n")
     else:
-        print(f"n={partition.n} m={rep.m}")
+        print(f"n={n} m={rep.m}")
         print(f"t={format_degree_sequence(rep.t)}")
         print(f"s={rep.s} k={rep.k}")
         print("matrix:")
         sys.stdout.write(trace.matrix.to_text())
-        print(f"a_sets: {_fmt_sets(partition.a_sets)}")
-        print(f"b_sets: {_fmt_sets(partition.b_sets)}")
+        print("a_sets:", format_int_runs(a_rows, _braces, " "))
+        print("b_sets:", format_int_runs(b_rows, _braces, " "))
     return EXIT_OK
 
 
@@ -130,7 +142,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Decide a valid pair on its parsed lists; freeze and sort the sets only to word a rejection."""
+    """Judge a pair on its parsed lists' cell keys; freeze and sort the sets only when the lists
+    are not exact partitions of 1..n (a set may repeat a label: it counts once, as a frozenset)."""
     try:
         if args.path == "-" and sys.stdin is None:  # fd 0 was closed before startup
             raise OSError("stdin is closed")
@@ -139,15 +152,17 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
     n, a_sets, b_sets = _read_partition(text, (PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
-    order = _kg_order(n, a_sets, b_sets)
-    if order is None:  # invalid, or a label repeated inside a set: judge the sets
+    cells = _cell_keys(n, a_sets, b_sets)
+    if cells is None:
         partition = KgPartition(n, a_sets, b_sets)
         problems = kg_violations(partition)
-        if problems:
-            with contextlib.suppress(BrokenPipeError):  # a reader closing stderr early leaves the verdict standing
-                print(*problems, sep="\n", file=sys.stderr)
-            return EXIT_INVALID
-        order = partition.order
+    else:  # each side holds each of 1..n once: the lists are the sets, and kg_violations would word their keys
+        problems = _crowded_cells(*cells)
+    if problems:
+        with contextlib.suppress(BrokenPipeError):  # a reader closing stderr early leaves the verdict standing
+            print(*problems, sep="\n", file=sys.stderr)
+        return EXIT_INVALID
+    order = partition.order if cells is None else cells[0] - 1
     print(f"valid Knowlton-Graham pair: n={n} order={order}")
     return EXIT_OK
 
@@ -158,7 +173,7 @@ def cmd_simulate(args) -> int:
     # The construction vouches for its pair: run_protocol's check of it would repeat the construction's.
     transcript = _phases(trace.matrix.m + 1, trace._cells, trace.partition.a_sets, cable.wiring)
     if args.format == STRUCTURED:
-        sys.stdout.write(transcript_to_json(transcript))
+        sys.stdout.writelines(_transcript_pieces(transcript))
     else:
         print(f"n={args.n} m={trace.representation.m} seed={args.seed}")
         print(f"phase1_plan: {_fmt_sets(transcript.phase1_plan.groups)}")

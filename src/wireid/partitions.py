@@ -124,7 +124,9 @@ def represent(n: int, m: int) -> Representation:
     and take s out of t_s; if t_s has reached s, shrink s by one. The walk
     ends exactly at the triangular case t_j = j (s = 0).
     """
-    return Representation(m, *_canonical(n, m))
+    t, s, k = _canonical(n, m)
+    # __post_init__ compares with _canonical, and construct_matrix checks gap-freeness itself.
+    return _unchecked(Representation, m=m, t=t, s=s, k=k)
 
 
 def _canonical(n: int, m: int) -> tuple[tuple[int, ...], int, int]:
@@ -227,14 +229,21 @@ def kg_violations(partition: KgPartition) -> list[str]:
         as_int = {x: x for x in universe}
         a_sets, b_sets = ([[as_int[x] for x in s] for s in sets] for sets in (a_sets, b_sets))
         cells = _cell_keys(n, a_sets, b_sets)
-    width, keys = cells
-    if len(set(keys)) == n + 1:
-        return messages
+    return _crowded_cells(*cells)
+
+
+def _crowded_cells(width: int, keys: Sequence[int]) -> list[str]:
+    """kg_violations' messages for a pair whose _cell_keys are (width, keys):
+    one per (j, k) cell holding two or more elements, cells ascending, with
+    its elements ascending. Empty list when the keys differ."""
+    if len(set(keys)) == len(keys):
+        return []
     crowded = sorted(key for key, count in Counter(keys).items() if count > 1)
     members: dict[int, list[int]] = {key: [] for key in crowded}
     for x, key in enumerate(keys):  # keys[0] == 0 is never crowded
         if key in members:
             members[key].append(x)
+    messages = []
     for key, xs in members.items():
         j, k = divmod(key, width)
         messages.append(f"cell ({j},{k}) holds {len(xs)} elements: {xs}")
@@ -252,13 +261,6 @@ def _cell_keys(n: int, a_sets: Collection, b_sets: Collection) -> tuple[int, lis
     if size_a is None or size_b is None:
         return None
     return width, list(map(add, size_a, size_b))
-
-
-def _kg_order(n: int, a_sets: Collection, b_sets: Collection) -> int | None:
-    """The order of a valid KG pair, else None (also when a set repeats a label). Non-None _cell_keys
-    means each side holds each of 1..n once, so the lists are a KgPartition's sets and kg_violations agrees."""
-    cells = _cell_keys(n, a_sets, b_sets)
-    return cells[0] - 1 if cells is not None and len(set(cells[1])) == n + 1 else None
 
 
 def _side_sizes(sets: Collection[Collection], n: int, unit: int = 1) -> list[int] | None:
@@ -303,17 +305,22 @@ def _blocks(items: Sequence, size: int) -> list[frozenset]:
     return [frozenset(items[i : i + size]) for i in range(0, len(items), size)]
 
 
-def _column_blocks(cells: Iterable[int], width: int, labels: Iterable) -> list[frozenset]:
-    """The B-sets: column k's labels, rows ascending, cut into blocks of k.
+def _columns(cells: Iterable[int], width: int, labels: Iterable) -> list[list]:
+    """Each column's labels, rows ascending (entry 0 is empty).
 
     cells yields the key j * width + k of each 1-cell (j, k) in row-major
-    order, and the labels attach to those cells in that order. End B forms
-    its B-sets by this rule too, with its wires in place of the labels.
+    order, and the labels attach to those cells in that order.
     """
     per_column: list[list] = [[] for _ in range(width)]
     for k, label in zip(map(mod, cells, repeat(width)), labels):
         per_column[k].append(label)
-    return [block for k in range(1, width) for block in _blocks(per_column[k], k)]
+    return per_column
+
+
+def _column_blocks(columns: Sequence[Sequence]) -> list[frozenset]:
+    """The B-sets: _columns' column k cut into blocks of k, columns ascending.
+    End B forms its B-sets by this rule too, with its wires in place of the labels."""
+    return [block for k in range(1, len(columns)) for block in _blocks(columns[k], k)]
 
 
 def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgPartition:
@@ -326,16 +333,22 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     (A-size, B-size) coordinate pair.
     """
     labels = tuple(labels)
-    a_sets, b_sets, _ = _chunk(matrix, labels, matrix.row_sums(), matrix.col_sums())
+    a_sets, b_sets, _, _ = _chunk(matrix, labels, matrix.row_sums(), matrix.col_sums())
     return KgPartition(n=len(labels), a_sets=a_sets, b_sets=b_sets)
 
 
 def _chunk(
     matrix: BinaryMatrix, labels: Sequence, r: Sequence[int], c: Sequence[int]
-) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...], list[int]]:
-    """matrix_to_partition's checks and sets, each side in the order it is cut (canonical
-    for ascending labels: by size, then runs of ascending labels), and the row-major keys
-    j * (m + 1) + k of the matrix's 1-cells (j, k); r and c are the matrix's row and column sums."""
+) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...], list[int], list[list]]:
+    """matrix_to_partition's checks and sets, each side in the order it is cut, the row-major
+    keys j * (m + 1) + k of the matrix's 1-cells (j, k), and _columns' lists; r and c are the
+    matrix's row and column sums.
+
+    For ascending labels the cut order is canonical: row j and column j each hold their
+    labels ascending and cut into all the sets of size j, so the sets come by size, and those
+    of one size are disjoint runs of ascending labels that start ascending. The labels in
+    row-major order and the columns' lists concatenated are then the two sides' labels in
+    canonical order, each cut into sets of size j by the run (j, r_j // j) or (j, c_j // j)."""
     m = matrix.m
     for j in range(1, m + 1):
         if r[j - 1] % j:
@@ -358,8 +371,8 @@ def _chunk(
     width = m + 1
     row_cells = (compress(range(j * width + 1, (j + 1) * width), row) for j, row in enumerate(matrix.rows, start=1))
     cells = list(chain.from_iterable(row_cells))
-    b_sets = _column_blocks(cells, width, labels)
-    return tuple(a_sets), tuple(b_sets), cells
+    columns = _columns(cells, width, labels)
+    return tuple(a_sets), tuple(_column_blocks(columns)), cells, columns
 
 
 def _unchecked(cls: type, **attributes):
@@ -373,7 +386,12 @@ def _unchecked(cls: type, **attributes):
 @dataclass(frozen=True)
 class Construction:
     """The three artifacts of the constructive pipeline: representation, matrix, partition.
-    construct_trace also sets _cells, _chunk's cell keys; not being a field, it is not in == or repr."""
+
+    construct_trace also sets two private attributes from _chunk: _cells, the cell keys,
+    and _columns, each column's labels (1..n) rows ascending, which concatenated list the
+    B-sets in canonical order, as range(1, n + 1) lists the A-sets (see _chunk). Not being
+    fields, they are not in == or repr.
+    """
 
     representation: Representation
     matrix: BinaryMatrix
@@ -399,9 +417,11 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     # Equal row and column inputs make the construction self-dual.
     if matrix.rows != tuple(zip(*matrix.rows)):
         raise ConstructionError(f"the matrix built for {rep} is not symmetric")
-    a_sets, b_sets, cells = _chunk(matrix, range(1, n + 1), rep.t, rep.t)  # construct_matrix checked the sums
+    a_sets, b_sets, cells, columns = _chunk(matrix, range(1, n + 1), rep.t, rep.t)  # construct_matrix checked the sums
     partition = _unchecked(KgPartition, n=n, a_sets=a_sets, b_sets=b_sets)  # canonical order already
-    return _unchecked(Construction, representation=rep, matrix=matrix, partition=partition, _cells=cells)
+    return _unchecked(
+        Construction, representation=rep, matrix=matrix, partition=partition, _cells=cells, _columns=columns
+    )
 
 
 def construct(n: int, m: int | None = None) -> KgPartition:
@@ -428,7 +448,8 @@ def partition_to_json(partition: KgPartition) -> str:
 def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,)) -> KgPartition:
     """Parse a partition document. Malformed input raises ValueError; a well-formed document
     describing an invalid pair parses fine (verification is a separate step; ``wireid verify``
-    decides a valid pair on the parsed lists and builds this KgPartition only to word a rejection)."""
+    judges the parsed lists by their cell keys and builds this KgPartition only when they are
+    not exact partitions of 1..n)."""
     return KgPartition(*_read_partition(text, schemas))
 
 

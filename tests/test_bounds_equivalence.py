@@ -133,6 +133,14 @@ def test_representation_accepts_what_the_piecewise_rules_accept_through_order_6(
     assert (cases, accepted) == (210_411, sum(max_elements(m) - min_elements(m) + 1 for m in range(1, 7)))
 
 
+def test_representation_accepts_what_represent_returns_through_n_2000():
+    # represent builds its result without running the validation.
+    for n in range(1, 2001):
+        for m in feasible_orders(n):
+            rep = represent(n, m)
+            assert Representation(rep.m, rep.t, rep.s, rep.k) == rep, (n, m)
+
+
 @given(st.integers(1, 2000).flatmap(lambda m: st.tuples(
     st.just(m), st.integers(min_elements(m), max_elements(m)), st.integers(0, m + 1), st.sampled_from((-1, 1)))))
 def test_representation_agrees_with_the_piecewise_rules_one_step_off_represent(case):

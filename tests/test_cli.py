@@ -1,11 +1,14 @@
 import ast
+import contextlib
 import gc
 import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import chain, combinations, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,9 @@ import wireid
 from conftest import flip_first_cell, json_values, swap_first_and_last
 from oracles import matrix_from_text, transcript_from_json
 from wireid import cable, cli, matrices, partitions
+from wireid._jsonout import IntRuns, format_int_runs
 from wireid.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from wireid.matrices import format_degree_sequence
 
 
 def run(capsys, *argv):
@@ -31,6 +36,9 @@ def test_fmt_sets_matches_the_f_string_join(sets):
     sets = sorted(sets, key=len) if len(sets) % 2 else sets  # canonical runs and scattered sizes
     expected = " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
     assert cli._fmt_sets(sets) == expected
+    rows = list(map(sorted, sets))
+    runs = [(size, len(list(run))) for size, run in groupby(map(len, rows))]
+    assert format_int_runs(IntRuns(list(chain.from_iterable(rows)), runs), cli._braces, " ") == expected
 
 
 # ── bounds ───────────────────────────────────────────────────────────────
@@ -80,6 +88,51 @@ def test_construct_worked_example(capsys):
     assert len(grid) == 6 and all(len(row) == 6 for row in grid)
     assert any(line.startswith("a_sets:") for line in lines)
     assert any(line.startswith("b_sets:") for line in lines)
+
+
+def construct_stdout(n, m, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["construct", "--n", str(n), "--m", str(m), "--format", fmt]) == EXIT_OK
+    return out.getvalue()
+
+
+def frozenset_rendering(n, m, fmt):
+    """construct's stdout rendered from construct_trace's frozensets, each
+    side sorted by size, then content, and each set ascending."""
+    trace = partitions.construct_trace(n, m)
+    rep = trace.representation
+    a_sets, b_sets = (
+        sorted(map(sorted, sets), key=lambda s: (len(s), s)) for sets in (trace.partition.a_sets, trace.partition.b_sets)
+    )
+    if fmt == "structured":
+        payload = {"schema": cli.CONSTRUCTION_SCHEMA, "n": n, "m": m, "t": list(rep.t), "s": rep.s, "k": rep.k,
+                   "matrix": trace.matrix.to_text().splitlines(), "a_sets": a_sets, "b_sets": b_sets}
+        return json.dumps(payload, indent=2) + "\n"
+    return (
+        f"n={n} m={m}\nt={format_degree_sequence(rep.t)}\ns={rep.s} k={rep.k}\nmatrix:\n{trace.matrix.to_text()}"
+        f"a_sets: {cli._fmt_sets(a_sets)}\nb_sets: {cli._fmt_sets(b_sets)}\n"
+    )
+
+
+@pytest.mark.slow
+def test_construct_writes_the_frozensets_in_canonical_order_through_n_400():
+    # construct writes its sets from the labels in the order the construction
+    # cut them, not from the frozensets; the bytes must be the same.
+    for n in range(1, 400):
+        for m in partitions.feasible_orders(n):
+            for fmt in ("grid", "structured"):
+                assert construct_stdout(n, m, fmt) == frozenset_rendering(n, m, fmt), (n, m, fmt)
+
+
+@pytest.mark.slow
+def test_construct_writes_the_frozensets_in_canonical_order_at_sampled_large_n():
+    rng = random.Random(18)
+    for n in (rng.randint(100_000, 300_000) for _ in range(3)):
+        orders = partitions.feasible_orders(n)
+        for m in (orders[0], orders[-1], rng.choice(orders)):
+            for fmt in ("grid", "structured"):
+                assert construct_stdout(n, m, fmt) == frozenset_rendering(n, m, fmt), (n, m, fmt)
 
 
 def test_construct_trivial(capsys):
@@ -279,6 +332,26 @@ def int_partition_documents(draw):
 @given(int_partition_documents())
 def test_verify_writes_what_the_public_path_writes(text):
     assert verify_stdin(text) == public_verify(text)
+
+
+def test_verify_words_a_crowded_cell_from_the_keys_it_holds(monkeypatch):
+    # Exact partitions of 1..n with a crowded cell: no KgPartition and no kg_violations.
+    pair = partitions.construct(26)
+    a_sets, b_sets = [sorted(s) for s in pair.a_sets], [sorted(s) for s in pair.b_sets]
+    docs = []
+    for s, t in combinations(range(len(a_sets)), 2):
+        swapped = [list(u) for u in a_sets]
+        swapped[s][0], swapped[t][0] = swapped[t][0], swapped[s][0]
+        docs.append(json.dumps({"schema": "kg-partition/1", "n": 26, "a_sets": swapped, "b_sets": b_sets}))
+    expected = [public_verify(text) for text in docs]
+    assert sum(code == EXIT_INVALID for code, _, _ in expected) > 10
+
+    def forbidden(*args):
+        raise AssertionError("verify judged exact partitions through a KgPartition")
+
+    monkeypatch.setattr(cli, "KgPartition", forbidden)
+    monkeypatch.setattr(cli, "kg_violations", forbidden)
+    assert [verify_stdin(text) for text in docs] == expected
 
 
 @pytest.mark.parametrize("text, order", [

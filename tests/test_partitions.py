@@ -17,6 +17,7 @@ from wireid.matrices import BinaryMatrix
 import wireid
 from wireid import partitions
 from wireid.partitions import (
+    Construction,
     ConstructionError,
     InfeasibleOrderError,
     KgPartition,
@@ -259,6 +260,16 @@ def test_construct_worked_size():
     assert sorted(len(s) for s in pair.b_sets) == [1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6]
     assert trace.matrix == trace.matrix.transpose()
     assert trace.matrix.row_sums() == trace.representation.t
+
+
+def test_construction_eq_and_repr_ignore_the_private_attributes():
+    trace = construct_trace(26, 6)
+    plain = Construction(trace.representation, trace.matrix, trace.partition)
+    assert not hasattr(plain, "_columns") and not hasattr(plain, "_cells")
+    assert trace == plain and repr(trace) == repr(plain)
+    other = construct_trace(26, 6)
+    object.__setattr__(other, "_columns", [])
+    assert other == trace and repr(other) == repr(trace)
 
 
 def test_asymmetric_construction_raises(monkeypatch):

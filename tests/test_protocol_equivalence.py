@@ -26,7 +26,7 @@ from reference_protocol import (
     reference_transcript_to_json,
 )
 from wireid import cable as cable_module
-from wireid._jsonout import IntPairs, dumps_indent2, format_int_pairs
+from wireid._jsonout import IntPairs, IntRuns, dumps_indent2, format_int_pairs, format_int_rows, format_int_runs
 from wireid.cable import ConnectionPlan, ProtocolError, _phases, make_cable, run_protocol, transcript_to_json
 from wireid.partitions import (
     KgPartition,
@@ -344,6 +344,44 @@ def test_writer_writes_int_pairs_as_rows_of_two(pairs):
     expected = {"pairs": pairs, "nested": [pairs]}
     assert dumps_indent2(payload) == json.dumps(expected, indent=2)
     assert format_int_pairs(IntPairs(firsts, seconds), "(%d,%d)", " ") == " ".join(f"({a},{b})" for a, b in pairs)
+
+
+int_runs = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8).flatmap(
+    lambda runs: st.tuples(st.just(runs), st.lists(
+        st.integers(-3, 3) | st.integers(2**63, 2**64) | st.integers(),
+        min_size=sum(size * count for size, count in runs), max_size=sum(size * count for size, count in runs),
+    ))
+)
+
+
+def cut(flat, runs):
+    """The rows an IntRuns of flat and runs stands for."""
+    rows, start = [], 0
+    for size, count in runs:
+        for _ in range(count):
+            rows.append(flat[start : start + size])
+            start += size
+    return rows
+
+
+@given(int_runs)
+def test_int_runs_writer_matches_format_int_rows_on_the_rows_it_cuts(case):
+    """Runs of any size and count, empty rows and empty runs included."""
+    runs, flat = case
+    rows = cut(flat, runs)
+    template = lambda size: "<" + "|".join(["%d"] * size) + ">"  # noqa: E731
+    for sep in (" ", ",\n  "):
+        expected = format_int_rows(rows, template, sep)
+        assert format_int_runs(IntRuns(flat, runs), template, sep) == expected
+        assert format_int_runs(IntRuns(tuple(flat), tuple(runs)), template, sep) == expected
+    payload = {"rows": IntRuns(flat, runs), "nested": [IntRuns(flat, runs)]}
+    assert dumps_indent2(payload) == json.dumps({"rows": rows, "nested": [rows]}, indent=2)
+
+
+@pytest.mark.parametrize("flat, runs", [([1, 2, 3], [(1, 2)]), ([1], [(1, 2)]), ([], [(1, 1)]), ([1], [])])
+def test_int_runs_writer_rejects_runs_that_miss_the_flat_list(flat, runs):
+    with pytest.raises(ValueError, match="the runs take"):
+        format_int_runs(IntRuns(flat, runs), str, " ")
 
 
 @pytest.mark.parametrize("value", [b"ab", (x for x in (2, 1)), bytearray(b"ab")])

@@ -42,8 +42,8 @@ def test_stdout_digest_pins_the_small_sweep():
 
 @pytest.mark.slow
 def test_stdout_digest_pins_the_default_sweep():
-    # Every n below 200 and n = 1000, 5000 and 20000, where the small sweep
-    # stops at n < 20.
+    # Every n below 200 and n = 1000, 5000 and 20000, also construct at the
+    # largest order of each large n, where the small sweep stops at n < 20.
     result = run_script("stdout_digest.py", timeout=600)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "56a96594b7e31e752d7311b133d56fe008bb04d6a85b21e69cf28c3295d2003e\n"
+    assert result.stdout == "4337f4f3dae1d2e4c4f6710898dd1df38f4ccab969da86077f5c922474915fc3\n"

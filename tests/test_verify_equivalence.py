@@ -220,9 +220,10 @@ def test_boundary_labels_with_n_labels_in_all(side, old, new, scheme_accepts):
 def test_oracle_stays_independent_of_the_matrix_layer():
     source = "".join(
         map(inspect.getsource,
-            (kg_violations, partitions._cell_keys, partitions._side_sizes, partitions._size_of))
+            (kg_violations, partitions._crowded_cells, partitions._cell_keys, partitions._side_sizes,
+             partitions._size_of))
     )
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
-    matrix_layer = {"_column_blocks", "partition_to_matrix", "matrix_to_partition", "BinaryMatrix",
+    matrix_layer = {"_columns", "_column_blocks", "partition_to_matrix", "matrix_to_partition", "BinaryMatrix",
                     "matrices", "construct_matrix", "permute_to_sums"}
     assert not names & matrix_layer
