@@ -214,7 +214,7 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     wire's column. Both ends' coordinates must agree through the hidden
     wiring and be unique; a failure would falsify the scheme itself, so it
     raises ProtocolError instead of being returned as data. `wireid
-    simulate` runs the same phases on construct_trace's own cell keys.
+    simulate` runs the same phases on _checked_construction's cell keys.
     """
     if partition.n != cable.n:
         raise ValueError(f"partition covers {partition.n} elements but the cable has {cable.n} wires")
@@ -256,14 +256,15 @@ def _phases(width: int, cells: Sequence[int], a_sets: tuple, wiring: tuple[int, 
 def transcript_to_json(transcript: ProtocolTranscript) -> str:
     """Schema-tagged JSON document with the four transcript fields and both
     ends' coordinates, suitable for golden-file comparison."""
-    return "".join(_transcript_pieces(transcript))
+    return "".join(_transcript_pieces(transcript, transcript.phase1_plan.groups))
 
 
-def _transcript_pieces(transcript: ProtocolTranscript) -> Iterator[str]:
-    """transcript_to_json's document in pieces, holding at most one field's text."""
+def _transcript_pieces(transcript: ProtocolTranscript, phase1_plan: Sequence) -> Iterator[str]:
+    """transcript_to_json's document in pieces, holding at most one field's text; phase1_plan
+    stands for the plan's groups (their rows in canonical order, as an IntRuns say)."""
     payload = {
         "schema": TRANSCRIPT_SCHEMA,
-        "phase1_plan": transcript.phase1_plan.groups,
+        "phase1_plan": phase1_plan,
         "phase1_probe": transcript.phase1_probe,
         "phase2_plan": transcript.phase2_plan.groups,
         "phase2_probe": transcript.phase2_probe,

@@ -28,9 +28,11 @@ from .partitions import (
     InfeasibleOrderError,
     KgPartition,
     _cell_keys,
+    _checked_construction,
+    _columns,
     _crowded_cells,
     _read_partition,
-    construct_trace,
+    _row_blocks,
     kg_violations,
     max_elements,
     min_elements,
@@ -92,14 +94,18 @@ def _fmt_sets(sets: Iterable[frozenset]) -> str:
     return format_int_rows(map(sorted, sets), _braces, " ")
 
 
+def _a_rows(n: int, t: tuple[int, ...]) -> IntRuns:
+    """The A-sets of the construction of {1..n} with sums t, in canonical order: the labels in the
+    order the construction cut them (see partitions._checked_cells), t_j // j sets of size j."""
+    return IntRuns(range(1, n + 1), [(j, t_j // j) for j, t_j in enumerate(t, start=1)])
+
+
 def cmd_construct(args) -> int:
-    trace = construct_trace(args.n, args.m)
-    rep, n = trace.representation, trace.partition.n
-    # The partition's sets in canonical order, written from the labels in the order the
-    # construction cut them (see Construction): t_j // j sets of size j on each side.
-    runs = [(j, t // j) for j, t in enumerate(rep.t, start=1)]
-    a_rows = IntRuns(range(1, n + 1), runs)
-    b_rows = IntRuns(list(chain.from_iterable(trace._columns)), runs)
+    n = args.n
+    rep, matrix, cells = _checked_construction(n, args.m)
+    a_rows = _a_rows(n, rep.t)
+    # The B-sets likewise, from the labels' columns concatenated, t_j // j sets of size j.
+    b_rows = IntRuns(list(chain.from_iterable(_columns(cells, rep.m + 1, a_rows.flat))), a_rows.runs)
     if args.format == STRUCTURED:
         payload = {
             "schema": CONSTRUCTION_SCHEMA,
@@ -108,7 +114,7 @@ def cmd_construct(args) -> int:
             "t": rep.t,
             "s": rep.s,
             "k": rep.k,
-            "matrix": trace.matrix.to_text().splitlines(),
+            "matrix": matrix.to_text().splitlines(),
             "a_sets": a_rows,
             "b_sets": b_rows,
         }
@@ -119,7 +125,7 @@ def cmd_construct(args) -> int:
         print(f"t={format_degree_sequence(rep.t)}")
         print(f"s={rep.s} k={rep.k}")
         print("matrix:")
-        sys.stdout.write(trace.matrix.to_text())
+        sys.stdout.write(matrix.to_text())
         print("a_sets:", format_int_runs(a_rows, _braces, " "))
         print("b_sets:", format_int_runs(b_rows, _braces, " "))
     return EXIT_OK
@@ -169,14 +175,16 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cable = make_cable(args.n, args.seed)  # rejects a bad seed before the construction runs
-    trace = construct_trace(args.n, args.m)
+    rep, _, cells = _checked_construction(args.n, args.m)
     # The construction vouches for its pair: run_protocol's check of it would repeat the construction's.
-    transcript = _phases(trace.matrix.m + 1, trace._cells, trace.partition.a_sets, cable.wiring)
+    # End A joins its A-sets; end B assembles its own B-sets, so the construction's are not cut.
+    a_rows = _a_rows(args.n, rep.t)
+    transcript = _phases(rep.m + 1, cells, tuple(_row_blocks(a_rows.flat, rep.t)), cable.wiring)
     if args.format == STRUCTURED:
-        sys.stdout.writelines(_transcript_pieces(transcript))
+        sys.stdout.writelines(_transcript_pieces(transcript, a_rows))
     else:
-        print(f"n={args.n} m={trace.representation.m} seed={args.seed}")
-        print(f"phase1_plan: {_fmt_sets(transcript.phase1_plan.groups)}")
+        print(f"n={args.n} m={rep.m} seed={args.seed}")
+        print("phase1_plan:", format_int_runs(a_rows, _braces, " "))
         print(f"phase1_probe: {format_degree_sequence(transcript.phase1_probe)}")
         print(f"phase2_plan: {_fmt_sets(transcript.phase2_plan.groups)}")
         print(f"phase2_probe: {format_degree_sequence(transcript.phase2_probe)}")

@@ -333,21 +333,20 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     (A-size, B-size) coordinate pair.
     """
     labels = tuple(labels)
-    a_sets, b_sets, _, _ = _chunk(matrix, labels, matrix.row_sums(), matrix.col_sums())
-    return KgPartition(n=len(labels), a_sets=a_sets, b_sets=b_sets)
+    r = matrix.row_sums()
+    cells = _checked_cells(matrix, labels, r, matrix.col_sums())
+    return KgPartition(len(labels), _row_blocks(labels, r), _column_blocks(_columns(cells, matrix.m + 1, labels)))
 
 
-def _chunk(
-    matrix: BinaryMatrix, labels: Sequence, r: Sequence[int], c: Sequence[int]
-) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...], list[int], list[list]]:
-    """matrix_to_partition's checks and sets, each side in the order it is cut, the row-major
-    keys j * (m + 1) + k of the matrix's 1-cells (j, k), and _columns' lists; r and c are the
-    matrix's row and column sums.
+def _checked_cells(matrix: BinaryMatrix, labels: Sequence, r: Sequence[int], c: Sequence[int]) -> list[int]:
+    """matrix_to_partition's checks, and the row-major keys j * (m + 1) + k of the matrix's
+    1-cells (j, k), to which the labels attach in order; r and c are the matrix's row and
+    column sums.
 
     For ascending labels the cut order is canonical: row j and column j each hold their
     labels ascending and cut into all the sets of size j, so the sets come by size, and those
     of one size are disjoint runs of ascending labels that start ascending. The labels in
-    row-major order and the columns' lists concatenated are then the two sides' labels in
+    row-major order and _columns' lists concatenated are then the two sides' labels in
     canonical order, each cut into sets of size j by the run (j, r_j // j) or (j, c_j // j)."""
     m = matrix.m
     for j in range(1, m + 1):
@@ -360,19 +359,19 @@ def _chunk(
         raise ValueError(f"need exactly {total} labels (one per 1-entry), got {len(labels)}")
     if not isinstance(labels, range) and len(set(labels)) != len(labels):  # a range never repeats
         raise ValueError("labels must be distinct")
+    width = m + 1
+    row_cells = (compress(range(j * width + 1, (j + 1) * width), row) for j, row in enumerate(matrix.rows, start=1))
+    return list(chain.from_iterable(row_cells))
 
-    # Labels go out in row-major order: row j's chunk into A-sets of size j,
-    # and the same order queues them on their columns for the B-sets.
+
+def _row_blocks(labels: Sequence, r: Sequence[int]) -> list[frozenset]:
+    """The A-sets: the labels in row-major order, row j's r[j - 1] of them cut into blocks of j."""
     a_sets: list[frozenset] = []
     start = 0
     for j, size in enumerate(r, start=1):
         a_sets.extend(_blocks(labels[start : start + size], j))
         start += size
-    width = m + 1
-    row_cells = (compress(range(j * width + 1, (j + 1) * width), row) for j, row in enumerate(matrix.rows, start=1))
-    cells = list(chain.from_iterable(row_cells))
-    columns = _columns(cells, width, labels)
-    return tuple(a_sets), tuple(_column_blocks(columns)), cells, columns
+    return a_sets
 
 
 def _unchecked(cls: type, **attributes):
@@ -385,26 +384,17 @@ def _unchecked(cls: type, **attributes):
 
 @dataclass(frozen=True)
 class Construction:
-    """The three artifacts of the constructive pipeline: representation, matrix, partition.
-
-    construct_trace also sets two private attributes from _chunk: _cells, the cell keys,
-    and _columns, each column's labels (1..n) rows ascending, which concatenated list the
-    B-sets in canonical order, as range(1, n + 1) lists the A-sets (see _chunk). Not being
-    fields, they are not in == or repr.
-    """
+    """The three artifacts of the constructive pipeline: representation, matrix, partition."""
 
     representation: Representation
     matrix: BinaryMatrix
     partition: KgPartition
 
 
-def construct_trace(n: int, m: int | None = None) -> Construction:
-    """Build an order-m KG partition of {1..n}, keeping intermediates.
-
-    With m omitted, the smallest feasible order is used. Pipeline:
-    represent(n, m); realize t as both row and column sums, in t order;
-    check the result is symmetric; chunk into sets with labels 1..n.
-    """
+def _checked_construction(n: int, m: int | None) -> tuple[Representation, BinaryMatrix, list[int]]:
+    """construct_trace's pipeline and every check of it, up to the sets: the representation,
+    the matrix, and _checked_cells' row-major cell keys for the labels 1..n. The CLI writes
+    the sets from these (see _checked_cells) and cuts no frozenset."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m is None:
@@ -417,11 +407,21 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     # Equal row and column inputs make the construction self-dual.
     if matrix.rows != tuple(zip(*matrix.rows)):
         raise ConstructionError(f"the matrix built for {rep} is not symmetric")
-    a_sets, b_sets, cells, columns = _chunk(matrix, range(1, n + 1), rep.t, rep.t)  # construct_matrix checked the sums
-    partition = _unchecked(KgPartition, n=n, a_sets=a_sets, b_sets=b_sets)  # canonical order already
-    return _unchecked(
-        Construction, representation=rep, matrix=matrix, partition=partition, _cells=cells, _columns=columns
-    )
+    return rep, matrix, _checked_cells(matrix, range(1, n + 1), rep.t, rep.t)  # construct_matrix checked the sums
+
+
+def construct_trace(n: int, m: int | None = None) -> Construction:
+    """Build an order-m KG partition of {1..n}, keeping intermediates.
+
+    With m omitted, the smallest feasible order is used. Pipeline:
+    represent(n, m); realize t as both row and column sums, in t order;
+    check the result is symmetric; chunk into sets with labels 1..n.
+    """
+    rep, matrix, cells = _checked_construction(n, m)
+    labels = range(1, n + 1)
+    a_sets, b_sets = _row_blocks(labels, rep.t), _column_blocks(_columns(cells, rep.m + 1, labels))
+    partition = _unchecked(KgPartition, n=n, a_sets=tuple(a_sets), b_sets=tuple(b_sets))  # canonical order already
+    return Construction(rep, matrix, partition)
 
 
 def construct(n: int, m: int | None = None) -> KgPartition:

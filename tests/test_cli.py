@@ -97,6 +97,13 @@ def construct_stdout(n, m, fmt):
     return out.getvalue()
 
 
+def simulate_stdout(n, m, seed, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["simulate", "--n", str(n), "--m", str(m), "--seed", str(seed), "--format", fmt]) == EXIT_OK
+    return out.getvalue()
+
+
 def frozenset_rendering(n, m, fmt):
     """construct's stdout rendered from construct_trace's frozensets, each
     side sorted by size, then content, and each set ascending."""
@@ -113,6 +120,39 @@ def frozenset_rendering(n, m, fmt):
         f"n={n} m={m}\nt={format_degree_sequence(rep.t)}\ns={rep.s} k={rep.k}\nmatrix:\n{trace.matrix.to_text()}"
         f"a_sets: {cli._fmt_sets(a_sets)}\nb_sets: {cli._fmt_sets(b_sets)}\n"
     )
+
+
+def simulate_rendering(n, m, seed, fmt):
+    """simulate's stdout rendered from run_protocol on construct's frozensets."""
+    transcript = cable.run_protocol(partitions.construct(n, m), cable.make_cable(n, seed))
+    if fmt == "structured":
+        return cable.transcript_to_json(transcript)
+    sets = [" ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in plan.groups)
+            for plan in (transcript.phase1_plan, transcript.phase2_plan)]
+    probes = [format_degree_sequence(probe) for probe in (transcript.phase1_probe, transcript.phase2_probe)]
+    coords = [" ".join(f"({j},{k})" for j, k in pairs) for pairs in (transcript.coords_a, transcript.coords_b)]
+    return (f"n={n} m={m} seed={seed}\nphase1_plan: {sets[0]}\nphase1_probe: {probes[0]}\n"
+            f"phase2_plan: {sets[1]}\nphase2_probe: {probes[1]}\ncoords_a: {coords[0]}\ncoords_b: {coords[1]}\n")
+
+
+def refuse(*args):
+    raise AssertionError("the construction's frozensets were cut")
+
+
+@pytest.mark.parametrize("fmt", ["grid", "structured"])
+def test_the_cli_writes_the_public_bytes_without_cutting_the_constructions_frozensets(fmt, monkeypatch):
+    orders = {n: partitions.feasible_orders(n) for n in (1, 26, 1000, 5000)}
+    sizes = [(n, m) for n, ms in orders.items() for m in sorted({ms[0], ms[-1]})]
+    constructs = [frozenset_rendering(n, m, fmt) for n, m in sizes]
+    requests = [(n, m, seed) for n, m in sizes for seed in (0, 3)]
+    simulations = [simulate_rendering(*request, fmt) for request in requests]
+    # End B cuts its B-sets through cable's own _column_blocks, so only the construction's call refuses.
+    monkeypatch.setattr(partitions, "_column_blocks", refuse)
+    for request, expected in zip(requests, simulations):
+        assert simulate_stdout(*request, fmt) == expected, request
+    monkeypatch.setattr(partitions, "_blocks", refuse)
+    for (n, m), expected in zip(sizes, constructs):
+        assert construct_stdout(n, m, fmt) == expected, (n, m)
 
 
 @pytest.mark.slow
@@ -487,6 +527,27 @@ def test_construction_error_exits_4(capsys, monkeypatch):
     assert err.endswith("is not symmetric\n") and err.count("\n") == 1
 
 
+def test_simulate_construction_error_exits_4(capsys, monkeypatch):
+    asymmetric = matrix_from_text("11\n..\n")
+    monkeypatch.setattr(partitions, "construct_matrix", lambda r, c: asymmetric)
+    code, out, err = run(capsys, "simulate", "--n", "26", "--seed", "3", "--format", "structured")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.endswith("is not symmetric\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["construct", "simulate"])
+@pytest.mark.parametrize("t, message", [
+    ((2, 3, 3), "error: row 2 has sum 3, not a multiple of 2\n"),  # t_2 not a multiple of 2
+    ((1, 2, 3), "error: need exactly 6 labels (one per 1-entry), got 8\n"),  # sums to 6, not n = 8
+])
+def test_a_representation_the_construction_cannot_cut_is_rejected_through_main(command, t, message, capsys,
+                                                                               monkeypatch):
+    # construct_matrix realizes both sums; the construction's own checks must reject them.
+    rep = partitions._unchecked(partitions.Representation, m=3, t=t, s=0, k=1)
+    monkeypatch.setattr(partitions, "represent", lambda n, m: rep)
+    assert run(capsys, command, "--n", "8") == (EXIT_USAGE, "", message)
+
+
 def test_construction_output_check_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(matrices, "_construct", flip_first_cell(matrices._construct))
     code, out, err = run(capsys, "construct", "--n", "26")
@@ -500,7 +561,7 @@ def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch):
     def crash(n, m):
         raise KeyError("lost")
 
-    monkeypatch.setattr(cli, "construct_trace", crash)
+    monkeypatch.setattr(cli, "_checked_construction", crash)
     code, out, err = run(capsys, "construct", "--n", "26")
     assert code == EXIT_INTERNAL
     assert out == ""
@@ -577,7 +638,7 @@ def test_main_leaves_the_collector_as_it_found_it(enabled, capsys, monkeypatch):
     try:
         for argv, expected in cases:
             if expected == EXIT_INTERNAL:
-                monkeypatch.setattr(cli, "construct_trace", lambda n, m: 1 / 0)
+                monkeypatch.setattr(cli, "_checked_construction", lambda n, m: 1 / 0)
             assert run(capsys, *argv)[0] == expected, argv
             assert gc.isenabled() == enabled, argv
         with pytest.raises(SystemExit) as excinfo:

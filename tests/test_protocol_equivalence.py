@@ -31,6 +31,7 @@ from wireid.cable import ConnectionPlan, ProtocolError, _phases, make_cable, run
 from wireid.partitions import (
     KgPartition,
     _cell_keys,
+    _checked_construction,
     construct,
     construct_trace,
     feasible_orders,
@@ -70,7 +71,8 @@ def test_protocol_and_json_match_reference_for_sampled_large_n():
 
 def assert_construction_fed_phases_match(n, m, seed):
     trace, cable = construct_trace(n, m), make_cable(n, seed)
-    fed = _phases(m + 1, trace._cells, trace.partition.a_sets, cable.wiring)
+    _, _, cells = _checked_construction(n, m)
+    fed = _phases(m + 1, cells, trace.partition.a_sets, cable.wiring)
     # The pair again through KgPartition's sort, which construct_trace skips.
     public = run_protocol(KgPartition(n, trace.partition.a_sets, trace.partition.b_sets), cable)
     assert fed == public, (n, m, seed)

@@ -224,6 +224,6 @@ def test_oracle_stays_independent_of_the_matrix_layer():
              partitions._size_of))
     )
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
-    matrix_layer = {"_columns", "_column_blocks", "partition_to_matrix", "matrix_to_partition", "BinaryMatrix",
-                    "matrices", "construct_matrix", "permute_to_sums"}
+    matrix_layer = {"_columns", "_column_blocks", "_checked_cells", "_row_blocks", "partition_to_matrix",
+                    "matrix_to_partition", "BinaryMatrix", "matrices", "construct_matrix", "permute_to_sums"}
     assert not names & matrix_layer
