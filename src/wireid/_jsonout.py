@@ -24,9 +24,10 @@ class IntPairs(NamedTuple):
 
 
 class IntRuns(NamedTuple):
-    """Int rows cut from one flat list, in order: each (size, count) of runs
-    takes count rows of size ints (dumps_indent2 writes them as rows)."""
-    flat: Sequence[int]
+    """Rows cut from one flat list, in order: each (size, count) of runs takes
+    count rows of size items (dumps_indent2 writes int rows as rows, and
+    partitions._sets cuts any labels into frozensets)."""
+    flat: Sequence
     runs: Sequence[tuple[int, int]]
 
 
@@ -60,7 +61,7 @@ def dumps_indent2(obj, newline: str = "\n") -> str:
     if kinds == {int}:
         body = ("," + inner).join(map(str, obj))
     elif kinds <= {set, frozenset} and set(map(type, chain.from_iterable(obj))) <= {int}:
-        body = format_int_rows(map(sorted, obj), _row_template(inner), "," + inner)
+        body = format_int_runs(_sorted_runs(obj), _row_template(inner), "," + inner)
     else:
         body = ("," + inner).join(dumps_indent2(item, inner) for item in obj)
     return "[" + inner + body + newline + "]"
@@ -91,28 +92,31 @@ def _row_template(inner: str) -> Callable[[int], str]:
     return template
 
 
-def format_int_rows(rows: Iterable, template: Callable[[int], str], sep: str) -> str:
-    """Int rows, each written as ``template(len(row)) % tuple(row)`` and joined
-    by sep: one %-operation per run of consecutive equal-length rows."""
-    runs = (list(run) for _, run in groupby(rows, len))
-    return sep.join(sep.join([template(len(r[0]))] * len(r)) % tuple(chain.from_iterable(r)) for r in runs)
+def _sorted_runs(sets: Iterable[Iterable[int]]) -> IntRuns:
+    """The sets as rows of their ascending elements, one run per stretch of equal-size sets."""
+    rows = list(map(sorted, sets))
+    return IntRuns(list(chain.from_iterable(rows)), [(size, len(list(run))) for size, run in groupby(map(len, rows))])
 
 
-def format_int_runs(rows: IntRuns, template: Callable[[int], str], sep: str) -> str:
-    """The rows of rows, each written as ``template(size) % tuple(row)`` and
-    joined by sep, as format_int_rows writes them: one %-operation per
-    (size, count) run. The runs must take the flat list exactly."""
+def _parts(rows: IntRuns) -> Iterator[tuple[int, int, Sequence]]:
+    """Each (size, count) run of rows with the part of the flat list it takes.
+    ValueError unless the runs take the flat list exactly."""
     flat, runs = rows
     taken = sum(size * count for size, count in runs)
     if taken != len(flat):
         raise ValueError(f"the runs take {taken} ints, but the flat list holds {len(flat)}")
-    pieces, start = [], 0
+    start = 0
     for size, count in runs:
-        if count:
-            end = start + size * count
-            pieces.append(sep.join([template(size)] * count) % tuple(flat[start:end]))
-            start = end
-    return sep.join(pieces)
+        end = start + size * count
+        yield size, count, flat[start:end]
+        start = end
+
+
+def format_int_runs(rows: IntRuns, template: Callable[[int], str], sep: str) -> str:
+    """The rows of rows, each written as ``template(size) % tuple(row)`` and
+    joined by sep: one %-operation per (size, count) run. The runs must take
+    the flat list exactly."""
+    return sep.join(sep.join([template(size)] * count) % tuple(part) for size, count, part in _parts(rows) if count)
 
 
 def format_int_pairs(pairs: IntPairs, template: str, sep: str) -> str:

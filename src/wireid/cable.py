@@ -34,8 +34,7 @@ from typing import Iterator, Sequence
 
 from ._jsonout import IntPairs, dict_pieces
 from .partitions import (
-    KgPartition, _canonical_order, _cell_keys, _column_blocks, _columns, _side_sizes, _size_of, _unchecked,
-    kg_violations,
+    KgPartition, _canonical_order, _cell_keys, _columns, _sets, _side_sizes, _size_of, _unchecked, kg_violations,
 )
 
 END_A = "A"
@@ -179,10 +178,10 @@ def _assemble_b_sets(
     cells lists, ascending, the keys j * width + k of the agreed matrix's
     1-cells (j, k): row-major order. One pass buckets the wires by reading,
     in ascending position order; the buckets, rows ascending, take the cells
-    as labels do in matrix_to_partition, _column_blocks cuts the B-sets from
-    _columns, and (size, least wire) puts those disjoint blocks in canonical
-    order. Returns the blocks and column_of: column_of[b] is the column of
-    B-position b (entry 0 unused), the size of its block.
+    as labels do in matrix_to_partition, _sets cuts the B-sets from the side
+    _columns gives, and (size, least wire) puts those disjoint blocks in
+    canonical order. Returns the blocks and column_of: column_of[b] is the
+    column of B-position b (entry 0 unused), the size of its block.
     A valid pair read through a bijective wiring has the scheme's row counts,
     so other readings are an internal fault and raise ProtocolError.
     """
@@ -196,7 +195,7 @@ def _assemble_b_sets(
             raise ProtocolError(f"observed {len(by_size[j])} wires of bundle size {j} but the scheme has {count}")
     if len(cells) != len(readings):
         raise ProtocolError("some observed bundle sizes do not occur in the scheme")
-    blocks = _column_blocks(_columns(cells, width, chain.from_iterable(by_size)))
+    blocks = _sets(_columns(cells, width, chain.from_iterable(by_size)))
     groups = tuple(sorted(blocks, key=lambda block: (len(block), min(block))))
     return groups, _size_of(groups, len(readings))
 

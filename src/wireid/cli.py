@@ -16,24 +16,21 @@ import contextlib
 import gc
 import os
 import sys
-from itertools import chain
 from typing import Iterable
 
-from ._jsonout import IntRuns, dict_pieces, dumps_indent2, format_int_pairs, format_int_rows, format_int_runs
+from ._jsonout import _sorted_runs, dict_pieces, dumps_indent2, format_int_pairs, format_int_runs
 from .cable import END_A, END_B, ProtocolError, _phases, _transcript_pieces, make_cable
 from .matrices import format_degree_sequence
 from .partitions import (
     PARTITION_SCHEMA,
     ConstructionError,
     InfeasibleOrderError,
-    KgPartition,
-    _cell_keys,
     _checked_construction,
     _columns,
-    _crowded_cells,
     _read_partition,
-    _row_blocks,
-    kg_violations,
+    _rows,
+    _sets,
+    _verdict,
     max_elements,
     min_elements,
 )
@@ -91,21 +88,15 @@ def _braces(size: int) -> str:
 
 
 def _fmt_sets(sets: Iterable[frozenset]) -> str:
-    return format_int_rows(map(sorted, sets), _braces, " ")
-
-
-def _a_rows(n: int, t: tuple[int, ...]) -> IntRuns:
-    """The A-sets of the construction of {1..n} with sums t, in canonical order: the labels in the
-    order the construction cut them (see partitions._checked_cells), t_j // j sets of size j."""
-    return IntRuns(range(1, n + 1), [(j, t_j // j) for j, t_j in enumerate(t, start=1)])
+    return format_int_runs(_sorted_runs(sets), _braces, " ")
 
 
 def cmd_construct(args) -> int:
     n = args.n
     rep, matrix, cells = _checked_construction(n, args.m)
-    a_rows = _a_rows(n, rep.t)
-    # The B-sets likewise, from the labels' columns concatenated, t_j // j sets of size j.
-    b_rows = IntRuns(list(chain.from_iterable(_columns(cells, rep.m + 1, a_rows.flat))), a_rows.runs)
+    # Both sides in canonical order, as the construction cut the labels (see partitions._checked_cells).
+    labels = range(1, n + 1)
+    a_rows, b_rows = _rows(labels, rep.t), _columns(cells, rep.m + 1, labels)
     if args.format == STRUCTURED:
         payload = {
             "schema": CONSTRUCTION_SCHEMA,
@@ -148,8 +139,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Judge a pair on its parsed lists' cell keys; freeze and sort the sets only when the lists
-    are not exact partitions of 1..n (a set may repeat a label: it counts once, as a frozenset)."""
+    """Judge the parsed lists by partitions._verdict: their cell keys decide, and the sets are frozen
+    (a set may repeat a label: it counts once) but never sorted, and only when the lists are not exact
+    partitions of 1..n."""
     try:
         if args.path == "-" and sys.stdin is None:  # fd 0 was closed before startup
             raise OSError("stdin is closed")
@@ -158,17 +150,11 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
     n, a_sets, b_sets = _read_partition(text, (PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
-    cells = _cell_keys(n, a_sets, b_sets)
-    if cells is None:
-        partition = KgPartition(n, a_sets, b_sets)
-        problems = kg_violations(partition)
-    else:  # each side holds each of 1..n once: the lists are the sets, and kg_violations would word their keys
-        problems = _crowded_cells(*cells)
+    order, problems = _verdict(n, a_sets, b_sets)
     if problems:
         with contextlib.suppress(BrokenPipeError):  # a reader closing stderr early leaves the verdict standing
             print(*problems, sep="\n", file=sys.stderr)
         return EXIT_INVALID
-    order = partition.order if cells is None else cells[0] - 1
     print(f"valid Knowlton-Graham pair: n={n} order={order}")
     return EXIT_OK
 
@@ -178,8 +164,8 @@ def cmd_simulate(args) -> int:
     rep, _, cells = _checked_construction(args.n, args.m)
     # The construction vouches for its pair: run_protocol's check of it would repeat the construction's.
     # End A joins its A-sets; end B assembles its own B-sets, so the construction's are not cut.
-    a_rows = _a_rows(args.n, rep.t)
-    transcript = _phases(rep.m + 1, cells, tuple(_row_blocks(a_rows.flat, rep.t)), cable.wiring)
+    a_rows = _rows(range(1, args.n + 1), rep.t)
+    transcript = _phases(rep.m + 1, cells, _sets(a_rows), cable.wiring)
     if args.format == STRUCTURED:
         sys.stdout.writelines(_transcript_pieces(transcript, a_rows))
     else:

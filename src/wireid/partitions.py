@@ -30,7 +30,7 @@ from math import isqrt
 from operator import add, index, mod
 from typing import Collection, Hashable, Iterable, Sequence
 
-from ._jsonout import dumps_indent2
+from ._jsonout import IntRuns, _parts, dumps_indent2
 from .matrices import BinaryMatrix, ConstructionError, can_construct, construct_matrix
 
 PARTITION_SCHEMA = "kg-partition/1"
@@ -192,18 +192,26 @@ def kg_violations(partition: KgPartition) -> list[str]:
     Structure first (each side must be an exact partition of {1..n}); if
     the structure holds, every (j, k) cell holding two or more elements is
     listed with its witnesses. Empty list means the pair is valid.
+    """
+    return _verdict(partition.n, partition.a_sets, partition.b_sets)[1]
+
+
+def _verdict(n: int, a_sets: Collection[Collection], b_sets: Collection[Collection]) -> tuple[int, list[str]]:
+    """The order of the pair (its largest set's size) and kg_violations' messages for it.
 
     Labels are compared by value, as sets compare them, so 1.0 stands for 1.
     _cell_keys decides the structure and gives each element the flat key of
-    its (j, k) cell; the pair is valid iff the keys differ. Sets and Counters
-    are built only to word a structure failure or to map value-equal labels
-    onto ints, and the key Counter only to name crowded cells.
+    its (j, k) cell; the pair is valid iff the keys differ. When the sides
+    are not exact partitions as given, each set is frozen, so a label
+    repeated within a set counts once, but the sets are not sorted: for int
+    labels no message depends on their order. Sets and Counters are built
+    only to word a structure failure or to map value-equal labels onto
+    ints, and the key Counter only to name crowded cells.
     """
-    n = partition.n
-    a_sets, b_sets = partition.a_sets, partition.b_sets
     cells = _cell_keys(n, a_sets, b_sets)
-    messages: list[str] = []
     if cells is None:
+        a_sets, b_sets = list(map(frozenset, a_sets)), list(map(frozenset, b_sets))
+        messages: list[str] = []
         universe = set(range(1, n + 1))
         for name, sets in (("A", a_sets), ("B", b_sets)):
             if not all(sets):
@@ -224,12 +232,12 @@ def kg_violations(partition: KgPartition) -> list[str]:
                 if extra:
                     messages.append(f"{name}-sets contain elements outside 1..{n}: {_ordered(extra)}")
         if messages:
-            return messages
+            return max(map(len, chain(a_sets, b_sets)), default=0), messages
         # Labels equal to 1..n but not ints, 1.0 say.
         as_int = {x: x for x in universe}
         a_sets, b_sets = ([[as_int[x] for x in s] for s in sets] for sets in (a_sets, b_sets))
         cells = _cell_keys(n, a_sets, b_sets)
-    return _crowded_cells(*cells)
+    return cells[0] - 1, _crowded_cells(*cells)
 
 
 def _crowded_cells(width: int, keys: Sequence[int]) -> list[str]:
@@ -300,27 +308,29 @@ def _ordered(items: Iterable) -> list:
         return sorted(items, key=repr)
 
 
-def _blocks(items: Sequence, size: int) -> list[frozenset]:
-    assert len(items) % size == 0
-    return [frozenset(items[i : i + size]) for i in range(0, len(items), size)]
+def _rows(labels: Sequence, r: Sequence[int]) -> IntRuns:
+    """The A side: the labels in row-major order, row j's r[j - 1] of them in sets of j."""
+    return IntRuns(labels, [(j, r_j // j) for j, r_j in enumerate(r, start=1)])
 
 
-def _columns(cells: Iterable[int], width: int, labels: Iterable) -> list[list]:
-    """Each column's labels, rows ascending (entry 0 is empty).
+def _columns(cells: Iterable[int], width: int, labels: Iterable) -> IntRuns:
+    """The B side: each column's labels, rows ascending, columns ascending, column k's in sets of k.
 
     cells yields the key j * width + k of each 1-cell (j, k) in row-major
-    order, and the labels attach to those cells in that order.
+    order, and the labels attach to those cells in that order. End B forms
+    its B-sets by this rule too, with its wires in place of the labels.
     """
     per_column: list[list] = [[] for _ in range(width)]
     for k, label in zip(map(mod, cells, repeat(width)), labels):
         per_column[k].append(label)
-    return per_column
+    return IntRuns(list(chain.from_iterable(per_column)), [(k, len(per_column[k]) // k) for k in range(1, width)])
 
 
-def _column_blocks(columns: Sequence[Sequence]) -> list[frozenset]:
-    """The B-sets: _columns' column k cut into blocks of k, columns ascending.
-    End B forms its B-sets by this rule too, with its wires in place of the labels."""
-    return [block for k in range(1, len(columns)) for block in _blocks(columns[k], k)]
+def _sets(side: IntRuns) -> tuple[frozenset, ...]:
+    """The side's sets as frozensets, in its order. ValueError unless its runs take its labels exactly."""
+    return tuple(
+        frozenset(part[i * size : (i + 1) * size]) for size, count, part in _parts(side) for i in range(count)
+    )
 
 
 def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgPartition:
@@ -335,19 +345,19 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     labels = tuple(labels)
     r = matrix.row_sums()
     cells = _checked_cells(matrix, labels, r, matrix.col_sums())
-    return KgPartition(len(labels), _row_blocks(labels, r), _column_blocks(_columns(cells, matrix.m + 1, labels)))
+    return KgPartition(len(labels), _sets(_rows(labels, r)), _sets(_columns(cells, matrix.m + 1, labels)))
 
 
 def _checked_cells(matrix: BinaryMatrix, labels: Sequence, r: Sequence[int], c: Sequence[int]) -> list[int]:
     """matrix_to_partition's checks, and the row-major keys j * (m + 1) + k of the matrix's
     1-cells (j, k), to which the labels attach in order; r and c are the matrix's row and
-    column sums.
+    column sums. The checks find each sum a multiple of its index, so _rows(labels, r) and
+    _columns(keys, m + 1, labels) cut whole sets.
 
     For ascending labels the cut order is canonical: row j and column j each hold their
     labels ascending and cut into all the sets of size j, so the sets come by size, and those
-    of one size are disjoint runs of ascending labels that start ascending. The labels in
-    row-major order and _columns' lists concatenated are then the two sides' labels in
-    canonical order, each cut into sets of size j by the run (j, r_j // j) or (j, c_j // j)."""
+    of one size are disjoint runs of ascending labels that start ascending. _rows and
+    _columns then give the two sides in canonical order."""
     m = matrix.m
     for j in range(1, m + 1):
         if r[j - 1] % j:
@@ -362,16 +372,6 @@ def _checked_cells(matrix: BinaryMatrix, labels: Sequence, r: Sequence[int], c: 
     width = m + 1
     row_cells = (compress(range(j * width + 1, (j + 1) * width), row) for j, row in enumerate(matrix.rows, start=1))
     return list(chain.from_iterable(row_cells))
-
-
-def _row_blocks(labels: Sequence, r: Sequence[int]) -> list[frozenset]:
-    """The A-sets: the labels in row-major order, row j's r[j - 1] of them cut into blocks of j."""
-    a_sets: list[frozenset] = []
-    start = 0
-    for j, size in enumerate(r, start=1):
-        a_sets.extend(_blocks(labels[start : start + size], j))
-        start += size
-    return a_sets
 
 
 def _unchecked(cls: type, **attributes):
@@ -394,7 +394,7 @@ class Construction:
 def _checked_construction(n: int, m: int | None) -> tuple[Representation, BinaryMatrix, list[int]]:
     """construct_trace's pipeline and every check of it, up to the sets: the representation,
     the matrix, and _checked_cells' row-major cell keys for the labels 1..n. The CLI writes
-    the sets from these (see _checked_cells) and cuts no frozenset."""
+    the sides _rows and _columns give from these and cuts no frozenset."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m is None:
@@ -419,8 +419,8 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     """
     rep, matrix, cells = _checked_construction(n, m)
     labels = range(1, n + 1)
-    a_sets, b_sets = _row_blocks(labels, rep.t), _column_blocks(_columns(cells, rep.m + 1, labels))
-    partition = _unchecked(KgPartition, n=n, a_sets=tuple(a_sets), b_sets=tuple(b_sets))  # canonical order already
+    a_sets, b_sets = _sets(_rows(labels, rep.t)), _sets(_columns(cells, rep.m + 1, labels))
+    partition = _unchecked(KgPartition, n=n, a_sets=a_sets, b_sets=b_sets)  # canonical order already
     return Construction(rep, matrix, partition)
 
 
@@ -448,8 +448,7 @@ def partition_to_json(partition: KgPartition) -> str:
 def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,)) -> KgPartition:
     """Parse a partition document. Malformed input raises ValueError; a well-formed document
     describing an invalid pair parses fine (verification is a separate step; ``wireid verify``
-    judges the parsed lists by their cell keys and builds this KgPartition only when they are
-    not exact partitions of 1..n)."""
+    judges the parsed lists with _verdict, as kg_violations does, and builds no KgPartition)."""
     return KgPartition(*_read_partition(text, schemas))
 
 

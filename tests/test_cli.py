@@ -146,11 +146,21 @@ def test_the_cli_writes_the_public_bytes_without_cutting_the_constructions_froze
     constructs = [frozenset_rendering(n, m, fmt) for n, m in sizes]
     requests = [(n, m, seed) for n, m in sizes for seed in (0, 3)]
     simulations = [simulate_rendering(*request, fmt) for request in requests]
-    # End B cuts its B-sets through cable's own _column_blocks, so only the construction's call refuses.
-    monkeypatch.setattr(partitions, "_column_blocks", refuse)
+    # simulate forms one B side, end B's own: the construction's B side is never formed.
+    columns, calls = partitions._columns, []
+
+    def counted(*args):
+        calls.append(args)
+        return columns(*args)
+
+    for module in (partitions, cable, cli):
+        monkeypatch.setattr(module, "_columns", counted)
     for request, expected in zip(requests, simulations):
+        calls.clear()
         assert simulate_stdout(*request, fmt) == expected, request
-    monkeypatch.setattr(partitions, "_blocks", refuse)
+        assert len(calls) == 1, request
+    for module in (partitions, cable, cli):
+        monkeypatch.setattr(module, "_sets", refuse)
     for (n, m), expected in zip(sizes, constructs):
         assert construct_stdout(n, m, fmt) == expected, (n, m)
 
@@ -389,8 +399,22 @@ def test_verify_words_a_crowded_cell_from_the_keys_it_holds(monkeypatch):
     def forbidden(*args):
         raise AssertionError("verify judged exact partitions through a KgPartition")
 
-    monkeypatch.setattr(cli, "KgPartition", forbidden)
-    monkeypatch.setattr(cli, "kg_violations", forbidden)
+    monkeypatch.setattr(partitions, "KgPartition", forbidden)
+    monkeypatch.setattr(partitions, "_canonical_order", forbidden)
+    assert [verify_stdin(text) for text in docs] == expected
+
+
+def test_verify_words_a_structure_failure_without_sorting_the_sets(monkeypatch):
+    # Out-of-range labels: the lists are frozen to word the failure, never sorted.
+    docs = [json.dumps({"schema": "kg-partition/1", "n": 3, "a_sets": a_sets, "b_sets": [[3, 1], [2]]})
+            for a_sets in ([[3, 2], [7]], [[0], [3, 2, 2]], [[4, 1], [-1], [2, 3], []])]
+    expected = [public_verify(text) for text in docs]
+    assert all(code == EXIT_INVALID for code, _, _ in expected)
+
+    def forbidden(*args):
+        raise AssertionError("verify sorted the sets")
+
+    monkeypatch.setattr(partitions, "_canonical_order", forbidden)
     assert [verify_stdin(text) for text in docs] == expected
 
 

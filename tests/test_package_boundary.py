@@ -59,19 +59,7 @@ TEST_ONLY_NAMES = [
 
 # Functions allowed an assert, each because an explicit check has already
 # established what the assert restates.
-ALLOWED_ASSERTS = {
-    # _blocks chunks its callers' lists, whose lengths were checked first:
-    # _row_blocks (the A-sets) and _column_blocks (the B-sets) cut by sums
-    # that _checked_cells has found to be multiples of their index, whether
-    # matrix_to_partition or _checked_construction called it (construct_trace
-    # and simulate's A-sets), and _column_blocks' other caller,
-    # _assemble_b_sets, runs in the phases on a valid pair's cells:
-    # run_protocol found its n + 1 _cell_keys distinct, or
-    # _checked_construction built it and checked its sums. It has also
-    # checked that each row holds as many wires as cells, so each column's
-    # wires fill whole blocks.
-    "partitions._blocks",
-}
+ALLOWED_ASSERTS: set[str] = set()
 
 
 def test_public_surface_is_pinned():

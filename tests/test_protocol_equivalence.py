@@ -26,12 +26,13 @@ from reference_protocol import (
     reference_transcript_to_json,
 )
 from wireid import cable as cable_module
-from wireid._jsonout import IntPairs, IntRuns, dumps_indent2, format_int_pairs, format_int_rows, format_int_runs
+from wireid._jsonout import IntPairs, IntRuns, dumps_indent2, format_int_pairs, format_int_runs
 from wireid.cable import ConnectionPlan, ProtocolError, _phases, make_cable, run_protocol, transcript_to_json
 from wireid.partitions import (
     KgPartition,
     _cell_keys,
     _checked_construction,
+    _sets,
     construct,
     construct_trace,
     feasible_orders,
@@ -367,13 +368,13 @@ def cut(flat, runs):
 
 
 @given(int_runs)
-def test_int_runs_writer_matches_format_int_rows_on_the_rows_it_cuts(case):
+def test_int_runs_writer_writes_each_row_by_its_template(case):
     """Runs of any size and count, empty rows and empty runs included."""
     runs, flat = case
     rows = cut(flat, runs)
     template = lambda size: "<" + "|".join(["%d"] * size) + ">"  # noqa: E731
     for sep in (" ", ",\n  "):
-        expected = format_int_rows(rows, template, sep)
+        expected = sep.join(template(len(row)) % tuple(row) for row in rows)
         assert format_int_runs(IntRuns(flat, runs), template, sep) == expected
         assert format_int_runs(IntRuns(tuple(flat), tuple(runs)), template, sep) == expected
     payload = {"rows": IntRuns(flat, runs), "nested": [IntRuns(flat, runs)]}
@@ -382,8 +383,11 @@ def test_int_runs_writer_matches_format_int_rows_on_the_rows_it_cuts(case):
 
 @pytest.mark.parametrize("flat, runs", [([1, 2, 3], [(1, 2)]), ([1], [(1, 2)]), ([], [(1, 1)]), ([1], [])])
 def test_int_runs_writer_rejects_runs_that_miss_the_flat_list(flat, runs):
+    # The cutter shares the writer's check.
     with pytest.raises(ValueError, match="the runs take"):
         format_int_runs(IntRuns(flat, runs), str, " ")
+    with pytest.raises(ValueError, match="the runs take"):
+        _sets(IntRuns(flat, runs))
 
 
 @pytest.mark.parametrize("value", [b"ab", (x for x in (2, 1)), bytearray(b"ab")])

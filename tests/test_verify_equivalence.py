@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference_verify import reference_kg_violations
-from wireid import partitions
+from wireid import matrices, partitions
 from wireid.partitions import KgPartition, construct, feasible_orders, kg_violations
 
 
@@ -162,6 +162,28 @@ def test_matches_reference_on_value_equal_non_int_labels(data):
     _same_messages(KgPartition(n, tuple(map(convert, pair.a_sets)), pair.b_sets))
 
 
+# ── the verdict on parsed lists: partitions._verdict ────────────────────
+
+int_edit = st.tuples(st.integers(0, 1), st.integers(0, 99), st.lists(st.integers(-1, 40), max_size=3), st.booleans())
+
+
+@given(st.data())
+def test_verdict_words_int_lists_in_any_set_order_as_the_reference_does(data):
+    # verify hands _verdict the parsed lists: in any order, and a label may repeat within a list.
+    n = data.draw(st.integers(1, 30).filter(lambda n: n not in (2, 5, 9)))
+    pair = construct(n, data.draw(st.sampled_from(feasible_orders(n))))
+    sides = [[sorted(s) for s in side] for side in (pair.a_sets, pair.b_sets)]
+    for index, target, labels, replace in data.draw(st.lists(int_edit, max_size=3)):
+        side = sides[index]
+        target %= len(side)
+        side[target] = labels if replace else side[target] + labels
+    a_sets, b_sets = (data.draw(st.permutations(side)) for side in sides)
+    order, messages = partitions._verdict(n, a_sets, b_sets)
+    pair = KgPartition(n, a_sets, b_sets)
+    assert messages == reference_kg_violations(pair)
+    assert messages or order == pair.order
+
+
 # ── the shared structure check: partitions._side_sizes ──────────────────
 
 def _check_side_sizes(pair, unit):
@@ -220,10 +242,11 @@ def test_boundary_labels_with_n_labels_in_all(side, old, new, scheme_accepts):
 def test_oracle_stays_independent_of_the_matrix_layer():
     source = "".join(
         map(inspect.getsource,
-            (kg_violations, partitions._crowded_cells, partitions._cell_keys, partitions._side_sizes,
-             partitions._size_of))
+            (kg_violations, partitions._verdict, partitions._crowded_cells, partitions._cell_keys,
+             partitions._side_sizes, partitions._size_of))
     )
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
-    matrix_layer = {"_columns", "_column_blocks", "_checked_cells", "_row_blocks", "partition_to_matrix",
-                    "matrix_to_partition", "BinaryMatrix", "matrices", "construct_matrix", "permute_to_sums"}
+    matrix_layer = {"_rows", "_sets", "_columns", "_checked_cells", "matrix_to_partition", "BinaryMatrix",
+                    "construct_matrix"}
+    assert all(hasattr(partitions, name) or hasattr(matrices, name) for name in matrix_layer)
     assert not names & matrix_layer
