@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, groupby
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 
 class IntPairs(NamedTuple):
@@ -92,10 +92,10 @@ def _row_template(inner: str) -> Callable[[int], str]:
     return template
 
 
-def _sorted_runs(sets: Iterable[Iterable[int]]) -> IntRuns:
+def _sorted_runs(sets: Sequence[Collection[int]]) -> IntRuns:
     """The sets as rows of their ascending elements, one run per stretch of equal-size sets."""
-    rows = list(map(sorted, sets))
-    return IntRuns(list(chain.from_iterable(rows)), [(size, len(list(run))) for size, run in groupby(map(len, rows))])
+    flat = list(chain.from_iterable(map(sorted, sets)))
+    return IntRuns(flat, [(size, len(list(run))) for size, run in groupby(map(len, sets))])
 
 
 def _parts(rows: IntRuns) -> Iterator[tuple[int, int, Sequence]]:

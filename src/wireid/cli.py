@@ -16,7 +16,7 @@ import contextlib
 import gc
 import os
 import sys
-from typing import Iterable
+from typing import Sequence
 
 from ._jsonout import _sorted_runs, dict_pieces, dumps_indent2, format_int_pairs, format_int_runs
 from .cable import END_A, END_B, ProtocolError, _phases, _transcript_pieces, make_cable
@@ -87,7 +87,7 @@ def _braces(size: int) -> str:
     return "{" + ",".join(["%d"] * size) + "}"
 
 
-def _fmt_sets(sets: Iterable[frozenset]) -> str:
+def _fmt_sets(sets: Sequence[frozenset]) -> str:
     return format_int_runs(_sorted_runs(sets), _braces, " ")
 
 

@@ -198,6 +198,7 @@ def kg_violations(partition: KgPartition) -> list[str]:
 
 def _verdict(n: int, a_sets: Collection[Collection], b_sets: Collection[Collection]) -> tuple[int, list[str]]:
     """The order of the pair (its largest set's size) and kg_violations' messages for it.
+    The order is meaningful only when the messages are empty; otherwise it is 0.
 
     Labels are compared by value, as sets compare them, so 1.0 stands for 1.
     _cell_keys decides the structure and gives each element the flat key of
@@ -232,7 +233,7 @@ def _verdict(n: int, a_sets: Collection[Collection], b_sets: Collection[Collecti
                 if extra:
                     messages.append(f"{name}-sets contain elements outside 1..{n}: {_ordered(extra)}")
         if messages:
-            return max(map(len, chain(a_sets, b_sets)), default=0), messages
+            return 0, messages
         # Labels equal to 1..n but not ints, 1.0 say.
         as_int = {x: x for x in universe}
         a_sets, b_sets = ([[as_int[x] for x in s] for s in sets] for sets in (a_sets, b_sets))
