@@ -33,8 +33,9 @@ from operator import add, mul
 from typing import Iterator, Sequence
 
 from ._jsonout import IntPairs, dict_pieces
+from .matrices import _unchecked
 from .partitions import (
-    KgPartition, _canonical_order, _cell_keys, _columns, _sets, _side_sizes, _size_of, _unchecked, kg_violations,
+    KgPartition, _canonical_order, _cell_keys, _columns, _sets, _side_sizes, _size_of, kg_violations,
 )
 
 END_A = "A"
@@ -65,20 +66,17 @@ class CableInstance:
 
 
 def make_cable(n: int, seed: int) -> CableInstance:
-    """Deterministic cable: seed 0 gives the identity wiring, any positive
-    seed a pseudo-random bijection reproduced exactly on every run.
-    Negative seeds raise ValueError."""
+    """Deterministic cable: seed 0 gives the identity wiring, any positive seed a
+    pseudo-random bijection reproduced exactly on every run (a shuffle of 1..n, so
+    CableInstance does not check it again). Negative seeds raise ValueError."""
     if n < 1:
         raise ValueError(f"n must be positive, got n={n}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if seed == 0:
-        wiring = tuple(range(1, n + 1))
-    else:
-        positions = list(range(1, n + 1))
+    positions = list(range(1, n + 1))
+    if seed:
         random.Random(seed).shuffle(positions)
-        wiring = tuple(positions)
-    return CableInstance(n=n, wiring=wiring, seed=seed)
+    return _unchecked(CableInstance, n=n, wiring=tuple(positions), seed=seed)
 
 
 @dataclass(frozen=True)

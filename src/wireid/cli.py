@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
             raise OSError("stdin is closed")
         with contextlib.nullcontext(sys.stdin) if args.path == "-" else open(args.path, encoding="utf-8") as source:
             text = source.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
     n, a_sets, b_sets = _read_partition(text, (PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
     order, problems = _verdict(n, a_sets, b_sets)

@@ -11,7 +11,8 @@ adjacent runs), and repeat on the smaller square. Two index arrays map the
 shrinking square back to the input's rows and columns, so each level
 writes straight into the output: O(m^2) work and no recursion depth limit.
 It cannot fail once :func:`can_construct` accepts the sorted input; that is
-checked once, on the output's sums, and a failure raises ConstructionError.
+checked once, on the output and one transpose (symmetry for equal sums, then
+both sums), and a failure raises ConstructionError.
 
 Text format: a matrix serializes as m lines of m characters, ``'1'`` for a
 one and ``'.'`` for a zero, newline-terminated. Degree sequences serialize
@@ -68,7 +69,7 @@ class BinaryMatrix:
         return tuple(sum(col) for col in zip(*self.rows))
 
     def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix(tuple(zip(*self.rows)))
+        return _unchecked(BinaryMatrix, rows=tuple(zip(*self.rows)))  # a checked matrix's transpose
 
     def to_text(self) -> str:
         """Render as m newline-terminated lines of '.'/'1' characters."""
@@ -122,9 +123,9 @@ def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
     O(m^2) work in all, no sub-matrix copy, no recursion depth limit. Rows
     (columns) with equal sums take the sorted construction's rows (columns)
     in input order, so sorted input gives the sorted construction itself.
-    Self-dual: equal inputs produce a symmetric matrix. The output's row and
-    column sums are checked against r and c once, after the last level; a
-    mismatch raises ConstructionError (the construction is at fault).
+    Self-dual: equal inputs produce a symmetric matrix. After the last level,
+    the output and one transpose are checked (symmetry when r == c, then both
+    sums); a failure raises ConstructionError (the construction is at fault).
     """
     r, c = tuple(r), tuple(c)
     sums = f"r={format_degree_sequence(r)} c={format_degree_sequence(c)}"
@@ -133,10 +134,21 @@ def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
             f"sums are not constructible (need equal totals and, once sorted nonincreasing, gap-free "
             f"within [0, m]): {sums}"
         )
-    matrix = BinaryMatrix(_construct(r, c))
-    if matrix.row_sums() != r or matrix.col_sums() != c:
+    rows = tuple(map(tuple, _construct(r, c)))
+    cols = tuple(zip(*rows))
+    if r == c and rows != cols:
+        raise ConstructionError(f"the constructed matrix for {sums} is not symmetric")
+    if tuple(map(sum, rows)) != r or tuple(map(sum, cols)) != c:
         raise ConstructionError(f"the constructed matrix does not realize {sums}")
-    return matrix
+    return _unchecked(BinaryMatrix, rows=rows)  # _construct writes only 0s and 1s into m lists of m
+
+
+def _unchecked(cls: type, **attributes):
+    """A frozen dataclass holding attributes as given: the caller vouches for its __post_init__."""
+    instance = object.__new__(cls)
+    for name, value in attributes.items():
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 def _construct(r: DegreeSequence, c: DegreeSequence) -> list[list[int]]:

@@ -31,7 +31,7 @@ from operator import add, index, mod
 from typing import Collection, Hashable, Iterable, Sequence
 
 from ._jsonout import IntRuns, _parts, dumps_indent2
-from .matrices import BinaryMatrix, ConstructionError, can_construct, construct_matrix
+from .matrices import BinaryMatrix, ConstructionError, _unchecked, can_construct, construct_matrix
 
 PARTITION_SCHEMA = "kg-partition/1"
 
@@ -135,10 +135,10 @@ def _canonical(n: int, m: int) -> tuple[tuple[int, ...], int, int]:
     level where d runs out gives k and t_1 by division. n must be an int."""
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
-    if not min_elements(m) <= n <= max_elements(m):
+    if n < min_elements(m) or n > (top := max_elements(m)):  # max_elements(m) costs O(m); m may be huge
         raise InfeasibleOrderError(n, m)
 
-    d = max_elements(m) - index(n)
+    d = top - index(n)
     s = m // 2
     while s and d >= s * (m // s - 1):
         d -= s * (m // s - 1)
@@ -375,14 +375,6 @@ def _checked_cells(matrix: BinaryMatrix, labels: Sequence, r: Sequence[int], c: 
     return list(chain.from_iterable(row_cells))
 
 
-def _unchecked(cls: type, **attributes):
-    """A frozen dataclass holding attributes as given: the caller vouches for its __post_init__."""
-    instance = object.__new__(cls)
-    for name, value in attributes.items():
-        object.__setattr__(instance, name, value)
-    return instance
-
-
 @dataclass(frozen=True)
 class Construction:
     """The three artifacts of the constructive pipeline: representation, matrix, partition."""
@@ -393,9 +385,9 @@ class Construction:
 
 
 def _checked_construction(n: int, m: int | None) -> tuple[Representation, BinaryMatrix, list[int]]:
-    """construct_trace's pipeline and every check of it, up to the sets: the representation,
-    the matrix, and _checked_cells' row-major cell keys for the labels 1..n. The CLI writes
-    the sides _rows and _columns give from these and cuts no frozenset."""
+    """construct_trace's pipeline up to the sets, with no output check of its own: the
+    representation, the matrix construct_matrix checked, and _checked_cells' row-major cell keys
+    for the labels 1..n. The CLI writes the sides _rows and _columns give from these and cuts no frozenset."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m is None:
@@ -405,9 +397,6 @@ def _checked_construction(n: int, m: int | None) -> tuple[Representation, Binary
         m = orders[0]
     rep = represent(n, m)
     matrix = construct_matrix(rep.t, rep.t)
-    # Equal row and column inputs make the construction self-dual.
-    if matrix.rows != tuple(zip(*matrix.rows)):
-        raise ConstructionError(f"the matrix built for {rep} is not symmetric")
     return rep, matrix, _checked_cells(matrix, range(1, n + 1), rep.t, rep.t)  # construct_matrix checked the sums
 
 
@@ -415,8 +404,8 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     """Build an order-m KG partition of {1..n}, keeping intermediates.
 
     With m omitted, the smallest feasible order is used. Pipeline:
-    represent(n, m); realize t as both row and column sums, in t order;
-    check the result is symmetric; chunk into sets with labels 1..n.
+    represent(n, m); realize t as both row and column sums, in t order
+    (construct_matrix checks symmetry); chunk into sets with labels 1..n.
     """
     rep, matrix, cells = _checked_construction(n, m)
     labels = range(1, n + 1)

@@ -78,9 +78,19 @@ def swap_first_and_last(groups):
 def flip_first_cell(construct):
     """Wrap matrices._construct so that its output has cell (1, 1) flipped:
     still symmetric on equal sums, but row 1 and column 1 miss their sums."""
+    return _flip_cell(construct, 0, 0)
+
+
+def flip_off_diagonal_cell(construct):
+    """Wrap matrices._construct so that its output has cell (1, 2) flipped:
+    no longer symmetric on equal sums (nor realizing them)."""
+    return _flip_cell(construct, 0, 1)
+
+
+def _flip_cell(construct, i, j):
     def flipped(r, c):
         out = construct(r, c)
-        out[0][0] ^= 1
+        out[i][j] ^= 1
         return out
     return flipped
 

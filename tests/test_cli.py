@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wireid
-from conftest import flip_first_cell, json_values, swap_first_and_last
-from oracles import matrix_from_text, transcript_from_json
+from conftest import flip_first_cell, flip_off_diagonal_cell, json_values, swap_first_and_last
+from oracles import transcript_from_json
 from wireid import cable, cli, matrices, partitions
 from wireid._jsonout import IntRuns, format_int_runs
 from wireid.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
@@ -271,6 +271,13 @@ def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/no/such/file.json")
     assert code == EXIT_USAGE
     assert "cannot read" in err
+
+
+def test_verify_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    doc = tmp_path / "pair.json"
+    doc.write_bytes(b"\xff\xfe")
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert run(capsys, "verify", str(doc)) == (EXIT_USAGE, "", f"error: cannot read {doc}: {reason}\n")
 
 
 def test_verify_rejects_deeply_nested_json(capsys, monkeypatch):
@@ -542,18 +549,16 @@ def test_assembly_error_exits_4(capsys, monkeypatch):
 
 
 def test_construction_error_exits_4(capsys, monkeypatch):
-    asymmetric = matrix_from_text("11\n..\n")
-    monkeypatch.setattr(partitions, "construct_matrix", lambda r, c: asymmetric)
+    monkeypatch.setattr(matrices, "_construct", flip_off_diagonal_cell(matrices._construct))
     code, out, err = run(capsys, "construct", "--n", "26")
     assert code == EXIT_INTERNAL
     assert out == ""
-    assert err.startswith("error: internal check failed: the matrix built for Representation(")
+    assert err.startswith("error: internal check failed: the constructed matrix for r=")
     assert err.endswith("is not symmetric\n") and err.count("\n") == 1
 
 
 def test_simulate_construction_error_exits_4(capsys, monkeypatch):
-    asymmetric = matrix_from_text("11\n..\n")
-    monkeypatch.setattr(partitions, "construct_matrix", lambda r, c: asymmetric)
+    monkeypatch.setattr(matrices, "_construct", flip_off_diagonal_cell(matrices._construct))
     code, out, err = run(capsys, "simulate", "--n", "26", "--seed", "3", "--format", "structured")
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err.endswith("is not symmetric\n") and err.count("\n") == 1
@@ -567,7 +572,7 @@ def test_simulate_construction_error_exits_4(capsys, monkeypatch):
 def test_a_representation_the_construction_cannot_cut_is_rejected_through_main(command, t, message, capsys,
                                                                                monkeypatch):
     # construct_matrix realizes both sums; the construction's own checks must reject them.
-    rep = partitions._unchecked(partitions.Representation, m=3, t=t, s=0, k=1)
+    rep = matrices._unchecked(partitions.Representation, m=3, t=t, s=0, k=1)
     monkeypatch.setattr(partitions, "represent", lambda n, m: rep)
     assert run(capsys, command, "--n", "8") == (EXIT_USAGE, "", message)
 

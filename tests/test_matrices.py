@@ -10,10 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wireid
-from conftest import flip_first_cell, gapfree_sequences
+from conftest import flip_first_cell, flip_off_diagonal_cell, gapfree_sequences
 from oracles import conjugate, enumerate_matrices, gale_ryser_feasible, matrix_from_text
 from reference_constructor import reference_permute_to_sums
-from wireid import ConstructionError, matrices
+from wireid import ConstructionError, matrices, partitions
 from wireid.matrices import (
     BinaryMatrix,
     can_construct,
@@ -162,6 +162,27 @@ def test_construct_checks_its_output(monkeypatch):
     with pytest.raises(ConstructionError) as excinfo:
         construct_matrix(sums, sums)
     assert str(excinfo.value) == "the constructed matrix does not realize r=2,6,3,4,5,6 c=2,6,3,4,5,6"
+
+
+def test_construct_checks_symmetry_on_equal_sums_first(monkeypatch):
+    sums = (2, 6, 3, 4, 5, 6)
+    monkeypatch.setattr(matrices, "_construct", flip_off_diagonal_cell(matrices._construct))
+    with pytest.raises(ConstructionError) as excinfo:  # the flipped cell also misses both sums
+        construct_matrix(sums, sums)
+    assert str(excinfo.value) == "the constructed matrix for r=2,6,3,4,5,6 c=2,6,3,4,5,6 is not symmetric"
+
+
+def test_construction_is_checked_on_one_transpose_and_no_entry_walk(monkeypatch):
+    # The CLI's construct path: construct_matrix checks its own output on one transpose
+    # and skips BinaryMatrix's entry check; partitions checks the matrix no further.
+    calls = []
+    monkeypatch.setattr(matrices, "zip", lambda *args: calls.append("zip") or zip(*args), raising=False)
+    monkeypatch.setattr(partitions, "zip", lambda *args: calls.append("zip") or zip(*args), raising=False)
+    post_init = BinaryMatrix.__post_init__
+    monkeypatch.setattr(BinaryMatrix, "__post_init__", lambda self: calls.append("check") or post_init(self))
+    rep, matrix, _ = partitions._checked_construction(26, None)
+    assert calls == ["zip"]
+    assert matrix == BinaryMatrix(matrix.rows) and matrix.row_sums() == matrix.col_sums() == rep.t
 
 
 def test_output_check_survives_optimized_mode():

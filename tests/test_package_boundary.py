@@ -3,8 +3,10 @@
 The package exports the constructor, the partition bijection, the KG
 check and the protocol; the test oracles live in tests/oracles.py and must
 stay independent of the code they check. Checks on what the program
-outputs raise exceptions, so they hold under ``python -O``; the one
-assert left in src/ restates checks that already ran.
+outputs raise exceptions, so they hold under ``python -O``; no assert is
+left in src/. A value the package builds itself may skip its class's
+check through ``matrices._unchecked``, but only where pinned here; every
+public constructor still checks input from outside.
 """
 
 import ast
@@ -61,6 +63,17 @@ TEST_ONLY_NAMES = [
 # established what the assert restates.
 ALLOWED_ASSERTS: set[str] = set()
 
+# (scope, class) of every _unchecked call in src/, each with the reason the
+# skipped __post_init__ could not fail there.
+ALLOWED_UNCHECKED = {
+    ("matrices.BinaryMatrix.transpose", "BinaryMatrix"): "the transpose of a checked matrix",
+    ("matrices.construct_matrix", "BinaryMatrix"): "_construct writes only 0s and 1s into m lists of m",
+    ("partitions.represent", "Representation"): "_canonical is what __post_init__ compares with",
+    ("partitions.construct_trace", "KgPartition"): "labels 1..n ascending cut both sides in canonical order",
+    ("cable.make_cable", "CableInstance"): "a shuffle of range(1, n + 1) is a bijection",
+    ("cable._phases", "ConnectionPlan"): "a valid pair's canonical sides, each with its own groups' size map",
+}
+
 
 def test_public_surface_is_pinned():
     assert sorted(wireid.__all__) == PUBLIC_NAMES
@@ -94,31 +107,53 @@ def test_oracles_stay_independent_of_the_code_they_check():
     assert not names & checked
 
 
-def _assert_sites(node, scope):
-    """(qualified scope, line) of every assert below node."""
+def _scoped_nodes(node, scope):
+    """(qualified scope, node) of every node below node."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Assert):
-            yield scope, child.lineno
+        yield scope, child
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _assert_sites(child, f"{scope}.{child.name}")
+            yield from _scoped_nodes(child, f"{scope}.{child.name}")
         else:
-            yield from _assert_sites(child, scope)
+            yield from _scoped_nodes(child, scope)
 
 
-def test_output_checks_are_not_asserts():
+def _package_nodes():
+    """(path, qualified scope, node) of every node in the package's modules."""
     package = os.path.dirname(os.path.abspath(wireid.__file__))
     paths = sorted(glob.glob(os.path.join(package, "*.py")))
     assert len(paths) >= 5
-    stray, allowed_seen = [], set()
     for path in paths:
         module = os.path.splitext(os.path.basename(path))[0]
         with open(path, encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), filename=path)
-        for scope, line in _assert_sites(tree, module):
-            if scope in ALLOWED_ASSERTS:
-                allowed_seen.add(scope)
-            else:
-                stray.append(f"{path}:{line} ({scope})")
+        for scope, node in _scoped_nodes(tree, module):
+            yield path, scope, node
+
+
+def test_output_checks_are_not_asserts():
+    stray, allowed_seen = [], set()
+    for path, scope, node in _package_nodes():
+        if not isinstance(node, ast.Assert):
+            continue
+        if scope in ALLOWED_ASSERTS:
+            allowed_seen.add(scope)
+        else:
+            stray.append(f"{path}:{node.lineno} ({scope})")
     assert not stray, "asserts vanish under python -O; raise instead:\n" + "\n".join(stray)
     assert allowed_seen == ALLOWED_ASSERTS, "allow-listed scopes without an assert: " + ", ".join(
         sorted(ALLOWED_ASSERTS - allowed_seen))
+
+
+def test_unchecked_builds_only_where_pinned():
+    """Outside input must meet its class's check: _unchecked is called only at the pinned sites."""
+    seen, stray = set(), []
+    for path, scope, node in _package_nodes():
+        if isinstance(node, ast.Call) and "_unchecked" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+            site = (scope, ast.unparse(node.args[0]) if node.args else None)
+            if site in ALLOWED_UNCHECKED:
+                seen.add(site)
+            else:
+                stray.append(f"{path}:{node.lineno} {site}")
+    assert not stray, "unpinned _unchecked calls:\n" + "\n".join(stray)
+    assert seen == ALLOWED_UNCHECKED.keys(), f"pinned sites without a call: {ALLOWED_UNCHECKED.keys() - seen}"

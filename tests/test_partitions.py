@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A_SETS_26, B_SETS_26, LETTERS
-from oracles import gale_ryser_feasible, matrix_from_text, partition_to_matrix
+from conftest import A_SETS_26, B_SETS_26, LETTERS, flip_off_diagonal_cell
+from oracles import gale_ryser_feasible, partition_to_matrix
 from reference_constructor import reference_canonical_order
 from wireid.matrices import BinaryMatrix
 import wireid
-from wireid import partitions
+from wireid import matrices, partitions
 from wireid.partitions import (
     Construction,
     ConstructionError,
@@ -270,8 +270,7 @@ def test_construction_eq_and_repr_ignore_the_private_attributes():
 
 
 def test_asymmetric_construction_raises(monkeypatch):
-    asymmetric = matrix_from_text("11\n..\n")
-    monkeypatch.setattr(partitions, "construct_matrix", lambda r, c: asymmetric)
+    monkeypatch.setattr(matrices, "_construct", flip_off_diagonal_cell(matrices._construct))
     with pytest.raises(ConstructionError, match="is not symmetric"):
         construct_trace(26)
 
@@ -280,12 +279,18 @@ def test_symmetry_check_survives_optimized_mode():
     script = textwrap.dedent(
         """
         import sys
-        from wireid import ConstructionError, partitions
-        from wireid.matrices import BinaryMatrix
+        from wireid import ConstructionError, matrices, partitions
 
         if sys.flags.optimize < 1:
             sys.exit("not running under -O")
-        partitions.construct_matrix = lambda r, c: BinaryMatrix(((1, 1), (0, 0)))
+        construct = matrices._construct
+
+        def flipped(r, c):
+            out = construct(r, c)
+            out[0][1] ^= 1
+            return out
+
+        matrices._construct = flipped
         try:
             partitions.construct_trace(26)
         except ConstructionError as exc:
@@ -300,7 +305,8 @@ def test_symmetry_check_survives_optimized_mode():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("the matrix built for Representation(")
+    assert result.stdout.startswith("the constructed matrix for r=")
+    assert result.stdout.endswith("is not symmetric\n")
 
 
 @pytest.mark.slow
