@@ -2,10 +2,12 @@
 
 With ``indent`` set, CPython's ``json`` falls back to its pure-Python
 encoder, which yields every token from nested generators. The documents
-this package writes are mostly long lists of ints and of int rows (sets,
-coordinates as IntPairs, sets cut from one flat list as IntRuns), so one
-``map(str, ...)`` per int list and one %-operation per run of equal-length
-rows write the same bytes several times faster. A dict document can also be
+this package writes are mostly long lists of ints and of int rows. IntRuns
+is the one row form: a side of the pair, a list of int sets (as their
+ascending elements) and a list of coordinates (rows of two, from
+_paired_runs) are each rows cut from one flat list. One ``map(str, ...)``
+per int list and one %-operation per run of equal-length rows write the
+same bytes several times faster. A dict document can also be
 written one field at a time (``dict_pieces``), so that no whole-document
 string is built.
 """
@@ -15,12 +17,6 @@ from __future__ import annotations
 import json
 from itertools import chain, groupby
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
-
-
-class IntPairs(NamedTuple):
-    """Int rows [firsts[i], seconds[i]], kept as the two lists (dumps_indent2 writes them as rows)."""
-    firsts: Sequence[int]
-    seconds: Sequence[int]
 
 
 class IntRuns(NamedTuple):
@@ -33,12 +29,12 @@ class IntRuns(NamedTuple):
 
 def dumps_indent2(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` with sets and frozensets written as
-    ascending lists. IntPairs (as rows of two), IntRuns (as their rows),
-    non-empty dicts (dict_pieces, joined) and non-empty lists and tuples
-    are written directly, int lists and runs of equal-size int sets by one
-    %-operation each; anything else is ``json.dumps``, re-indented (json
-    escapes the newlines inside strings, so each one it writes is a line
-    break), with its TypeError for the rest.
+    ascending lists. IntRuns (as their rows; a list of int sets is turned
+    into one first), non-empty dicts (dict_pieces, joined) and non-empty
+    lists and tuples are written directly, int lists and runs of
+    equal-size int rows by one %-operation each; anything else is
+    ``json.dumps``, re-indented (json escapes the newlines inside strings,
+    so each one it writes is a line break), with its TypeError for the rest.
 
     ``newline`` is the line break plus the indentation of the enclosing
     level; callers leave it at its default.
@@ -46,22 +42,18 @@ def dumps_indent2(obj, newline: str = "\n") -> str:
     inner = newline + "  "
     if isinstance(obj, (set, frozenset)):  # so json.dumps below meets no set: containers recurse first
         obj = sorted(obj)
-    if isinstance(obj, IntPairs):
-        leaf = inner + "  "
-        pairs = format_int_pairs(obj, "[" + leaf + "%d," + leaf + "%d" + inner + "]", "," + inner)
-        return "[" + inner + pairs + newline + "]" if obj.firsts else "[]"
+    kinds = set(map(type, obj)) if isinstance(obj, (list, tuple)) and not isinstance(obj, IntRuns) else set()
+    if kinds and kinds <= {set, frozenset} and set(map(type, chain.from_iterable(obj))) <= {int}:
+        obj = _sorted_runs(obj)  # not bools: %d would write True as 1
     if isinstance(obj, IntRuns):
         rows = format_int_runs(obj, _row_template(inner), "," + inner)
         return "[" + inner + rows + newline + "]" if rows else "[]"
     if isinstance(obj, dict) and obj:
         return "".join(dict_pieces(obj, newline))
-    if not isinstance(obj, (list, tuple)) or not obj:
+    if not kinds:  # not a non-empty list or tuple
         return json.dumps(obj, indent=2).replace("\n", newline)
-    kinds = set(map(type, obj))
     if kinds == {int}:
         body = ("," + inner).join(map(str, obj))
-    elif kinds <= {set, frozenset} and set(map(type, chain.from_iterable(obj))) <= {int}:
-        body = format_int_runs(_sorted_runs(obj), _row_template(inner), "," + inner)
     else:
         body = ("," + inner).join(dumps_indent2(item, inner) for item in obj)
     return "[" + inner + body + newline + "]"
@@ -98,6 +90,13 @@ def _sorted_runs(sets: Sequence[Collection[int]]) -> IntRuns:
     return IntRuns(flat, [(size, len(list(run))) for size, run in groupby(map(len, sets))])
 
 
+def _paired_runs(firsts: Sequence[int], seconds: Sequence[int]) -> IntRuns:
+    """The rows [firsts[i], seconds[i]], one run of rows of two over the two lists interleaved."""
+    flat = [0] * (2 * len(firsts))
+    flat[::2], flat[1::2] = firsts, seconds
+    return IntRuns(flat, [(2, len(firsts))])
+
+
 def _parts(rows: IntRuns) -> Iterator[tuple[int, int, Sequence]]:
     """Each (size, count) run of rows with the part of the flat list it takes.
     ValueError unless the runs take the flat list exactly."""
@@ -118,10 +117,3 @@ def format_int_runs(rows: IntRuns, template: Callable[[int], str], sep: str) -> 
     the flat list exactly."""
     return sep.join(sep.join([template(size)] * count) % tuple(part) for size, count, part in _parts(rows) if count)
 
-
-def format_int_pairs(pairs: IntPairs, template: str, sep: str) -> str:
-    """Each pair written as ``template % pair`` and joined by sep, by one
-    %-operation over the two lists interleaved."""
-    flat = [0] * (2 * len(pairs.firsts))
-    flat[::2], flat[1::2] = pairs
-    return sep.join([template] * len(pairs.firsts)) % tuple(flat)

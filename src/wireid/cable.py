@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import add, mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from ._jsonout import IntPairs, dict_pieces
+from ._jsonout import _paired_runs, dict_pieces
 from .matrices import _unchecked
 from .partitions import (
     KgPartition, _canonical_order, _cell_keys, _columns, _sets, _side_sizes, _size_of, kg_violations,
@@ -61,7 +61,7 @@ class CableInstance:
         if self.n < 1:
             raise ValueError(f"need at least one wire, got n={self.n}")
         object.__setattr__(self, "wiring", tuple(self.wiring))
-        if _side_sizes((self.wiring,), self.n) is None:
+        if _side_sizes((self.wiring,), self.n) is None or _holds_bool(self.wiring):
             raise ValueError("wiring must be a bijection on positions 1..n")
 
 
@@ -95,13 +95,19 @@ class ConnectionPlan:
         object.__setattr__(self, "groups", _canonical_order(self.groups))
         n = sum(map(len, self.groups))
         size_at = _side_sizes(tuple(filter(None, self.groups)), n) if n else [0]
-        if size_at is None:
+        if size_at is None or _holds_bool(chain.from_iterable(self.groups)):
             raise ValueError("groups must be disjoint and cover positions 1..n")
         object.__setattr__(self, "_size_at", size_at)
 
     @property
     def n(self) -> int:
         return len(self._size_at) - 1
+
+
+def _holds_bool(positions: Iterable) -> bool:
+    """Whether a bool is among the positions. _side_sizes takes True for the int 1, as
+    kg_violations does; the cable's entry points take the ints 1..n and nothing else."""
+    return bool in set(map(type, positions))
 
 
 def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tuple[int, ...]:
@@ -120,7 +126,7 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
     n = len(wiring)
     if plan.n != n:
         raise ValueError(f"plan covers {plan.n} positions but the cable has {n} wires")
-    if n and _side_sizes((wiring,), n) is None:
+    if (n and _side_sizes((wiring,), n) is None) or _holds_bool(wiring):
         raise ValueError("wiring must be a bijection on the ints 1..n")
     return _readings(plan, wiring)
 
@@ -153,11 +159,11 @@ class ProtocolTranscript:
     phase2_plan: ConnectionPlan
     phase2_probe: tuple[int, ...]
 
-    def _pairs(self, end: str) -> IntPairs:
-        """One end's coordinates as two int lists, for the writers."""
+    def _pairs(self, end: str) -> tuple[Sequence[int], Sequence[int]]:
+        """One end's coordinates as two int lists (rows j, then columns k), for the writers."""
         if end == END_A:
-            return IntPairs(self.phase1_plan._size_at[1:], self.phase2_probe)
-        return IntPairs(self.phase1_probe, self.phase2_plan._size_at[1:])
+            return self.phase1_plan._size_at[1:], self.phase2_probe
+        return self.phase1_probe, self.phase2_plan._size_at[1:]
 
     @cached_property
     def coords_a(self) -> tuple[tuple[int, int], ...]:
@@ -203,7 +209,8 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
 
     _cell_keys, which kg_violations shares, keys every element by its cell;
     the keys must differ, and sorted they are the matrix both ends agreed
-    on (kg_violations runs only to explain a rejection). The cable checked
+    on (kg_violations runs only to explain a rejection). Labels are wire
+    positions, so a bool among them is rejected too. The cable checked
     its wiring when it was built, so the phases read it without probe's checks.
     Phase 1: end A joins its A-sets; end B probes and learns each wire's
     row, then assembles B-sets canonically from the matrix. Phase 2: end A
@@ -217,7 +224,7 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
         raise ValueError(f"partition covers {partition.n} elements but the cable has {cable.n} wires")
     scheme = _cell_keys(cable.n, partition.a_sets, partition.b_sets)
     cells = sorted(set(scheme[1])) if scheme else []  # keys[0] == 0 sorts first
-    if len(cells) != cable.n + 1:
+    if len(cells) != cable.n + 1 or _holds_bool(chain.from_iterable(partition.a_sets + partition.b_sets)):
         problems = kg_violations(partition) or ["labels must be the integers 1..n"]
         raise ValueError("invalid partition pair:\n" + "\n".join(problems))
     return _phases(scheme[0], cells[1:], partition.a_sets, cable.wiring)
@@ -265,8 +272,8 @@ def _transcript_pieces(transcript: ProtocolTranscript, phase1_plan: Sequence) ->
         "phase1_probe": transcript.phase1_probe,
         "phase2_plan": transcript.phase2_plan.groups,
         "phase2_probe": transcript.phase2_probe,
-        "coords_a": transcript._pairs(END_A),
-        "coords_b": transcript._pairs(END_B),
+        "coords_a": _paired_runs(*transcript._pairs(END_A)),
+        "coords_b": _paired_runs(*transcript._pairs(END_B)),
     }
     yield from dict_pieces(payload)
     yield "\n"

@@ -4,7 +4,8 @@ Exit statuses are stable: 0 success, 1 infeasible input, 2 verification
 failure, 3 parse or usage error, 4 internal error (an output check failed,
 or any other unexpected exception). Past verify's 2, commands raise: main
 alone turns a failure into its status and one ``error:`` line on stderr,
-never a traceback. A reader closing stdout early gets 0 and no stderr line.
+never a traceback. A reader closing stdout early gets 0 and no stderr line;
+one closing stderr early changes no status. Wire positions are the ints 1..n, no bools.
 The cyclic garbage collector is off while a command runs (the pipeline
 builds no reference cycles) and then back in its caller's state.
 """
@@ -18,7 +19,7 @@ import os
 import sys
 from typing import Sequence
 
-from ._jsonout import _sorted_runs, dict_pieces, dumps_indent2, format_int_pairs, format_int_runs
+from ._jsonout import _paired_runs, _sorted_runs, dict_pieces, dumps_indent2, format_int_runs
 from .cable import END_A, END_B, ProtocolError, _phases, _transcript_pieces, make_cable
 from .matrices import format_degree_sequence
 from .partitions import (
@@ -87,6 +88,10 @@ def _braces(size: int) -> str:
     return "{" + ",".join(["%d"] * size) + "}"
 
 
+def _parens(size: int) -> str:
+    return "(" + ",".join(["%d"] * size) + ")"
+
+
 def _fmt_sets(sets: Sequence[frozenset]) -> str:
     return format_int_runs(_sorted_runs(sets), _braces, " ")
 
@@ -143,17 +148,21 @@ def cmd_verify(args) -> int:
     (a set may repeat a label: it counts once) but never sorted, and only when the lists are not exact
     partitions of 1..n."""
     try:
-        if args.path == "-" and sys.stdin is None:  # fd 0 was closed before startup
+        if args.path != "-":
+            with open(args.path, encoding="utf-8") as source:
+                text = source.read()
+        elif sys.stdin is None:  # fd 0 was closed before startup
             raise OSError("stdin is closed")
-        with contextlib.nullcontext(sys.stdin) if args.path == "-" else open(args.path, encoding="utf-8") as source:
-            text = source.read()
+        elif hasattr(sys.stdin, "buffer"):  # decoded as strictly as a file, whatever stdin's error handler
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            text = sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
     n, a_sets, b_sets = _read_partition(text, (PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
     order, problems = _verdict(n, a_sets, b_sets)
     if problems:
-        with contextlib.suppress(BrokenPipeError):  # a reader closing stderr early leaves the verdict standing
-            print(*problems, sep="\n", file=sys.stderr)
+        _print_error(*problems)
         return EXIT_INVALID
     print(f"valid Knowlton-Graham pair: n={n} order={order}")
     return EXIT_OK
@@ -175,8 +184,14 @@ def cmd_simulate(args) -> int:
         print(f"phase2_plan: {_fmt_sets(transcript.phase2_plan.groups)}")
         print(f"phase2_probe: {format_degree_sequence(transcript.phase2_probe)}")
         for end in (END_A, END_B):
-            print(f"coords_{end.lower()}:", format_int_pairs(transcript._pairs(end), "(%d,%d)", " "))
+            print(f"coords_{end.lower()}:", format_int_runs(_paired_runs(*transcript._pairs(end)), _parens, " "))
     return EXIT_OK
+
+
+def _print_error(*lines: str) -> None:
+    """The lines on stderr; a reader closing stderr early leaves the exit status standing."""
+    with contextlib.suppress(BrokenPipeError):
+        print(*lines, sep="\n", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -190,16 +205,16 @@ def main(argv=None) -> int:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_OK
     except InfeasibleOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return EXIT_INFEASIBLE
     except ValueError as exc:  # nonpositive sizes and the like
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return EXIT_USAGE
     except (ConstructionError, ProtocolError) as exc:
-        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        _print_error(f"error: internal check failed: {exc}")
         return EXIT_INTERNAL
     except Exception as exc:
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _print_error(f"error: internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
     finally:
         if collecting:

@@ -346,14 +346,16 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     labels = tuple(labels)
     r = matrix.row_sums()
     cells = _checked_cells(matrix, labels, r, matrix.col_sums())
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct")
     return KgPartition(len(labels), _sets(_rows(labels, r)), _sets(_columns(cells, matrix.m + 1, labels)))
 
 
 def _checked_cells(matrix: BinaryMatrix, labels: Sequence, r: Sequence[int], c: Sequence[int]) -> list[int]:
-    """matrix_to_partition's checks, and the row-major keys j * (m + 1) + k of the matrix's
-    1-cells (j, k), to which the labels attach in order; r and c are the matrix's row and
-    column sums. The checks find each sum a multiple of its index, so _rows(labels, r) and
-    _columns(keys, m + 1, labels) cut whole sets.
+    """The checks matrix_to_partition and _checked_construction share, and the row-major keys
+    j * (m + 1) + k of the matrix's 1-cells (j, k), to which the labels attach in order; r and c
+    are the matrix's row and column sums. The checks find each sum a multiple of its index and one
+    label per 1-cell, so _rows(labels, r) and _columns(keys, m + 1, labels) cut whole sets.
 
     For ascending labels the cut order is canonical: row j and column j each hold their
     labels ascending and cut into all the sets of size j, so the sets come by size, and those
@@ -368,8 +370,6 @@ def _checked_cells(matrix: BinaryMatrix, labels: Sequence, r: Sequence[int], c: 
     total = sum(r)
     if len(labels) != total:
         raise ValueError(f"need exactly {total} labels (one per 1-entry), got {len(labels)}")
-    if not isinstance(labels, range) and len(set(labels)) != len(labels):  # a range never repeats
-        raise ValueError("labels must be distinct")
     width = m + 1
     row_cells = (compress(range(j * width + 1, (j + 1) * width), row) for j, row in enumerate(matrix.rows, start=1))
     return list(chain.from_iterable(row_cells))

@@ -19,7 +19,7 @@ from wireid.cable import (
     transcript_to_json,
 )
 from wireid import cable as cable_module, partitions
-from wireid.partitions import KgPartition, construct, feasible_orders, matrix_to_partition
+from wireid.partitions import KgPartition, construct, feasible_orders, kg_violations, matrix_to_partition
 
 
 # ── cables ───────────────────────────────────────────────────────────────
@@ -66,8 +66,8 @@ def test_wiring_is_always_a_bijection(n, seed):
 
 
 def _check_one_wiring_rule(values, n):
-    """CableInstance and probe both accept exactly the ints 1..n in some order."""
-    expected = all(isinstance(v, int) for v in values) and sorted(values) == list(range(1, n + 1))
+    """CableInstance and probe both accept exactly the ints 1..n in some order, no bools."""
+    expected = all(type(v) is int for v in values) and sorted(values) == list(range(1, n + 1))
     plan = ConnectionPlan(END_A, tuple(frozenset({i}) for i in range(1, n + 1)))
     for build in (lambda: CableInstance(n, values, 0), lambda: probe(plan, values, END_B)):
         try:
@@ -86,7 +86,7 @@ def test_cable_and_probe_accept_the_same_wirings(values, n):
 @pytest.mark.parametrize("values", [(-1, 1), (0, 1), (1, 3), (2, 2), (1.0, 2), (True, 2.0)])
 def test_bijection_check_on_wrapping_and_non_int_positions(values):
     # -1 would mark position 2 through negative indexing; 1.0 and 2.0 only
-    # equal positions; True is the int 1.
+    # equal positions.
     _check_one_wiring_rule(values, 2)
 
 
@@ -103,9 +103,26 @@ def test_plan_validation():
         ConnectionPlan(END_A, (frozenset({1, "a"}),))
     with pytest.raises(ValueError, match="cover positions 1..n"):
         ConnectionPlan(END_A, (frozenset({1.0}), frozenset({2, 3})))  # 1.0 only equals a position
-    # An empty group adds no position, True is the int 1, and a plan may be empty.
-    for groups in ((frozenset(), frozenset({1})), (frozenset({True}),), ()):
+    # An empty group adds no position, and a plan may be empty.
+    for groups in ((frozenset(), frozenset({1})), ()):
         assert ConnectionPlan(END_A, groups).groups == groups
+
+
+def test_cable_rejects_a_bool_position():
+    # True equals position 1, but positions are the ints 1..n.
+    with pytest.raises(ValueError, match="bijection on positions 1..n"):
+        CableInstance(2, (2, True), 0)
+
+
+def test_plan_rejects_a_bool_position():
+    with pytest.raises(ValueError, match="cover positions 1..n"):
+        ConnectionPlan(END_A, (frozenset({True}), frozenset({2})))
+
+
+def test_probe_rejects_a_bool_position():
+    plan = ConnectionPlan(END_A, (frozenset({1}), frozenset({2})))
+    with pytest.raises(ValueError, match="the ints 1..n"):
+        probe(plan, (2, True), END_B)
 
 
 def test_probe_all_singletons():
@@ -283,6 +300,14 @@ def test_protocol_rejects_invalid_pair():
     singletons = (frozenset({1}), frozenset({2}))
     with pytest.raises(ValueError, match="invalid partition"):
         run_protocol(KgPartition(2, singletons, singletons), make_cable(2, 0))
+
+
+@pytest.mark.parametrize("a_sets, b_sets", [(({True},), ({True},)), (({1},), ({True},)), (({True},), ({1},))])
+def test_protocol_rejects_bool_labels(a_sets, b_sets):
+    pair = KgPartition(1, a_sets, b_sets)
+    assert kg_violations(pair) == []  # it judges labels by value, and True == 1
+    with pytest.raises(ValueError, match="invalid partition pair:\nlabels must be the integers 1..n"):
+        run_protocol(pair, make_cable(1, 0))
 
 
 # ── transcript serialization ─────────────────────────────────────────────

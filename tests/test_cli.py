@@ -280,6 +280,14 @@ def test_verify_names_a_file_that_is_not_utf8(tmp_path, capsys):
     assert run(capsys, "verify", str(doc)) == (EXIT_USAGE, "", f"error: cannot read {doc}: {reason}\n")
 
 
+def test_verify_names_stdin_that_is_not_utf8(capsys, monkeypatch):
+    # A stdin that decodes with surrogateescape (as under a C locale) is read as bytes and decoded as a file is.
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert run(capsys, "verify", "-") == (EXIT_USAGE, "", f"error: cannot read -: {reason}\n")
+
+
 def test_verify_rejects_deeply_nested_json(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
     code, out, err = run(capsys, "verify", "-")
@@ -645,6 +653,44 @@ def test_a_reader_closing_stderr_early_leaves_the_verdict(tmp_path):
     path = tmp_path / "gaps.json"
     path.write_text(json.dumps({"schema": "kg-partition/1", "n": 100000, "a_sets": [[1]], "b_sets": [[1]]}))
     assert run_and_close_early(["verify", str(path)], "stderr") == (EXIT_INVALID, b"")
+
+
+class ClosedStderr(io.StringIO):
+    """A stderr whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, crash, status", [
+    (["construct", "--n", "5"], None, EXIT_INFEASIBLE),
+    (["construct", "--n", "0"], None, EXIT_USAGE),
+    (["verify", "/no/such/file.json"], None, EXIT_USAGE),
+    (["simulate", "--n", "26", "--seed", "-1"], None, EXIT_USAGE),
+    (["bounds", "--max-m", "0"], None, EXIT_USAGE),
+    (["construct", "--n", "26"], partitions.ConstructionError("lost"), EXIT_INTERNAL),
+    (["construct", "--n", "26"], KeyError("lost"), EXIT_INTERNAL),
+])
+def test_an_error_line_on_a_closed_stderr_leaves_the_status(argv, crash, status, monkeypatch):
+    if crash is not None:
+        def crashing(n, m):
+            raise crash
+
+        monkeypatch.setattr(cli, "_checked_construction", crashing)
+    monkeypatch.setattr("sys.stderr", ClosedStderr())
+    assert main(argv) == status
+
+
+def test_a_closed_stderr_pipe_leaves_exit_3():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stderr fails with EPIPE
+    try:
+        result = subprocess.run([sys.executable, "-m", "wireid.cli", "construct", "--n", "0"], stdout=subprocess.PIPE,
+                                stderr=write_end, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stdout) == (EXIT_USAGE, b"")
 
 
 # ── the cyclic collector ─────────────────────────────────────────────────

@@ -180,6 +180,15 @@ def test_matrix_to_partition_rejects_bad_input():
         matrix_to_partition(BinaryMatrix(((0, 1), (1, 1))), [1, 1, 1])
 
 
+def test_matrix_to_partition_checks_divisibility_then_count_then_distinctness():
+    with pytest.raises(ValueError, match="row 2 has sum 1"):
+        matrix_to_partition(BinaryMatrix(((0, 1), (1, 0))), [1, 1])
+    with pytest.raises(ValueError, match="need exactly 3 labels"):
+        matrix_to_partition(BinaryMatrix(((0, 1), (1, 1))), [1, 1])
+    # The distinctness check is matrix_to_partition's own: the shared checks take repeated labels.
+    assert partitions._checked_cells(BinaryMatrix(((0, 1), (1, 1))), [1, 1, 1], [1, 2], [1, 2]) == [5, 7, 8]
+
+
 def test_partition_to_matrix_round_trip_trivial():
     pair = KgPartition(1, (frozenset({1}),), (frozenset({1}),))
     assert partition_to_matrix(pair) == BinaryMatrix(((1,),))

@@ -26,7 +26,7 @@ from reference_protocol import (
     reference_transcript_to_json,
 )
 from wireid import cable as cable_module
-from wireid._jsonout import IntPairs, IntRuns, dumps_indent2, format_int_pairs, format_int_runs
+from wireid._jsonout import IntRuns, _paired_runs, dumps_indent2, format_int_runs
 from wireid.cable import ConnectionPlan, ProtocolError, _phases, make_cable, run_protocol, transcript_to_json
 from wireid.partitions import (
     KgPartition,
@@ -343,10 +343,11 @@ def test_writer_matches_json_dumps_on_runs_of_mixed_int_rows(rows):
 @given(st.lists(st.tuples(st.integers(-3, 3) | st.integers(2**63, 2**64) | st.integers(), st.integers())))
 def test_writer_writes_int_pairs_as_rows_of_two(pairs):
     firsts, seconds = [a for a, _ in pairs], tuple(b for _, b in pairs)
-    payload = {"pairs": IntPairs(firsts, seconds), "nested": [IntPairs(firsts, seconds)]}
+    payload = {"pairs": _paired_runs(firsts, seconds), "nested": [_paired_runs(firsts, seconds)]}
     expected = {"pairs": pairs, "nested": [pairs]}
     assert dumps_indent2(payload) == json.dumps(expected, indent=2)
-    assert format_int_pairs(IntPairs(firsts, seconds), "(%d,%d)", " ") == " ".join(f"({a},{b})" for a, b in pairs)
+    grid = format_int_runs(_paired_runs(firsts, seconds), lambda size: "(%d,%d)", " ")
+    assert grid == " ".join(f"({a},{b})" for a, b in pairs)
 
 
 int_runs = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8).flatmap(
