@@ -5,7 +5,7 @@ failure, 3 parse or usage error, 4 internal error (an output check failed,
 or any other unexpected exception). Past verify's 2, commands raise: main
 alone turns a failure into its status and one ``error:`` line on stderr,
 never a traceback. A reader closing stdout early gets 0 and no stderr line;
-one closing stderr early changes no status. Wire positions are the ints 1..n, no bools.
+one closing stderr early, or a closed fd 2, changes no status. Wire positions are the ints 1..n, no bools.
 The cyclic garbage collector is off while a command runs (the pipeline
 builds no reference cycles) and then back in its caller's state.
 """
@@ -189,9 +189,11 @@ def cmd_simulate(args) -> int:
 
 
 def _print_error(*lines: str) -> None:
-    """The lines on stderr; a reader closing stderr early leaves the exit status standing."""
-    with contextlib.suppress(BrokenPipeError):
-        print(*lines, sep="\n", file=sys.stderr)
+    """The lines on stderr. A stderr that cannot take them (its reader gone, or fd 2 closed)
+    leaves the exit status standing: the lines are dropped."""
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:  # None when fd 2 was closed before startup; print would pick stdout
+            print(*lines, sep="\n", file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import gc
 import inspect
 import io
@@ -655,13 +656,18 @@ def test_a_reader_closing_stderr_early_leaves_the_verdict(tmp_path):
     assert run_and_close_early(["verify", str(path)], "stderr") == (EXIT_INVALID, b"")
 
 
-class ClosedStderr(io.StringIO):
-    """A stderr whose reader has gone."""
+class UnwritableStderr(io.StringIO):
+    """A stderr whose every write raises error."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
 
     def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
+        raise self.error
 
 
+@pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "reader gone"), OSError(errno.EBADF, "fd 2 closed")])
 @pytest.mark.parametrize("argv, crash, status", [
     (["construct", "--n", "5"], None, EXIT_INFEASIBLE),
     (["construct", "--n", "0"], None, EXIT_USAGE),
@@ -671,13 +677,13 @@ class ClosedStderr(io.StringIO):
     (["construct", "--n", "26"], partitions.ConstructionError("lost"), EXIT_INTERNAL),
     (["construct", "--n", "26"], KeyError("lost"), EXIT_INTERNAL),
 ])
-def test_an_error_line_on_a_closed_stderr_leaves_the_status(argv, crash, status, monkeypatch):
+def test_an_error_line_on_a_closed_stderr_leaves_the_status(argv, crash, status, error, monkeypatch):
     if crash is not None:
         def crashing(n, m):
             raise crash
 
         monkeypatch.setattr(cli, "_checked_construction", crashing)
-    monkeypatch.setattr("sys.stderr", ClosedStderr())
+    monkeypatch.setattr("sys.stderr", UnwritableStderr(error))
     assert main(argv) == status
 
 
@@ -690,6 +696,13 @@ def test_a_closed_stderr_pipe_leaves_exit_3():
                                 stderr=write_end, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     finally:
         os.close(write_end)
+    assert (result.returncode, result.stdout) == (EXIT_USAGE, b"")
+
+
+def test_an_error_line_with_fd_2_closed_leaves_exit_3():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+    result = subprocess.run([sys.executable, "-m", "wireid.cli", "construct", "--n", "0"], stdout=subprocess.PIPE,
+                            preexec_fn=lambda: os.close(2), env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (result.returncode, result.stdout) == (EXIT_USAGE, b"")
 
 
