@@ -107,7 +107,7 @@ def _parts(rows: IntRuns) -> Iterator[tuple[int, int, Sequence]]:
     start = 0
     for size, count in runs:
         end = start + size * count
-        yield size, count, flat[start:end]
+        yield size, count, flat[start:end] if len(runs) > 1 else flat  # a lone run takes all of flat: no copy
         start = end
 
 
