@@ -15,7 +15,10 @@ from __future__ import annotations
 import argparse
 
 from wireid import construct_trace, make_cable, run_protocol
-from wireid.cli import _fmt_sets as fmt_sets
+
+
+def fmt_sets(sets) -> str:
+    return " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
 
 
 def main() -> None:

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 from ._jsonout import _paired_runs, dict_pieces
 from .matrices import _unchecked
 from .partitions import (
-    KgPartition, _canonical_order, _cell_keys, _columns, _sets, _side_sizes, _size_of, kg_violations,
+    KgPartition, _blocks, _canonical_order, _cell_keys, _columns, _side_sizes, _size_of, kg_violations,
 )
 
 END_A = "A"
@@ -128,13 +128,12 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
         raise ValueError(f"plan covers {plan.n} positions but the cable has {n} wires")
     if (n and _side_sizes((wiring,), n) is None) or _holds_bool(wiring):
         raise ValueError("wiring must be a bijection on the ints 1..n")
-    return _readings(plan, wiring)
+    return _readings(plan.end, plan._size_at, wiring)
 
 
-def _readings(plan: ConnectionPlan, wiring: tuple[int, ...]) -> tuple[int, ...]:
-    """probe at the end opposite the plan, for a wiring already checked."""
-    size_at = plan._size_at
-    if plan.end == END_A:  # B-position wiring[a-1] reads the size of a's group
+def _readings(end: str, size_at: Sequence[int], wiring: tuple[int, ...]) -> tuple[int, ...]:
+    """probe at the end opposite a plan at end with the size map size_at, for a wiring already checked."""
+    if end == END_A:  # B-position wiring[a-1] reads the size of a's group
         readings = [0] * (len(wiring) + 1)
         for b, size in zip(wiring, islice(size_at, 1, None)):
             readings[b] = size
@@ -159,32 +158,24 @@ class ProtocolTranscript:
     phase2_plan: ConnectionPlan
     phase2_probe: tuple[int, ...]
 
-    def _pairs(self, end: str) -> tuple[Sequence[int], Sequence[int]]:
-        """One end's coordinates as two int lists (rows j, then columns k), for the writers."""
-        if end == END_A:
-            return self.phase1_plan._size_at[1:], self.phase2_probe
-        return self.phase1_probe, self.phase2_plan._size_at[1:]
-
     @cached_property
     def coords_a(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*self._pairs(END_A)))
+        return tuple(zip(islice(self.phase1_plan._size_at, 1, None), self.phase2_probe))
 
     @cached_property
     def coords_b(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*self._pairs(END_B)))
+        return tuple(zip(self.phase1_probe, islice(self.phase2_plan._size_at, 1, None)))
 
 
-def _assemble_b_sets(
-    width: int, cells: Sequence[int], readings: Sequence[int]
-) -> tuple[tuple[frozenset[int], ...], list[int]]:
+def _assemble_b_sets(width: int, cells: Sequence[int], readings: Sequence[int]) -> tuple[tuple[list, ...], list[int]]:
     """End B's canonical grouping and the column it gives each wire.
 
     cells lists, ascending, the keys j * width + k of the agreed matrix's
     1-cells (j, k): row-major order. One pass buckets the wires by reading,
     in ascending position order; the buckets, rows ascending, take the cells
-    as labels do in matrix_to_partition, _sets cuts the B-sets from the side
-    _columns gives, and (size, least wire) puts those disjoint blocks in
-    canonical order. Returns the blocks and column_of: column_of[b] is the
+    as labels do in matrix_to_partition, _blocks cuts the B-sets as lists from
+    the side _columns gives, and (size, least wire) puts those disjoint blocks
+    in canonical order. Returns the blocks and column_of: column_of[b] is the
     column of B-position b (entry 0 unused), the size of its block.
     A valid pair read through a bijective wiring has the scheme's row counts,
     so other readings are an internal fault and raise ProtocolError.
@@ -199,7 +190,7 @@ def _assemble_b_sets(
             raise ProtocolError(f"observed {len(by_size[j])} wires of bundle size {j} but the scheme has {count}")
     if len(cells) != len(readings):
         raise ProtocolError("some observed bundle sizes do not occur in the scheme")
-    blocks = _sets(_columns(cells, width, chain.from_iterable(by_size)))
+    blocks = _blocks(_columns(cells, width, chain.from_iterable(by_size)))
     groups = tuple(sorted(blocks, key=lambda block: (len(block), min(block))))
     return groups, _size_of(groups, len(readings))
 
@@ -227,23 +218,27 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     if len(cells) != cable.n + 1 or _holds_bool(chain.from_iterable(partition.a_sets + partition.b_sets)):
         problems = kg_violations(partition) or ["labels must be the integers 1..n"]
         raise ValueError("invalid partition pair:\n" + "\n".join(problems))
-    return _phases(scheme[0], cells[1:], partition.a_sets, cable.wiring)
+    size_a = _size_of(partition.a_sets, cable.n)
+    probe_1, b_groups, size_b, probe_2 = _phases(scheme[0], cells[1:], size_a, cable.wiring)
+    # Only here are the phases' lists cut into plans: canonical sides, each with its own groups' size map.
+    plan_a = _unchecked(ConnectionPlan, end=END_A, groups=partition.a_sets, _size_at=size_a)
+    plan_b = _unchecked(ConnectionPlan, end=END_B, groups=tuple(map(frozenset, b_groups)), _size_at=size_b)
+    return ProtocolTranscript(plan_a, probe_1, plan_b, probe_2)
 
 
-def _phases(width: int, cells: Sequence[int], a_sets: tuple, wiring: tuple[int, ...]) -> ProtocolTranscript:
-    """run_protocol's phases on a valid pair's canonical a_sets and ascending cell keys. No
-    plan is sorted or checked again, but each maps sizes from its own groups, so the
-    agreement check still compares end B's columns with the plan end A probes."""
+def _phases(width: int, cells: Sequence[int], size_a: Sequence[int], wiring: tuple[int, ...]) -> tuple:
+    """run_protocol's phases on a valid pair's ascending cell keys and end A's size map size_a. Returns
+    phase 1's probe, end B's groups as lists in canonical order, their size map and phase 2's probe.
+    That size map comes from the groups, so the agreement check compares end B's columns with the plan."""
     n = len(wiring)
-    phase1_plan = _unchecked(ConnectionPlan, end=END_A, groups=a_sets, _size_at=_size_of(a_sets, n))
-    phase1_probe = _readings(phase1_plan, wiring)
+    phase1_probe = _readings(END_A, size_a, wiring)
 
-    b_sets, column_of = _assemble_b_sets(width, cells, phase1_probe)
-    phase2_plan = _unchecked(ConnectionPlan, end=END_B, groups=b_sets, _size_at=_size_of(b_sets, n))
-    phase2_probe = _readings(phase2_plan, wiring)
+    b_groups, column_of = _assemble_b_sets(width, cells, phase1_probe)
+    size_b = _size_of(b_groups, n)
+    phase2_probe = _readings(END_B, size_b, wiring)
 
     # Each end's coordinate (j, k) as the key j * width + k.
-    key_a = list(map(add, map(mul, islice(phase1_plan._size_at, 1, None), repeat(width)), phase2_probe))
+    key_a = list(map(add, map(mul, islice(size_a, 1, None), repeat(width)), phase2_probe))
     key_b = list(map(add, map(mul, chain((0,), phase1_probe), repeat(width)), column_of))
     through_wiring = list(map(key_b.__getitem__, wiring))
     if through_wiring != key_a:
@@ -254,26 +249,29 @@ def _phases(width: int, cells: Sequence[int], a_sets: tuple, wiring: tuple[int, 
     if len(set(key_a)) != n:
         raise ProtocolError("coordinates must be unique per wire")
 
-    return ProtocolTranscript(phase1_plan, phase1_probe, phase2_plan, phase2_probe)
+    return phase1_probe, b_groups, size_b, phase2_probe
 
 
 def transcript_to_json(transcript: ProtocolTranscript) -> str:
     """Schema-tagged JSON document with the four transcript fields and both
     ends' coordinates, suitable for golden-file comparison."""
-    return "".join(_transcript_pieces(transcript, transcript.phase1_plan.groups))
+    a, b = transcript.phase1_plan, transcript.phase2_plan
+    probe_1, probe_2 = transcript.phase1_probe, transcript.phase2_probe
+    return "".join(_transcript_pieces(a.groups, a._size_at, probe_1, b.groups, b._size_at, probe_2))
 
 
-def _transcript_pieces(transcript: ProtocolTranscript, phase1_plan: Sequence) -> Iterator[str]:
-    """transcript_to_json's document in pieces, holding at most one field's text; phase1_plan
-    stands for the plan's groups (their rows in canonical order, as an IntRuns say)."""
+def _transcript_pieces(rows_a: Sequence, size_a: Sequence[int], probe_1: Sequence[int],
+                       rows_b: Sequence, size_b: Sequence[int], probe_2: Sequence[int]) -> Iterator[str]:
+    """transcript_to_json's document in pieces, holding at most one field's text. Each plan is its rows
+    (its groups in canonical order, as sets or as an IntRuns of their ascending elements) and size map."""
     payload = {
         "schema": TRANSCRIPT_SCHEMA,
-        "phase1_plan": phase1_plan,
-        "phase1_probe": transcript.phase1_probe,
-        "phase2_plan": transcript.phase2_plan.groups,
-        "phase2_probe": transcript.phase2_probe,
-        "coords_a": _paired_runs(*transcript._pairs(END_A)),
-        "coords_b": _paired_runs(*transcript._pairs(END_B)),
+        "phase1_plan": rows_a,
+        "phase1_probe": probe_1,
+        "phase2_plan": rows_b,
+        "phase2_probe": probe_2,
+        "coords_a": _paired_runs(size_a[1:], probe_2),
+        "coords_b": _paired_runs(probe_1, size_b[1:]),
     }
     yield from dict_pieces(payload)
     yield "\n"

@@ -1,8 +1,10 @@
 """Command line front end: construct, bounds, verify, simulate.
 
 Exit statuses are stable: 0 success, 1 infeasible input, 2 verification
-failure, 3 parse or usage error, 4 internal error (an output check failed,
-or any other unexpected exception). Past verify's 2, commands raise: main
+failure, 3 parse or usage error (n above MAX_N = 10**6 included, in
+construct, simulate and verify), 4 internal error (an output check failed,
+the construction rejected its own representation, or any other unexpected
+exception). Past verify's 2, commands raise: main
 alone turns a failure into its status and one ``error:`` line on stderr,
 never a traceback. A reader closing stdout early gets 0 and no stderr line;
 one closing stderr early, or a closed fd 2, changes no status. Wire positions are the ints 1..n, no bools.
@@ -17,10 +19,10 @@ import contextlib
 import gc
 import os
 import sys
-from typing import Sequence
+from itertools import chain, repeat
 
 from ._jsonout import _paired_runs, _sorted_runs, dict_pieces, dumps_indent2, format_int_runs
-from .cable import END_A, END_B, ProtocolError, _phases, _transcript_pieces, make_cable
+from .cable import ProtocolError, _phases, _transcript_pieces, make_cable
 from .matrices import format_degree_sequence
 from .partitions import (
     PARTITION_SCHEMA,
@@ -30,7 +32,6 @@ from .partitions import (
     _columns,
     _read_partition,
     _rows,
-    _sets,
     _verdict,
     max_elements,
     min_elements,
@@ -46,6 +47,8 @@ CONSTRUCTION_SCHEMA = "kg-construction/1"
 BOUNDS_SCHEMA = "kg-bounds/1"
 
 GRID, STRUCTURED = "grid", "structured"
+
+MAX_N = 10**6  # the largest n construct, simulate and verify take, so each bounds its work and memory
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,12 +95,15 @@ def _parens(size: int) -> str:
     return "(" + ",".join(["%d"] * size) + ")"
 
 
-def _fmt_sets(sets: Sequence[frozenset]) -> str:
-    return format_int_runs(_sorted_runs(sets), _braces, " ")
+def _capped(n: int) -> int:
+    """n, unless it exceeds MAX_N: then ValueError (exit 3), before anything of size n is built."""
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got n={n}")
+    return n
 
 
 def cmd_construct(args) -> int:
-    n = args.n
+    n = _capped(args.n)
     rep, matrix, cells = _checked_construction(n, args.m)
     # Both sides in canonical order, as the construction cut the labels (see partitions._checked_cells).
     labels = range(1, n + 1)
@@ -160,7 +166,7 @@ def cmd_verify(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
     n, a_sets, b_sets = _read_partition(text, (PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
-    order, problems = _verdict(n, a_sets, b_sets)
+    order, problems = _verdict(_capped(n), a_sets, b_sets)
     if problems:
         _print_error(*problems)
         return EXIT_INVALID
@@ -169,22 +175,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cable = make_cable(args.n, args.seed)  # rejects a bad seed before the construction runs
+    cable = make_cable(_capped(args.n), args.seed)  # rejects a bad seed before the construction runs
     rep, _, cells = _checked_construction(args.n, args.m)
-    # The construction vouches for its pair: run_protocol's check of it would repeat the construction's.
-    # End A joins its A-sets; end B assembles its own B-sets, so the construction's are not cut.
+    # The construction vouches for its pair: run_protocol's check of it would repeat the construction's. End A
+    # joins its A-sets (label x of row j in a set of j); end B assembles its own B-sets. No set is frozen.
     a_rows = _rows(range(1, args.n + 1), rep.t)
-    transcript = _phases(rep.m + 1, cells, _sets(a_rows), cable.wiring)
+    size_a = [0, *chain.from_iterable(map(repeat, range(1, rep.m + 1), rep.t))]
+    probe_1, b_groups, size_b, probe_2 = _phases(rep.m + 1, cells, size_a, cable.wiring)
+    b_rows = _sorted_runs(b_groups)
     if args.format == STRUCTURED:
-        sys.stdout.writelines(_transcript_pieces(transcript, a_rows))
+        sys.stdout.writelines(_transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2))
     else:
         print(f"n={args.n} m={rep.m} seed={args.seed}")
         print("phase1_plan:", format_int_runs(a_rows, _braces, " "))
-        print(f"phase1_probe: {format_degree_sequence(transcript.phase1_probe)}")
-        print(f"phase2_plan: {_fmt_sets(transcript.phase2_plan.groups)}")
-        print(f"phase2_probe: {format_degree_sequence(transcript.phase2_probe)}")
-        for end in (END_A, END_B):
-            print(f"coords_{end.lower()}:", format_int_runs(_paired_runs(*transcript._pairs(end)), _parens, " "))
+        print(f"phase1_probe: {format_degree_sequence(probe_1)}")
+        print("phase2_plan:", format_int_runs(b_rows, _braces, " "))
+        print(f"phase2_probe: {format_degree_sequence(probe_2)}")
+        print("coords_a:", format_int_runs(_paired_runs(size_a[1:], probe_2), _parens, " "))
+        print("coords_b:", format_int_runs(_paired_runs(probe_1, size_b[1:]), _parens, " "))
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from math import isqrt
 from operator import add, index, mod
-from typing import Collection, Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 from ._jsonout import IntRuns, _parts, dumps_indent2
 from .matrices import BinaryMatrix, ConstructionError, _unchecked, can_construct, construct_matrix
@@ -327,11 +327,14 @@ def _columns(cells: Iterable[int], width: int, labels: Iterable) -> IntRuns:
     return IntRuns(list(chain.from_iterable(per_column)), [(k, len(per_column[k]) // k) for k in range(1, width)])
 
 
+def _blocks(side: IntRuns) -> Iterator[Sequence]:
+    """The side's sets as slices of its labels, in its order. ValueError unless its runs take its labels exactly."""
+    return (part[i * size : (i + 1) * size] for size, count, part in _parts(side) for i in range(count))
+
+
 def _sets(side: IntRuns) -> tuple[frozenset, ...]:
-    """The side's sets as frozensets, in its order. ValueError unless its runs take its labels exactly."""
-    return tuple(
-        frozenset(part[i * size : (i + 1) * size]) for size, count, part in _parts(side) for i in range(count)
-    )
+    """The side's sets as frozensets, in its order (the _blocks, frozen)."""
+    return tuple(map(frozenset, _blocks(side)))
 
 
 def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgPartition:
@@ -387,7 +390,8 @@ class Construction:
 def _checked_construction(n: int, m: int | None) -> tuple[Representation, BinaryMatrix, list[int]]:
     """construct_trace's pipeline up to the sets, with no output check of its own: the
     representation, the matrix construct_matrix checked, and _checked_cells' row-major cell keys
-    for the labels 1..n. The CLI writes the sides _rows and _columns give from these and cuts no frozenset."""
+    for the labels 1..n. The CLI writes the sides _rows and _columns give from these and cuts no frozenset.
+    A ValueError from either call on represent's own t is the construction's fault: ConstructionError."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m is None:
@@ -396,8 +400,11 @@ def _checked_construction(n: int, m: int | None) -> tuple[Representation, Binary
             raise InfeasibleOrderError(n)
         m = orders[0]
     rep = represent(n, m)
-    matrix = construct_matrix(rep.t, rep.t)
-    return rep, matrix, _checked_cells(matrix, range(1, n + 1), rep.t, rep.t)  # construct_matrix checked the sums
+    try:
+        matrix = construct_matrix(rep.t, rep.t)
+        return rep, matrix, _checked_cells(matrix, range(1, n + 1), rep.t, rep.t)  # construct_matrix checked the sums
+    except ValueError as exc:
+        raise ConstructionError(str(exc)) from exc
 
 
 def construct_trace(n: int, m: int | None = None) -> Construction:

@@ -19,7 +19,7 @@ import wireid
 from conftest import flip_first_cell, flip_off_diagonal_cell, json_values, swap_first_and_last
 from oracles import transcript_from_json
 from wireid import cable, cli, matrices, partitions
-from wireid._jsonout import IntRuns, format_int_runs
+from wireid._jsonout import IntRuns, _sorted_runs, format_int_runs
 from wireid.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from wireid.matrices import format_degree_sequence
 
@@ -36,7 +36,7 @@ def run(capsys, *argv):
 def test_fmt_sets_matches_the_f_string_join(sets):
     sets = sorted(sets, key=len) if len(sets) % 2 else sets  # canonical runs and scattered sizes
     expected = " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
-    assert cli._fmt_sets(sets) == expected
+    assert format_int_runs(_sorted_runs(sets), cli._braces, " ") == expected
     rows = list(map(sorted, sets))
     runs = [(size, len(list(run))) for size, run in groupby(map(len, rows))]
     assert format_int_runs(IntRuns(list(chain.from_iterable(rows)), runs), cli._braces, " ") == expected
@@ -105,6 +105,11 @@ def simulate_stdout(n, m, seed, fmt):
     return out.getvalue()
 
 
+def braced(sets):
+    """The grid's sets, each as its ascending elements in braces."""
+    return " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
+
+
 def frozenset_rendering(n, m, fmt):
     """construct's stdout rendered from construct_trace's frozensets, each
     side sorted by size, then content, and each set ascending."""
@@ -119,7 +124,7 @@ def frozenset_rendering(n, m, fmt):
         return json.dumps(payload, indent=2) + "\n"
     return (
         f"n={n} m={m}\nt={format_degree_sequence(rep.t)}\ns={rep.s} k={rep.k}\nmatrix:\n{trace.matrix.to_text()}"
-        f"a_sets: {cli._fmt_sets(a_sets)}\nb_sets: {cli._fmt_sets(b_sets)}\n"
+        f"a_sets: {braced(a_sets)}\nb_sets: {braced(b_sets)}\n"
     )
 
 
@@ -128,16 +133,15 @@ def simulate_rendering(n, m, seed, fmt):
     transcript = cable.run_protocol(partitions.construct(n, m), cable.make_cable(n, seed))
     if fmt == "structured":
         return cable.transcript_to_json(transcript)
-    sets = [" ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in plan.groups)
-            for plan in (transcript.phase1_plan, transcript.phase2_plan)]
+    sets = [braced(plan.groups) for plan in (transcript.phase1_plan, transcript.phase2_plan)]
     probes = [format_degree_sequence(probe) for probe in (transcript.phase1_probe, transcript.phase2_probe)]
     coords = [" ".join(f"({j},{k})" for j, k in pairs) for pairs in (transcript.coords_a, transcript.coords_b)]
     return (f"n={n} m={m} seed={seed}\nphase1_plan: {sets[0]}\nphase1_probe: {probes[0]}\n"
             f"phase2_plan: {sets[1]}\nphase2_probe: {probes[1]}\ncoords_a: {coords[0]}\ncoords_b: {coords[1]}\n")
 
 
-def refuse(*args):
-    raise AssertionError("the construction's frozensets were cut")
+def refuse(*args, **kwargs):
+    raise AssertionError("a frozenset, plan or transcript was built")
 
 
 @pytest.mark.parametrize("fmt", ["grid", "structured"])
@@ -147,6 +151,7 @@ def test_the_cli_writes_the_public_bytes_without_cutting_the_constructions_froze
     constructs = [frozenset_rendering(n, m, fmt) for n, m in sizes]
     requests = [(n, m, seed) for n, m in sizes for seed in (0, 3)]
     simulations = [simulate_rendering(*request, fmt) for request in requests]
+    # No command builds a frozenset, a ConnectionPlan or a ProtocolTranscript (only run_protocol does), and
     # simulate forms one B side, end B's own: the construction's B side is never formed.
     columns, calls = partitions._columns, []
 
@@ -156,12 +161,12 @@ def test_the_cli_writes_the_public_bytes_without_cutting_the_constructions_froze
 
     for module in (partitions, cable, cli):
         monkeypatch.setattr(module, "_columns", counted)
+        for name in ("_sets", "frozenset", "ConnectionPlan", "ProtocolTranscript"):  # a builtin shadowed per module
+            monkeypatch.setattr(module, name, refuse, raising=False)
     for request, expected in zip(requests, simulations):
         calls.clear()
         assert simulate_stdout(*request, fmt) == expected, request
         assert len(calls) == 1, request
-    for module in (partitions, cable, cli):
-        monkeypatch.setattr(module, "_sets", refuse)
     for (n, m), expected in zip(sizes, constructs):
         assert construct_stdout(n, m, fmt) == expected, (n, m)
 
@@ -525,6 +530,51 @@ def test_nonpositive_sizes_exit_3(argv, capsys):
     assert "positive" in err
 
 
+class Reached(Exception):
+    """Raised in place of a step whose work grows with n (or with --m)."""
+
+
+def stop_at_the_work_of_size_n(monkeypatch):
+    def stopper(name):
+        def stop(*args):
+            raise Reached(name)
+        return stop
+
+    for module, name in ((cli, "make_cable"), (partitions, "feasible_orders"), (partitions, "represent"),
+                         (cli, "_verdict")):
+        monkeypatch.setattr(module, name, stopper(name))
+
+
+def document_of_size(n):
+    """A partition document for n, 70 bytes long for n = 10**7."""
+    return '{"schema":"kg-partition/1","n":%d,"a_sets":[[1]],"b_sets":[[1]]}' % n
+
+
+@pytest.mark.parametrize("n, argv", [
+    (10**12, ["construct", "--n", str(10**12)]),  # would allocate until killed
+    (10**24, ["construct", "--n", str(10**24), "--m", str(10**12)]),  # would hang in the O(m) max_elements
+    (10**7, ["simulate", "--n", str(10**7), "--seed", "1"]),  # make_cable would allocate 1..n first
+    (10**7, ["verify", "-"]),  # a 70-byte document
+])
+def test_n_above_max_n_exits_3_before_any_work_of_size_n(n, argv, capsys, monkeypatch):
+    stop_at_the_work_of_size_n(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(document_of_size(n)))
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: n must be at most 1000000, got n={n}\n")
+
+
+@pytest.mark.parametrize("argv, step", [
+    (["construct", "--n", "1000000"], "feasible_orders"),
+    (["construct", "--n", "1000000", "--m", "1413"], "represent"),
+    (["simulate", "--n", "1000000", "--seed", "1"], "make_cable"),
+    (["verify", "-"], "_verdict"),
+])
+def test_n_at_max_n_reaches_the_work(argv, step, capsys, monkeypatch):
+    assert cli.MAX_N == 10**6
+    stop_at_the_work_of_size_n(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(document_of_size(10**6)))
+    assert run(capsys, *argv) == (EXIT_INTERNAL, "", f"error: internal error: Reached: {step}\n")
+
+
 # ── internal check failures ──────────────────────────────────────────────
 
 def test_protocol_error_exits_4(capsys, monkeypatch):
@@ -575,15 +625,18 @@ def test_simulate_construction_error_exits_4(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["construct", "simulate"])
 @pytest.mark.parametrize("t, message", [
-    ((2, 3, 3), "error: row 2 has sum 3, not a multiple of 2\n"),  # t_2 not a multiple of 2
-    ((1, 2, 3), "error: need exactly 6 labels (one per 1-entry), got 8\n"),  # sums to 6, not n = 8
+    ((2, 3, 3), "error: internal check failed: row 2 has sum 3, not a multiple of 2\n"),  # t_2 not a multiple of 2
+    ((1, 2, 3), "error: internal check failed: need exactly 6 labels (one per 1-entry), got 8\n"),  # sums to 6, not 8
+    ((3, 0, 3), "error: internal check failed: sums are not constructible (need equal totals and, once sorted "
+                "nonincreasing, gap-free within [0, m]): r=3,0,3 c=3,0,3\n"),  # not gap-free
 ])
 def test_a_representation_the_construction_cannot_cut_is_rejected_through_main(command, t, message, capsys,
                                                                                monkeypatch):
-    # construct_matrix realizes both sums; the construction's own checks must reject them.
+    # The construction's own checks must reject them. The input n passed its checks, so the fault is
+    # the construction's own (represent's output here): an internal error, exit 4.
     rep = matrices._unchecked(partitions.Representation, m=3, t=t, s=0, k=1)
     monkeypatch.setattr(partitions, "represent", lambda n, m: rep)
-    assert run(capsys, command, "--n", "8") == (EXIT_USAGE, "", message)
+    assert run(capsys, command, "--n", "8") == (EXIT_INTERNAL, "", message)
 
 
 def test_construction_output_check_exits_4(capsys, monkeypatch):

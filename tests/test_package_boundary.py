@@ -71,7 +71,7 @@ ALLOWED_UNCHECKED = {
     ("partitions.represent", "Representation"): "_canonical is what __post_init__ compares with",
     ("partitions.construct_trace", "KgPartition"): "labels 1..n ascending cut both sides in canonical order",
     ("cable.make_cable", "CableInstance"): "a shuffle of range(1, n + 1) is a bijection",
-    ("cable._phases", "ConnectionPlan"): "a valid pair's canonical sides, each with its own groups' size map",
+    ("cable.run_protocol", "ConnectionPlan"): "a valid pair's canonical sides, each with its own groups' size map",
 }
 
 

@@ -10,7 +10,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import compress
+from itertools import chain, compress, repeat
 
 import pytest
 from hypothesis import given
@@ -26,12 +26,15 @@ from reference_protocol import (
     reference_transcript_to_json,
 )
 from wireid import cable as cable_module
-from wireid._jsonout import IntRuns, _paired_runs, dumps_indent2, format_int_runs
-from wireid.cable import ConnectionPlan, ProtocolError, _phases, make_cable, run_protocol, transcript_to_json
+from wireid._jsonout import IntRuns, _paired_runs, _sorted_runs, dumps_indent2, format_int_runs
+from wireid.cable import (
+    ConnectionPlan, ProtocolError, _phases, _transcript_pieces, make_cable, run_protocol, transcript_to_json,
+)
 from wireid.partitions import (
     KgPartition,
     _cell_keys,
     _checked_construction,
+    _rows,
     _sets,
     construct,
     construct_trace,
@@ -72,14 +75,19 @@ def test_protocol_and_json_match_reference_for_sampled_large_n():
 
 def assert_construction_fed_phases_match(n, m, seed):
     trace, cable = construct_trace(n, m), make_cable(n, seed)
-    _, _, cells = _checked_construction(n, m)
-    fed = _phases(m + 1, cells, trace.partition.a_sets, cable.wiring)
+    rep, _, cells = _checked_construction(n, m)
+    size_a = [0, *chain.from_iterable(map(repeat, range(1, m + 1), rep.t))]  # as `wireid simulate` builds it
+    probe_1, b_groups, size_b, probe_2 = _phases(m + 1, cells, size_a, cable.wiring)
     # The pair again through KgPartition's sort, which construct_trace skips.
     public = run_protocol(KgPartition(n, trace.partition.a_sets, trace.partition.b_sets), cable)
-    assert fed == public, (n, m, seed)
-    assert transcript_to_json(fed) == transcript_to_json(public), (n, m, seed)
-    for plan in (fed.phase1_plan, fed.phase2_plan):
-        assert plan._size_at == ConnectionPlan(plan.end, plan.groups)._size_at, (n, m, seed, plan.end)
+    assert probe_1 == public.phase1_probe, (n, m, seed)
+    assert all(isinstance(group, list) for group in b_groups), (n, m, seed)
+    assert tuple(map(frozenset, b_groups)) == public.phase2_plan.groups, (n, m, seed)
+    assert probe_2 == public.phase2_probe, (n, m, seed)
+    for size_at, plan in ((size_a, public.phase1_plan), (size_b, public.phase2_plan)):
+        assert size_at == plan._size_at == ConnectionPlan(plan.end, plan.groups)._size_at, (n, m, seed, plan.end)
+    pieces = _transcript_pieces(_rows(range(1, n + 1), rep.t), size_a, probe_1, _sorted_runs(b_groups), size_b, probe_2)
+    assert "".join(pieces) == transcript_to_json(public), (n, m, seed)
 
 
 def test_construction_fed_phases_match_run_protocol_through_n_300():
@@ -98,6 +106,38 @@ def test_construction_fed_phases_match_run_protocol_for_sampled_large_n():
             n += 1
         for seed in (0, 1, 7):
             assert_construction_fed_phases_match(n, feasible_orders(n)[0], seed)
+
+
+def relabelled(pair, rng):
+    """The pair with its labels permuted at random: still a valid pair, but its labels no longer
+    lie in row-major order, so end A's sets are not the construction's row-major side."""
+    labels = list(range(1, pair.n + 1))
+    rng.shuffle(labels)
+    a_sets, b_sets = ([frozenset(labels[x - 1] for x in s) for s in sets] for sets in (pair.a_sets, pair.b_sets))
+    return KgPartition(pair.n, a_sets, b_sets)
+
+
+def assert_protocol_matches_reference_on_relabelled_pairs(n, rng):
+    for m in feasible_orders(n):
+        for seed in (0, rng.randrange(1, 10_000)):
+            pair, cable = relabelled(construct(n, m), rng), make_cable(n, seed)
+            transcript, reference = run_protocol(pair, cable), reference_run_protocol(pair, cable)
+            assert transcript == reference, (n, m, seed)
+            assert (transcript.coords_a, transcript.coords_b) == reference_coordinates(reference), (n, m, seed)
+            assert transcript_to_json(transcript) == reference_transcript_to_json(reference), (n, m, seed)
+
+
+def test_protocol_matches_reference_on_relabelled_pairs_for_small_n():
+    rng = random.Random(23)
+    for n in range(1, 80):
+        assert_protocol_matches_reference_on_relabelled_pairs(n, rng)
+
+
+@pytest.mark.slow
+def test_protocol_matches_reference_on_relabelled_pairs_for_sampled_large_n():
+    rng = random.Random(2023)
+    for n in rng.sample(range(2_000, 6_001), 2):
+        assert_protocol_matches_reference_on_relabelled_pairs(n, rng)
 
 
 def test_invalid_pair_message_matches_reference():

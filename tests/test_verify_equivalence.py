@@ -247,7 +247,7 @@ def test_oracle_stays_independent_of_the_matrix_layer():
              partitions._side_sizes, partitions._size_of))
     )
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
-    matrix_layer = {"matrices", "_rows", "_sets", "_columns", "_checked_cells", "matrix_to_partition",
+    matrix_layer = {"matrices", "_rows", "_blocks", "_sets", "_columns", "_checked_cells", "matrix_to_partition",
                     "BinaryMatrix", "construct_matrix"}
     # The module name itself is listed: a call such as matrices.construct_matrix(...) shows up as its Name.
     assert all(any(hasattr(where, name) for where in (wireid, partitions, matrices)) for name in matrix_layer)
