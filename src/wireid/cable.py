@@ -132,7 +132,7 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
 
 
 def _readings(end: str, size_at: Sequence[int], wiring: tuple[int, ...]) -> tuple[int, ...]:
-    """probe at the end opposite a plan at end with the size map size_at, for a wiring already checked."""
+    """probe's readings opposite a plan at end whose size map is size_at, for a wiring already checked."""
     if end == END_A:  # B-position wiring[a-1] reads the size of a's group
         readings = [0] * (len(wiring) + 1)
         for b, size in zip(wiring, islice(size_at, 1, None)):
