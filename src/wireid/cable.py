@@ -257,13 +257,15 @@ def transcript_to_json(transcript: ProtocolTranscript) -> str:
     ends' coordinates, suitable for golden-file comparison."""
     a, b = transcript.phase1_plan, transcript.phase2_plan
     probe_1, probe_2 = transcript.phase1_probe, transcript.phase2_probe
-    return "".join(_transcript_pieces(a.groups, a._size_at, probe_1, b.groups, b._size_at, probe_2))
+    bound = max(map(len, chain(a.groups, b.groups)), default=0)  # every probe reading and coordinate is a group size
+    return "".join(_transcript_pieces(a.groups, a._size_at, probe_1, b.groups, b._size_at, probe_2, bound))
 
 
-def _transcript_pieces(rows_a: Sequence, size_a: Sequence[int], probe_1: Sequence[int],
-                       rows_b: Sequence, size_b: Sequence[int], probe_2: Sequence[int]) -> Iterator[str]:
+def _transcript_pieces(rows_a: Sequence, size_a: Sequence[int], probe_1: Sequence[int], rows_b: Sequence,
+                       size_b: Sequence[int], probe_2: Sequence[int], bound: int = -1) -> Iterator[str]:
     """transcript_to_json's document in pieces, holding at most one field's text. Each plan is its rows
-    (its groups in canonical order, as sets or as an IntRuns of their ascending elements) and size map."""
+    (its groups in canonical order, as sets or as an IntRuns of their ascending elements) and size map.
+    The probes and coordinates are written through format_int_runs' tables for the ints 0..bound."""
     payload = {
         "schema": TRANSCRIPT_SCHEMA,
         "phase1_plan": rows_a,
@@ -273,5 +275,6 @@ def _transcript_pieces(rows_a: Sequence, size_a: Sequence[int], probe_1: Sequenc
         "coords_a": _paired_runs(size_a[1:], probe_2),
         "coords_b": _paired_runs(probe_1, size_b[1:]),
     }
-    yield from dict_pieces(payload)
+    tabled = ("phase1_probe", "phase2_probe", "coords_a", "coords_b")
+    yield from dict_pieces(payload, bounds=dict.fromkeys(tabled, bound))
     yield "\n"

@@ -21,7 +21,7 @@ import os
 import sys
 from itertools import chain, repeat
 
-from ._jsonout import _paired_runs, _sorted_runs, dict_pieces, dumps_indent2, format_int_runs
+from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, dumps_indent2, format_int_runs
 from .cable import ProtocolError, _phases, _transcript_pieces, make_cable
 from .matrices import format_degree_sequence
 from .partitions import (
@@ -93,6 +93,10 @@ def _braces(size: int) -> str:
 
 def _parens(size: int) -> str:
     return "(" + ",".join(["%d"] * size) + ")"
+
+
+def _bare(size: int) -> str:
+    return ",".join(["%d"] * size)
 
 
 def _capped(n: int) -> int:
@@ -183,16 +187,17 @@ def cmd_simulate(args) -> int:
     size_a = [0, *chain.from_iterable(map(repeat, range(1, rep.m + 1), rep.t))]
     probe_1, b_groups, size_b, probe_2 = _phases(rep.m + 1, cells, size_a, cable.wiring)
     b_rows = _sorted_runs(b_groups)
+    # Probes and coordinates are set sizes, at most m: format_int_runs writes them through its tables.
     if args.format == STRUCTURED:
-        sys.stdout.writelines(_transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2))
+        sys.stdout.writelines(_transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2, rep.m))
     else:
         print(f"n={args.n} m={rep.m} seed={args.seed}")
         print("phase1_plan:", format_int_runs(a_rows, _braces, " "))
-        print(f"phase1_probe: {format_degree_sequence(probe_1)}")
+        print("phase1_probe:", format_int_runs(IntRuns(probe_1, [(args.n, 1)]), _bare, "", rep.m))
         print("phase2_plan:", format_int_runs(b_rows, _braces, " "))
-        print(f"phase2_probe: {format_degree_sequence(probe_2)}")
-        print("coords_a:", format_int_runs(_paired_runs(size_a[1:], probe_2), _parens, " "))
-        print("coords_b:", format_int_runs(_paired_runs(probe_1, size_b[1:]), _parens, " "))
+        print("phase2_probe:", format_int_runs(IntRuns(probe_2, [(args.n, 1)]), _bare, "", rep.m))
+        print("coords_a:", format_int_runs(_paired_runs(size_a[1:], probe_2), _parens, " ", rep.m))
+        print("coords_b:", format_int_runs(_paired_runs(probe_1, size_b[1:]), _parens, " ", rep.m))
     return EXIT_OK
 
 
