@@ -4,7 +4,8 @@ Exit statuses are stable: 0 success, 1 infeasible input, 2 verification
 failure, 3 parse or usage error (n above MAX_N = 10**6 included, in
 construct, simulate and verify), 4 internal error (an output check failed,
 the construction rejected its own representation, or any other unexpected
-exception). Past verify's 2, commands raise: main
+exception, a MemoryError below MAX_N included: ``error: internal error:
+MemoryError: ...``). Past verify's 2, commands raise: main
 alone turns a failure into its status and one ``error:`` line on stderr,
 never a traceback. A reader closing stdout early gets 0 and no stderr line;
 one closing stderr early, or a closed fd 2, changes no status. Wire positions are the ints 1..n, no bools.

@@ -5,14 +5,17 @@ length m prescribes the number of 1s in each row (or each column) of an
 m x m matrix. The central operation is :func:`construct_matrix`, which
 realizes, in the order given, any pair of degree sequences with equal
 totals whose nonincreasing sorts are gap-free (consecutive entries drop by
-at most 1). It works level by level on the sorted sums: peel off the first
-row and column, reduce the remaining sums, re-sort them (a swap of two
-adjacent runs), and repeat on the smaller square. Two index arrays map the
-shrinking square back to the input's rows and columns, so each level
-writes straight into the output: O(m^2) work and no recursion depth limit.
+at most 1). It works level by level on one sorted order of the sums, held
+in place: level s peels off row and column s, lowers the sums after them
+and restores the order by swapping two adjacent runs, then moves on to
+position s + 1. An index array maps each sorted position back to the
+input's row (column), so each level writes its row and then its column
+straight into the output: O(m^2) work and no recursion depth limit. Equal
+row and column sums share one order, peeled once per level; the column
+writes stay, so the symmetry check below still tests the construction.
 It cannot fail once :func:`can_construct` accepts the sorted input; that is
 checked once, on the output and one transpose (symmetry for equal sums, then
-both sums), and a failure raises ConstructionError.
+the sums), and a failure raises ConstructionError.
 
 Text format: a matrix serializes as m lines of m characters, ``'1'`` for a
 one and ``'.'`` for a zero, newline-terminated. Degree sequences serialize
@@ -22,7 +25,8 @@ as comma-separated integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import add
 from typing import Sequence
 
 DegreeSequence = tuple[int, ...]
@@ -117,15 +121,20 @@ def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
     first column carries 1s in rows 1..q (sharing the corner), so the
     remaining (m-1)-square must realize r' = (r2-1, ..., rq-1, r(q+1), ...,
     rm) and the mirror c'; stably re-sorted (a swap of two runs), those form
-    the next level. Two index arrays map each sorted position to its row and
-    column in the input, starting at the stable sort of the input, so every
-    level writes its row and column straight into the one m x m output:
-    O(m^2) work in all, no sub-matrix copy, no recursion depth limit. Rows
-    (columns) with equal sums take the sorted construction's rows (columns)
-    in input order, so sorted input gives the sorted construction itself.
-    Self-dual: equal inputs produce a symmetric matrix. After the last level,
-    the output and one transpose are checked (symmetry when r == c, then both
-    sums); a failure raises ConstructionError (the construction is at fault).
+    the next level. The sorted sums are one list per side, peeled in place:
+    level s works on positions s..m-1. An index array per side maps each
+    sorted position to its row (column) in the input, starting at the stable
+    sort of the input, so every level writes its row and then its column
+    straight into the one m x m output: O(m^2) work in all, no sub-matrix
+    copy, no recursion depth limit. When r == c the two sides share one list
+    and one index array, peeled once per level; the column writes are still
+    made, not mirrored from the rows. Rows (columns) with equal sums take the
+    sorted construction's rows (columns) in input order, so sorted input
+    gives the sorted construction itself. Self-dual: equal inputs produce a
+    symmetric matrix. After the last level, the output and one transpose are
+    checked: symmetry when r == c, then the row sums, and the column sums
+    when r != c (for r == c they are the row sums, once symmetry holds); a
+    failure raises ConstructionError (the construction is at fault).
     """
     r, c = tuple(r), tuple(c)
     sums = f"r={format_degree_sequence(r)} c={format_degree_sequence(c)}"
@@ -138,7 +147,8 @@ def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
     cols = tuple(zip(*rows))
     if r == c and rows != cols:
         raise ConstructionError(f"the constructed matrix for {sums} is not symmetric")
-    if tuple(map(sum, rows)) != r or tuple(map(sum, cols)) != c:
+    # Symmetric on equal sums, the column sums are the row sums.
+    if tuple(map(sum, rows)) != r or (r != c and tuple(map(sum, cols)) != c):
         raise ConstructionError(f"the constructed matrix does not realize {sums}")
     return _unchecked(BinaryMatrix, rows=rows)  # _construct writes only 0s and 1s into m lists of m
 
@@ -152,35 +162,47 @@ def _unchecked(cls: type, **attributes):
 
 
 def _construct(r: DegreeSequence, c: DegreeSequence) -> list[list[int]]:
-    """construct_matrix's level loop; _peel re-sorts each level's sums."""
+    """construct_matrix's level loop: level s works on positions s..m-1 of the
+    sorted sums, which _peel keeps in order in place. Equal sums share one order."""
     m = len(r)
     out = [[0] * m for _ in range(m)]
-    # Current position -> original row (column) of the output.
+    # Sorted position -> original row (column) of the output.
     r_cur, rows = _sort_descending(list(r), list(range(m)))
-    c_cur, cols = _sort_descending(list(c), list(range(m)))
-    # A zero first sum means the rest is zero too: equal totals force both.
-    while r_cur and r_cur[0]:
-        p, q = r_cur[0], c_cur[0]
-        top = out[rows[0]]
-        for k in range(p):
-            top[cols[k]] = 1
-        for j in range(1, q):
-            out[rows[j]][cols[0]] = 1
-        # Positions 2..q of r lose one to the first column (and 2..p of c
-        # to the first row).
-        r_cur, rows = _peel(r_cur, rows, q)
-        c_cur, cols = _peel(c_cur, cols, p)
+    c_cur, cols = (r_cur, rows) if r == c else _sort_descending(list(c), list(range(m)))
+    for s in range(m):
+        p, q = r_cur[s], c_cur[s]
+        if not p:  # a zero largest sum means the rest is zero too: equal totals force both
+            break
+        top = out[rows[s]]
+        for j in cols[s : s + p]:
+            top[j] = 1
+        col = cols[s]
+        for i in rows[s + 1 : s + q]:
+            out[i][col] = 1
+        # Positions s+1..s+q-1 of r lose one to the level's column (and of c
+        # to its row, s+1..s+p-1).
+        _peel(r_cur, rows, s, q)
+        if cols is not rows:
+            _peel(c_cur, cols, s, p)
     return out
 
 
-def _peel(values: list[int], origin: list[int], q: int) -> tuple[list[int], list[int]]:
-    """_sort_descending of values[1:q] less one each, then values[q:], with
-    origin[1:], for gap-free nonincreasing values: a swap of the head's last
-    run (from i) and the tail's run 1 above it (j long, often 0)."""
-    head, tail, origin = [v - 1 for v in values[1:q]], values[q:], origin[1:]
-    i, h, j = (head.index(head[-1]), len(head), tail.count(head[-1] + 1)) if head else (0, 0, 0)
-    values = head[:i] + tail[:j] + head[i:] + tail[j:]
-    return values, origin[:i] + origin[h : h + j] + origin[i:h] + origin[h + j :]
+def _peel(values: list[int], origin: list[int], s: int, q: int) -> None:
+    """Lower values[s+1:s+q] by one and put values[s+1:] back into stable
+    descending order in place, carrying origin along, for gap-free
+    nonincreasing values[s:]: a swap of the head's last run (low, from i)
+    and the tail's run at low + 1 (up to stop, often empty)."""
+    if q < 2:
+        return
+    end = s + q
+    values[s + 1 : end] = map(add, values[s + 1 : end], repeat(-1))
+    low = values[end - 1]
+    if end == len(values) or values[end] == low:
+        return
+    i = values.index(low, s + 1, end)
+    stop = len(values) if values[-1] > low else values.index(low, end)
+    values[i:stop] = values[end:stop] + values[i:end]
+    origin[i:stop] = origin[end:stop] + origin[i:end]
 
 
 def _sort_descending(values: list[int], origin: list[int]) -> tuple[list[int], list[int]]:

@@ -659,6 +659,17 @@ def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch):
     assert err == "error: internal error: KeyError: 'lost'\n"
 
 
+@pytest.mark.parametrize("argv", [["construct", "--n", "26"], ["simulate", "--n", "26", "--seed", "1"]])
+def test_memory_error_below_max_n_exits_4_with_one_line(argv, capsys, monkeypatch):
+    """Running out of memory below MAX_N is wireid's fault, not the input's: exit 4,
+    one line. The construction is made to raise, so nothing large is allocated."""
+    def exhausted(n, m):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(cli, "_checked_construction", exhausted)
+    assert run(capsys, *argv) == (EXIT_INTERNAL, "", "error: internal error: MemoryError: out of memory\n")
+
+
 # ── the exit table ───────────────────────────────────────────────────────
 
 def test_only_main_picks_a_failure_status():

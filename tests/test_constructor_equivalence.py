@@ -21,6 +21,7 @@ from reference_constructor import (
     reference_matrix_to_partition,
     reference_permute_to_sums,
 )
+from wireid import matrices
 from wireid.matrices import _peel, _sort_descending, construct_matrix
 from wireid.partitions import construct_trace, feasible_orders, matrix_to_partition, represent
 
@@ -117,12 +118,49 @@ def test_matrix_to_partition_sorts_labels_given_in_any_order():
 
 @given(st.integers(-2, 12), st.lists(st.booleans(), max_size=14), st.data())
 def test_peel_is_the_stable_sort_of_the_peeled_sums(start, drops, data):
-    """The block swap equals _sort_descending of the peeled sums on gap-free
-    nonincreasing sequences, for every valid q."""
+    """On gap-free nonincreasing values, _peel leaves positions up to s as they
+    were and leaves after them _sort_descending of the peeled sums, for every
+    valid s and q."""
     values = [start]
     for drop in drops:
         values.append(values[-1] - drop)
     origin = data.draw(st.permutations(range(len(values))))
-    for q in range(1, len(values) + 1):
-        expected = _sort_descending([v - 1 for v in values[1:q]] + values[q:], list(origin[1:]))
-        assert _peel(list(values), list(origin), q) == expected, (values, q)
+    for s in range(len(values)):
+        for q in range(1, len(values) - s + 1):
+            peeled, carried = list(values), list(origin)
+            _peel(peeled, carried, s, q)
+            expected = _sort_descending([v - 1 for v in values[s + 1 : s + q]] + values[s + q :], list(origin[s + 1 :]))
+            assert (peeled[: s + 1], carried[: s + 1]) == (values[: s + 1], list(origin[: s + 1])), (values, s, q)
+            assert (peeled[s + 1 :], carried[s + 1 :]) == expected, (values, s, q)
+
+
+@pytest.mark.parametrize("r, c, peels_per_level", [
+    (represent(26, 6).t, represent(26, 6).t, 1),
+    (represent(300, 20).t, represent(300, 20).t, 1),
+    ((1, 1, 1), (2, 1, 0), 2),
+    ((3, 2, 2, 1), (2, 2, 2, 2), 2),
+])
+def test_each_level_peels_once_per_distinct_order(r, c, peels_per_level, monkeypatch):
+    """Equal sums share one order, peeled once per level; unequal sums peel
+    rows and columns apart."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _peel(*args)
+
+    monkeypatch.setattr(matrices, "_peel", counted)
+    assert construct_matrix(r, c) == reference_in_order(r, c)
+    assert len(calls) == peels_per_level * levels(r, c)
+
+
+def levels(r, c):
+    """The levels of the construction: peel and re-sort until the largest row sum is 0."""
+    r, c = sorted(r, reverse=True), sorted(c, reverse=True)
+    count = 0
+    while r and r[0]:
+        p, q = r[0], c[0]
+        r = sorted([v - 1 for v in r[1:q]] + r[q:], reverse=True)
+        c = sorted([v - 1 for v in c[1:p]] + c[p:], reverse=True)
+        count += 1
+    return count
