@@ -1,82 +1,48 @@
-"""The indent-2 JSON layout of ``json.dumps(obj, indent=2)``, written directly.
+"""``json.dumps(obj, indent=2)``'s bytes for the package's documents, written directly.
 
-With ``indent`` set, CPython's ``json`` falls back to its pure-Python
-encoder, which yields every token from nested generators. The documents
-this package writes are mostly long lists of ints and of int rows. IntRuns
-is the one row form: a side of the pair, a list of int sets (as their
-ascending elements) and a list of coordinates (rows of two, from
-_paired_runs) are each rows cut from one flat list, and a flat int list is
-one row. One %-operation per run of equal-length rows writes the same bytes
-several times faster; a caller that knows its ints lie in 0..bound (set
-sizes, bounded by the order) has each value's text looked up in a table
-instead. A dict document can also be written one field at a time
-(``dict_pieces``), so that no whole-document string is built.
+With ``indent`` set, CPython's ``json`` falls back to its pure-Python encoder. Each document is a flat
+dict whose long fields are flat int lists (the probes) or IntRuns, the one row form: a side of the pair,
+int sets as their ascending elements (_sorted_runs) and coordinates (rows of two, _paired_runs) are rows
+cut from one flat list.
+One %-operation per run of equal-length rows writes them several times faster; ints a caller knows to
+lie in 0..bound (set sizes, bounded by the order) are looked up in a table instead. ``dict_pieces``
+writes a document one field at a time, as the caller says, without scanning a value's types.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, cycle, groupby
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 
 class IntRuns(NamedTuple):
     """Rows cut from one flat list, in order: each (size, count) of runs takes
-    count rows of size items (dumps_indent2 writes int rows as rows, and
-    partitions._sets cuts any labels into frozensets)."""
+    count rows of size items (dict_pieces writes a field's int rows from one,
+    and partitions._sets cuts any labels into frozensets)."""
     flat: Sequence
     runs: Sequence[tuple[int, int]]
 
 
-def dumps_indent2(obj) -> str:
-    """``json.dumps(obj, indent=2)`` with sets and frozensets written as
-    ascending lists. IntRuns (as their rows; a list of int sets is turned
-    into one first), non-empty dicts (dict_pieces) and non-empty lists and
-    tuples are written directly, int lists (as one row) and runs of
-    equal-size int rows by format_int_runs; anything else is
-    ``json.dumps``, re-indented (json escapes the newlines inside strings,
-    so each one it writes is a line break), with its TypeError for the rest.
-    """
-    return "".join(_pieces(obj, "\n", -1))
-
-
-def dict_pieces(obj: dict, newline: str = "\n", bounds: Mapping = {}) -> Iterator[str]:
-    """dumps_indent2 of a non-empty dict in pieces that join to it: each key
-    (as json.dumps writes it, TypeError included) with its separators, then
-    its value's pieces (see _pieces), then the closing brace. Writing them
-    one by one puts no more than one field's text in memory. The value of a
-    key in bounds is written with that bound (see format_int_runs)."""
-    inner = newline + "  "
-    opening = "{" + inner
+def dict_pieces(obj: dict, bounds: Mapping[str, int]) -> Iterator[str]:
+    """``json.dumps(obj, indent=2)`` of a non-empty dict with str keys, in pieces that join to it, no
+    more than one field's text at a time (a list's brackets apart from its body, so no body is copied).
+    An IntRuns value is written as its rows, with its key's bound if bounds has one; any other value
+    under a key in bounds is a flat list of ints (no bools: the caller vouches for it), one row through
+    the tables; anything else is ``json.dumps(value, indent=2)``, re-indented (json escapes the
+    newlines inside strings, so each one it writes is a line break)."""
+    opening = "{\n  "
     for key, value in obj.items():
-        key_text = json.dumps(key) if isinstance(key, str) else json.dumps({key: None})[1 : -len(": null}")]
-        yield opening + key_text + ": "
-        yield from _pieces(value, inner, bounds.get(key, -1))
-        opening = "," + inner
-    yield newline + "}"
-
-
-def _pieces(obj, newline: str, bound: int) -> Iterable[str]:
-    """dumps_indent2's text of obj, at the indentation of newline (the line break plus the indentation
-    of the enclosing level), in pieces: a list's brackets stay apart from its body, so no body is copied.
-    bound is format_int_runs' for obj's own ints, not for those of the lists or dicts it holds."""
-    inner = newline + "  "
-    if isinstance(obj, (set, frozenset)):  # so json.dumps below meets no set: containers recurse first
-        obj = sorted(obj)
-    kinds = set(map(type, obj)) if isinstance(obj, (list, tuple)) and not isinstance(obj, IntRuns) else set()
-    if kinds and kinds <= {set, frozenset} and set(map(type, chain.from_iterable(obj))) <= {int}:
-        obj = _sorted_runs(obj)  # not bools: %d would write True as 1
-    if isinstance(obj, IntRuns):
-        body = format_int_runs(obj, _row_template(inner), "," + inner, bound)
-    elif isinstance(obj, dict) and obj:
-        return dict_pieces(obj, newline)
-    elif not kinds:  # not a non-empty list or tuple
-        return (json.dumps(obj, indent=2).replace("\n", newline),)
-    elif kinds == {int}:  # one row at this level: the same bytes
-        return (format_int_runs(IntRuns(obj, [(len(obj), 1)]), _row_template(newline), "", bound),)
-    else:
-        body = ("," + inner).join("".join(_pieces(item, inner, -1)) for item in obj)
-    return ("[" + inner, body, newline + "]") if body else ("[]",)
+        yield opening + json.dumps(key) + ": "
+        if isinstance(value, IntRuns):
+            body = format_int_runs(value, _row_template("\n    "), ",\n    ", bounds.get(key, -1))
+            yield from ("[\n    ", body, "\n  ]") if body else ("[]",)
+        elif key in bounds:
+            yield format_int_runs(IntRuns(value, [(len(value), 1)]), _row_template("\n  "), "", bounds[key])
+        else:
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        opening = ",\n  "
+    yield "\n}"
 
 
 def _row_template(inner: str) -> Callable[[int], str]:

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import add, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._jsonout import _paired_runs, dict_pieces
+from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces
 from .matrices import _unchecked
 from .partitions import (
     KgPartition, _blocks, _canonical_order, _cell_keys, _columns, _side_sizes, _size_of, kg_violations,
@@ -42,6 +42,7 @@ END_A = "A"
 END_B = "B"
 
 TRANSCRIPT_SCHEMA = "cable-transcript/1"
+_TABLED = ("phase1_probe", "phase2_probe", "coords_a", "coords_b")  # the transcript's fields of set sizes
 
 
 class ProtocolError(RuntimeError):
@@ -258,14 +259,20 @@ def transcript_to_json(transcript: ProtocolTranscript) -> str:
     a, b = transcript.phase1_plan, transcript.phase2_plan
     probe_1, probe_2 = transcript.phase1_probe, transcript.phase2_probe
     bound = max(map(len, chain(a.groups, b.groups)), default=0)  # every probe reading and coordinate is a group size
-    return "".join(_transcript_pieces(a.groups, a._size_at, probe_1, b.groups, b._size_at, probe_2, bound))
+    bounds = {"coords_a": bound, "coords_b": bound}
+    for key, probe in (("phase1_probe", probe_1), ("phase2_probe", probe_2)):
+        if set(map(type, probe)) <= {int}:  # one built by hand may hold a bool, which json writes as true
+            bounds[key] = bound
+    rows_a, rows_b = _sorted_runs(a.groups), _sorted_runs(b.groups)
+    return "".join(_transcript_pieces(rows_a, a._size_at, probe_1, rows_b, b._size_at, probe_2, bounds))
 
 
-def _transcript_pieces(rows_a: Sequence, size_a: Sequence[int], probe_1: Sequence[int], rows_b: Sequence,
-                       size_b: Sequence[int], probe_2: Sequence[int], bound: int = -1) -> Iterator[str]:
+def _transcript_pieces(rows_a: IntRuns, size_a: Sequence[int], probe_1: Sequence[int], rows_b: IntRuns,
+                       size_b: Sequence[int], probe_2: Sequence[int], bounds: Mapping[str, int]) -> Iterator[str]:
     """transcript_to_json's document in pieces, holding at most one field's text. Each plan is its rows
-    (its groups in canonical order, as sets or as an IntRuns of their ascending elements) and size map.
-    The probes and coordinates are written through format_int_runs' tables for the ints 0..bound."""
+    (its groups in canonical order, as an IntRuns of their ascending elements) and size map. bounds is
+    dict_pieces': a probe under a key in it must hold ints alone, and the coordinates under a key in it
+    are written through format_int_runs' tables for the ints 0..bound."""
     payload = {
         "schema": TRANSCRIPT_SCHEMA,
         "phase1_plan": rows_a,
@@ -275,6 +282,5 @@ def _transcript_pieces(rows_a: Sequence, size_a: Sequence[int], probe_1: Sequenc
         "coords_a": _paired_runs(size_a[1:], probe_2),
         "coords_b": _paired_runs(probe_1, size_b[1:]),
     }
-    tabled = ("phase1_probe", "phase2_probe", "coords_a", "coords_b")
-    yield from dict_pieces(payload, bounds=dict.fromkeys(tabled, bound))
+    yield from dict_pieces(payload, bounds)
     yield "\n"

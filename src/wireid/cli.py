@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import json
 import os
 import sys
 from itertools import chain, repeat
 
-from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, dumps_indent2, format_int_runs
-from .cable import ProtocolError, _phases, _transcript_pieces, make_cable
+from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, format_int_runs
+from .cable import _TABLED, ProtocolError, _phases, _transcript_pieces, make_cable
 from .matrices import format_degree_sequence
 from .partitions import (
     PARTITION_SCHEMA,
@@ -125,7 +126,7 @@ def cmd_construct(args) -> int:
             "a_sets": a_rows,
             "b_sets": b_rows,
         }
-        sys.stdout.writelines(dict_pieces(payload))
+        sys.stdout.writelines(dict_pieces(payload, {}))
         sys.stdout.write("\n")
     else:
         print(f"n={n} m={rep.m}")
@@ -147,7 +148,7 @@ def cmd_bounds(args) -> int:
             "schema": BOUNDS_SCHEMA,
             "rows": [{"m": m, "min_n": lo, "max_n": hi} for m, lo, hi in rows],
         }
-        print(dumps_indent2(payload))
+        print(json.dumps(payload, indent=2))
     else:
         for m, lo, hi in rows:
             print(f"{m} {lo} {hi}")
@@ -190,7 +191,8 @@ def cmd_simulate(args) -> int:
     b_rows = _sorted_runs(b_groups)
     # Probes and coordinates are set sizes, at most m: format_int_runs writes them through its tables.
     if args.format == STRUCTURED:
-        sys.stdout.writelines(_transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2, rep.m))
+        bounds = dict.fromkeys(_TABLED, rep.m)
+        sys.stdout.writelines(_transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2, bounds))
     else:
         print(f"n={args.n} m={rep.m} seed={args.seed}")
         print("phase1_plan:", format_int_runs(a_rows, _braces, " "))

@@ -30,7 +30,7 @@ from math import isqrt
 from operator import add, index, mod
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
-from ._jsonout import IntRuns, _parts, dumps_indent2
+from ._jsonout import IntRuns, _parts, _sorted_runs, dict_pieces
 from .matrices import BinaryMatrix, ConstructionError, _unchecked, can_construct, construct_matrix
 
 PARTITION_SCHEMA = "kg-partition/1"
@@ -427,7 +427,8 @@ def construct(n: int, m: int | None = None) -> KgPartition:
 
 
 def partition_to_json(partition: KgPartition) -> str:
-    """Serialize an integer-labelled pair as a schema-tagged JSON document."""
+    """Serialize an integer-labelled pair as a schema-tagged JSON document: ``json.dumps(indent=2)``'s
+    bytes with each set as its ascending elements (_sorted_runs). A non-int or bool label: ValueError."""
     sets = partition.a_sets + partition.b_sets
     if not set(map(type, chain.from_iterable(sets))) <= {int}:  # else name the first non-int or bool
         for x in chain.from_iterable(sets):
@@ -436,10 +437,10 @@ def partition_to_json(partition: KgPartition) -> str:
     payload = {
         "schema": PARTITION_SCHEMA,
         "n": partition.n,
-        "a_sets": partition.a_sets,
-        "b_sets": partition.b_sets,
+        "a_sets": _sorted_runs(partition.a_sets),
+        "b_sets": _sorted_runs(partition.b_sets),
     }
-    return dumps_indent2(payload) + "\n"
+    return "".join(dict_pieces(payload, {})) + "\n"
 
 
 def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,)) -> KgPartition:

@@ -490,6 +490,7 @@ def test_simulate_checks_seed_before_constructing(capsys):
     ["construct", "--n", "1", "--format", "structured"],
     ["bounds", "--max-m", "3", "--format", "structured"],
     ["simulate", "--n", "26", "--seed", "7", "--format", "structured"],
+    ["bounds", "--max-m", "300", "--format", "structured"],
 ])
 def test_structured_output_is_json_dumps_indent_2(argv, capsys):
     code, out, _ = run(capsys, *argv)

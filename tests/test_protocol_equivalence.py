@@ -1,4 +1,4 @@
-"""The O(n) protocol run, its single validation pass and the indent-2 JSON
+"""The O(n) protocol run, its single validation pass and the document
 writer against the references they replace (tests/reference_protocol.py,
 kg_violations and json.dumps), and the phases fed by the construction (as
 `wireid simulate` runs them) against the public run_protocol."""
@@ -26,9 +26,9 @@ from reference_protocol import (
     reference_transcript_to_json,
 )
 from wireid import cable as cable_module
-from wireid._jsonout import IntRuns, _paired_runs, _sorted_runs, dumps_indent2, format_int_runs
+from wireid._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, format_int_runs
 from wireid.cable import (
-    ConnectionPlan, ProtocolError, _phases, _transcript_pieces, make_cable, run_protocol, transcript_to_json,
+    _TABLED, ConnectionPlan, ProtocolError, _phases, _transcript_pieces, make_cable, run_protocol, transcript_to_json,
 )
 from wireid.partitions import (
     KgPartition,
@@ -40,6 +40,7 @@ from wireid.partitions import (
     construct_trace,
     feasible_orders,
     kg_violations,
+    partition_to_json,
 )
 
 
@@ -86,7 +87,9 @@ def assert_construction_fed_phases_match(n, m, seed):
     assert probe_2 == public.phase2_probe, (n, m, seed)
     for size_at, plan in ((size_a, public.phase1_plan), (size_b, public.phase2_plan)):
         assert size_at == plan._size_at == ConnectionPlan(plan.end, plan.groups)._size_at, (n, m, seed, plan.end)
-    pieces = _transcript_pieces(_rows(range(1, n + 1), rep.t), size_a, probe_1, _sorted_runs(b_groups), size_b, probe_2)
+    # The document as `wireid simulate` writes it, with its bounds.
+    a_rows, b_rows, bounds = _rows(range(1, n + 1), rep.t), _sorted_runs(b_groups), dict.fromkeys(_TABLED, m)
+    pieces = _transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2, bounds)
     assert "".join(pieces) == transcript_to_json(public), (n, m, seed)
 
 
@@ -328,7 +331,7 @@ def test_coordinate_guard_survives_optimized_mode():
     assert result.stdout.startswith("coordinate mismatch at position")
 
 
-# ── the indent-2 writer against json.dumps ───────────────────────────────
+# ── the document writer against json.dumps ──────────────────────────────
 
 json_scalars = st.integers() | st.text() | st.booleans() | st.none() | st.floats()
 json_values = st.recursive(
@@ -338,28 +341,23 @@ json_values = st.recursive(
 )
 
 
-@given(json_values)
-def test_writer_matches_json_dumps(value):
-    assert dumps_indent2(value) == json.dumps(value, indent=2)
+def write(payload, bounds={}):
+    return "".join(dict_pieces(payload, bounds))
 
 
-@given(st.integers(0, 4).flatmap(
-    lambda width: st.lists(st.lists(st.integers(), min_size=width, max_size=width) | st.tuples(
-        *[st.integers()] * width
-    ))
-))
-def test_writer_matches_json_dumps_on_rows_of_ints(rows):
-    payload = {"rows": rows, "nested": [rows]}
-    assert dumps_indent2(payload) == json.dumps(payload, indent=2)
+@given(json_values, st.text())
+def test_writer_matches_json_dumps(value, key):
+    """A field that is not an IntRuns and has no bound is json's to write, at the field's indent."""
+    payload = {key: value, "after": [value]}
+    assert write(payload) == json.dumps(payload, indent=2)
 
 
 @given(st.lists(st.frozensets(st.integers()) | st.sets(st.integers(0, 9), max_size=3)))
 def test_writer_writes_sets_as_ascending_lists(sets):
-    union = set().union(*sets)
-    payload = {"sets": sets, "tuple": tuple(sets), "nested": [sets], "union": union}
-    as_lists = [sorted(s) for s in sets]
-    expected = {"sets": as_lists, "tuple": as_lists, "nested": [as_lists], "union": sorted(union)}
-    assert dumps_indent2(payload) == json.dumps(expected, indent=2)
+    """Sets reach the writer as _sorted_runs, as partition_to_json and transcript_to_json pass them."""
+    expected = {"sets": [sorted(s) for s in sets]}
+    assert write({"sets": _sorted_runs(sets)}) == json.dumps(expected, indent=2)
+    assert write({"sets": _sorted_runs(tuple(sets))}, {"sets": 9}) == json.dumps(expected, indent=2)
 
 
 int_rows = st.lists(
@@ -370,22 +368,39 @@ int_rows = st.lists(
 )
 
 
-@given(int_rows)
-def test_writer_matches_json_dumps_on_runs_of_mixed_int_rows(rows):
-    """Rows of every kind and mixed lengths, empty rows included, go through
-    the %-template runs; sets come out ascending."""
-    as_lists = [sorted(row) if isinstance(row, (set, frozenset)) else list(row) for row in rows]
-    payload = {"rows": rows, "nested": [rows, tuple(rows)]}
-    expected = {"rows": as_lists, "nested": [as_lists, as_lists]}
-    assert dumps_indent2(payload) == json.dumps(expected, indent=2)
+@given(int_rows, st.integers(-1, 3))
+def test_writer_matches_json_dumps_on_runs_of_mixed_int_rows(rows, bound):
+    """Rows of every kind and mixed lengths, empty rows included, go through the %-template runs or,
+    with a bound, the tables (values past it fall back); each comes out ascending."""
+    expected = {"rows": [sorted(row) for row in rows]}
+    assert write({"rows": _sorted_runs(rows)}, {"rows": bound}) == json.dumps(expected, indent=2)
+
+
+@given(st.integers(1, 400).filter(lambda n: feasible_orders(n)).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from(feasible_orders(n)), st.randoms(use_true_random=False))
+))
+def test_partition_json_is_json_dumps_of_plain_lists(case):
+    """The construction's pair, and a relabelled copy handed over in shuffled order, as documents."""
+    n, m, rng = case
+    pair = construct(n, m)
+    copy = relabelled(pair, rng)
+    a_sets, b_sets = list(copy.a_sets), list(copy.b_sets)
+    rng.shuffle(a_sets)
+    rng.shuffle(b_sets)
+    for partition in (pair, KgPartition(n, a_sets, b_sets)):
+        plain = {
+            "schema": "kg-partition/1",
+            "n": n,
+            "a_sets": [sorted(s) for s in partition.a_sets],
+            "b_sets": [sorted(s) for s in partition.b_sets],
+        }
+        assert partition_to_json(partition) == json.dumps(plain, indent=2) + "\n", (n, m)
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3) | st.integers(2**63, 2**64) | st.integers(), st.integers())))
 def test_writer_writes_int_pairs_as_rows_of_two(pairs):
     firsts, seconds = [a for a, _ in pairs], tuple(b for _, b in pairs)
-    payload = {"pairs": _paired_runs(firsts, seconds), "nested": [_paired_runs(firsts, seconds)]}
-    expected = {"pairs": pairs, "nested": [pairs]}
-    assert dumps_indent2(payload) == json.dumps(expected, indent=2)
+    assert write({"pairs": _paired_runs(firsts, seconds)}) == json.dumps({"pairs": pairs}, indent=2)
     grid = format_int_runs(_paired_runs(firsts, seconds), lambda size: "(%d,%d)", " ")
     assert grid == " ".join(f"({a},{b})" for a, b in pairs)
 
@@ -418,8 +433,7 @@ def test_int_runs_writer_writes_each_row_by_its_template(case):
         expected = sep.join(template(len(row)) % tuple(row) for row in rows)
         assert format_int_runs(IntRuns(flat, runs), template, sep) == expected
         assert format_int_runs(IntRuns(tuple(flat), tuple(runs)), template, sep) == expected
-    payload = {"rows": IntRuns(flat, runs), "nested": [IntRuns(flat, runs)]}
-    assert dumps_indent2(payload) == json.dumps({"rows": rows, "nested": [rows]}, indent=2)
+    assert write({"rows": IntRuns(flat, runs), "after": 1}) == json.dumps({"rows": rows, "after": 1}, indent=2)
 
 
 @pytest.mark.parametrize("flat, runs", [([1, 2, 3], [(1, 2)]), ([1], [(1, 2)]), ([], [(1, 1)]), ([1], [])])
@@ -431,37 +445,14 @@ def test_int_runs_writer_rejects_runs_that_miss_the_flat_list(flat, runs):
         _sets(IntRuns(flat, runs))
 
 
-@pytest.mark.parametrize("value", [b"ab", (x for x in (2, 1)), bytearray(b"ab")])
+@pytest.mark.parametrize("value", [b"ab", (x for x in (2, 1)), bytearray(b"ab"), {1}])
 def test_writer_raises_like_json_dumps_on_what_json_cannot_write(value):
-    # Only sets and frozensets are written as sorted lists.
-    for payload in ({"a": value}, [value]):
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            dumps_indent2(payload)
+    # Only what the caller passes as IntRuns is written as rows; json.dumps meets the rest.
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        write({"a": value})
 
 
 def test_writer_keeps_bools_off_the_row_template():
-    # %d would write True as 1; json writes true.
+    # %d would write True as 1; json writes true. Rows not passed as IntRuns are json's.
     rows = [[1, 2], [True, 0], (False,), [3]]
-    assert dumps_indent2(rows) == json.dumps(rows, indent=2)
-    assert dumps_indent2({"rows": [frozenset({True})]}) == json.dumps({"rows": [[True]]}, indent=2)
-
-
-json_keys = st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=3)
-
-
-@given(st.recursive(
-    json_scalars,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_keys, children, max_size=4),
-    max_leaves=20,
-))
-def test_writer_writes_non_str_keys_like_json_dumps(value):
-    assert dumps_indent2(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("key", [(1, 2), frozenset({1}), b"k"])
-def test_writer_raises_like_json_dumps_on_a_key_json_cannot_write(key):
-    for payload in ({key: 1}, {"a": {"b": 1, key: [2]}}):
-        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
-            json.dumps(payload, indent=2)
-        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
-            dumps_indent2(payload)
+    assert write({"rows": rows, "flat": [True, 0]}) == json.dumps({"rows": rows, "flat": [True, 0]}, indent=2)
