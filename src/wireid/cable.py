@@ -209,8 +209,8 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     disconnects, end B joins its B-sets, end A probes and learns each
     wire's column. Both ends' coordinates must agree through the hidden
     wiring and be unique; a failure would falsify the scheme itself, so it
-    raises ProtocolError instead of being returned as data. `wireid
-    simulate` runs the same phases on _checked_construction's cell keys.
+    raises ProtocolError instead of being returned as data. `wireid simulate`
+    runs the same phases on the cell keys of _checked_construction's rows.
     """
     if partition.n != cable.n:
         raise ValueError(f"partition covers {partition.n} elements but the cable has {cable.n} wires")

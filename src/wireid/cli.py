@@ -1,13 +1,13 @@
 """Command line front end: construct, bounds, verify, simulate.
 
 Exit statuses are stable: 0 success, 1 infeasible input, 2 verification
-failure, 3 parse or usage error (n above MAX_N = 10**6 included, in
-construct, simulate and verify), 4 internal error (an output check failed,
-the construction rejected its own representation, or any other unexpected
-exception, a MemoryError below MAX_N included: ``error: internal error:
-MemoryError: ...``). Past verify's 2, commands raise: main
-alone turns a failure into its status and one ``error:`` line on stderr,
-never a traceback. A reader closing stdout early gets 0 and no stderr line;
+failure, 3 parse or usage error (n above MAX_N = 10**6 in construct,
+simulate and verify, and bounds' --max-m above MAX_M = 1413, included), 4
+internal error (an output check failed, the construction rejected its own
+representation, or any other unexpected exception, a MemoryError below
+MAX_N included: ``error: internal error: MemoryError: ...``). Past verify's
+2, commands raise: main alone turns a failure into its status and one
+``error:`` line on stderr, never a traceback. A reader closing stdout early gets 0 and no stderr line;
 one closing stderr early, or a closed fd 2, changes no status. Wire positions are the ints 1..n, no bools.
 The cyclic garbage collector is off while a command runs (the pipeline
 builds no reference cycles) and then back in its caller's state.
@@ -25,13 +25,14 @@ from itertools import chain, repeat
 
 from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, format_int_runs
 from .cable import _TABLED, ProtocolError, _phases, _transcript_pieces, make_cable
-from .matrices import format_degree_sequence
+from .matrices import _text, format_degree_sequence
 from .partitions import (
     PARTITION_SCHEMA,
     ConstructionError,
     InfeasibleOrderError,
+    _checked_cells,
     _checked_construction,
-    _columns,
+    _grid_columns,
     _read_partition,
     _rows,
     _verdict,
@@ -51,6 +52,7 @@ BOUNDS_SCHEMA = "kg-bounds/1"
 GRID, STRUCTURED = "grid", "structured"
 
 MAX_N = 10**6  # the largest n construct, simulate and verify take, so each bounds its work and memory
+MAX_M = 1413  # the largest order of any n up to MAX_N, and the largest --max-m bounds takes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     construct.set_defaults(func=cmd_construct)
 
     bounds = sub.add_parser("bounds", help="feasible n range per order")
-    bounds.add_argument("--max-m", type=int, required=True, help="largest order to tabulate")
+    bounds.add_argument("--max-m", type=int, required=True, help=f"largest order to tabulate (at most {MAX_M})")
     bounds.add_argument("--format", choices=(GRID, STRUCTURED), default=GRID)
     bounds.set_defaults(func=cmd_bounds)
 
@@ -110,10 +112,9 @@ def _capped(n: int) -> int:
 
 def cmd_construct(args) -> int:
     n = _capped(args.n)
-    rep, matrix, cells = _checked_construction(n, args.m)
+    rep, rows, cols = _checked_construction(n, args.m)
     # Both sides in canonical order, as the construction cut the labels (see partitions._checked_cells).
-    labels = range(1, n + 1)
-    a_rows, b_rows = _rows(labels, rep.t), _columns(cells, rep.m + 1, labels)
+    a_rows, b_rows = _rows(range(1, n + 1), rep.t), _grid_columns(rows, cols, rep.t)
     if args.format == STRUCTURED:
         payload = {
             "schema": CONSTRUCTION_SCHEMA,
@@ -122,7 +123,7 @@ def cmd_construct(args) -> int:
             "t": rep.t,
             "s": rep.s,
             "k": rep.k,
-            "matrix": matrix.to_text().splitlines(),
+            "matrix": _text(rows).splitlines(),
             "a_sets": a_rows,
             "b_sets": b_rows,
         }
@@ -133,7 +134,7 @@ def cmd_construct(args) -> int:
         print(f"t={format_degree_sequence(rep.t)}")
         print(f"s={rep.s} k={rep.k}")
         print("matrix:")
-        sys.stdout.write(matrix.to_text())
+        sys.stdout.write(_text(rows))
         print("a_sets:", format_int_runs(a_rows, _braces, " "))
         print("b_sets:", format_int_runs(b_rows, _braces, " "))
     return EXIT_OK
@@ -142,6 +143,8 @@ def cmd_construct(args) -> int:
 def cmd_bounds(args) -> int:
     if args.max_m < 1:
         raise ValueError("--max-m must be at least 1")
+    if args.max_m > MAX_M:
+        raise ValueError(f"--max-m must be at most {MAX_M}, the largest order of any n up to {MAX_N}, got {args.max_m}")
     rows = [(m, min_elements(m), max_elements(m)) for m in range(1, args.max_m + 1)]
     if args.format == STRUCTURED:
         payload = {
@@ -182,10 +185,10 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cable = make_cable(_capped(args.n), args.seed)  # rejects a bad seed before the construction runs
-    rep, _, cells = _checked_construction(args.n, args.m)
+    rep, rows, _ = _checked_construction(args.n, args.m)
     # The construction vouches for its pair: run_protocol's check of it would repeat the construction's. End A
-    # joins its A-sets (label x of row j in a set of j); end B assembles its own B-sets. No set is frozen.
-    a_rows = _rows(range(1, args.n + 1), rep.t)
+    # joins its A-sets (label x of row j in a set of j); end B assembles its B-sets from the cells. No set is frozen.
+    a_rows, cells = _rows(range(1, args.n + 1), rep.t), _checked_cells(rows, range(1, args.n + 1), rep.t, rep.t)
     size_a = [0, *chain.from_iterable(map(repeat, range(1, rep.m + 1), rep.t))]
     probe_1, b_groups, size_b, probe_2 = _phases(rep.m + 1, cells, size_a, cable.wiring)
     b_rows = _sorted_runs(b_groups)

@@ -10,12 +10,12 @@ in place: level s peels off row and column s, lowers the sums after them
 and restores the order by swapping two adjacent runs, then moves on to
 position s + 1. An index array maps each sorted position back to the
 input's row (column), so each level writes its row and then its column
-straight into the output: O(m^2) work and no recursion depth limit. Equal
-row and column sums share one order, peeled once per level; the column
-writes stay, so the symmetry check below still tests the construction.
-It cannot fail once :func:`can_construct` accepts the sorted input; that is
-checked once, on the output and one transpose (symmetry for equal sums, then
-the sums), and a failure raises ConstructionError.
+straight into m ``bytearray`` rows: O(m^2) work, no recursion depth limit.
+Equal row and column sums share one order, peeled once per level; the
+column writes stay, so the symmetry check below still tests the
+construction. It cannot fail once :func:`can_construct` accepts the sorted
+input; that is checked once, on the byte rows and their strided transpose
+(symmetry for equal sums, then the sums); a failure raises ConstructionError.
 
 Text format: a matrix serializes as m lines of m characters, ``'1'`` for a
 one and ``'.'`` for a zero, newline-terminated. Degree sequences serialize
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 DegreeSequence = tuple[int, ...]
 
@@ -78,10 +78,14 @@ class BinaryMatrix:
     def to_text(self) -> str:
         """Render as m newline-terminated lines of '.'/'1' characters."""
         try:  # C speed for int and bool entries
-            grid = b"\n".join(map(bytes, self.rows))
+            return _text(map(bytes, self.rows))
         except TypeError:  # other entries equal to 0 or 1, such as 1.0
-            grid = b"\n".join(bytes(map(bool, row)) for row in self.rows)
-        return (grid + b"\n").translate(bytes.maketrans(b"\0\1", b".1")).decode()
+            return _text(bytes(map(bool, row)) for row in self.rows)
+
+
+def _text(rows: Iterable[bytes]) -> str:
+    """The text format of rows of 0 and 1 bytes, one line each."""
+    return (b"\n".join(rows) + b"\n").translate(bytes.maketrans(b"\0\1", b".1")).decode()
 
 
 def format_degree_sequence(seq: Sequence[int]) -> str:
@@ -131,26 +135,28 @@ def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
     made, not mirrored from the rows. Rows (columns) with equal sums take the
     sorted construction's rows (columns) in input order, so sorted input
     gives the sorted construction itself. Self-dual: equal inputs produce a
-    symmetric matrix. After the last level, the output and one transpose are
-    checked: symmetry when r == c, then the row sums, and the column sums
-    when r != c (for r == c they are the row sums, once symmetry holds); a
-    failure raises ConstructionError (the construction is at fault).
+    symmetric matrix. The rows are checked once, as bytes (see _checked_grid),
+    and a failure raises ConstructionError (the construction is at fault).
     """
-    r, c = tuple(r), tuple(c)
+    rows, _ = _checked_grid(tuple(r), tuple(c))
+    return _unchecked(BinaryMatrix, rows=tuple(map(tuple, rows)))  # checked byte rows: only 0s and 1s, m of m
+
+
+def _checked_grid(r: DegreeSequence, c: DegreeSequence) -> tuple[list[bytearray], list[bytes]]:
+    """construct_matrix's byte rows and their columns, sliced from the flat grid. ValueError if can_construct
+    rejects the sorted sums; ConstructionError unless rows == cols for r == c, then unless they realize r and c."""
     sums = f"r={format_degree_sequence(r)} c={format_degree_sequence(c)}"
     if not can_construct(sorted(r, reverse=True), sorted(c, reverse=True)):
-        raise ValueError(
-            f"sums are not constructible (need equal totals and, once sorted nonincreasing, gap-free "
-            f"within [0, m]): {sums}"
-        )
-    rows = tuple(map(tuple, _construct(r, c)))
-    cols = tuple(zip(*rows))
+        raise ValueError("sums are not constructible (need equal totals and, once sorted nonincreasing, "
+                         f"gap-free within [0, m]): {sums}")
+    rows = _construct(r, c)
+    m, flat = len(rows), b"".join(rows)
+    cols = [flat[k::m] for k in range(m)]
     if r == c and rows != cols:
         raise ConstructionError(f"the constructed matrix for {sums} is not symmetric")
-    # Symmetric on equal sums, the column sums are the row sums.
-    if tuple(map(sum, rows)) != r or (r != c and tuple(map(sum, cols)) != c):
+    if tuple(row.count(1) for row in rows) != r or (r != c and tuple(col.count(1) for col in cols) != c):
         raise ConstructionError(f"the constructed matrix does not realize {sums}")
-    return _unchecked(BinaryMatrix, rows=rows)  # _construct writes only 0s and 1s into m lists of m
+    return rows, cols
 
 
 def _unchecked(cls: type, **attributes):
@@ -161,11 +167,11 @@ def _unchecked(cls: type, **attributes):
     return instance
 
 
-def _construct(r: DegreeSequence, c: DegreeSequence) -> list[list[int]]:
-    """construct_matrix's level loop: level s works on positions s..m-1 of the
-    sorted sums, which _peel keeps in order in place. Equal sums share one order."""
+def _construct(r: DegreeSequence, c: DegreeSequence) -> list[bytearray]:
+    """construct_matrix's level loop, into m bytearray rows: level s works on positions
+    s..m-1 of the sorted sums, which _peel keeps in order in place. Equal sums share one order."""
     m = len(r)
-    out = [[0] * m for _ in range(m)]
+    out = [bytearray(m) for _ in range(m)]
     # Sorted position -> original row (column) of the output.
     r_cur, rows = _sort_descending(list(r), list(range(m)))
     c_cur, cols = (r_cur, rows) if r == c else _sort_descending(list(c), list(range(m)))

@@ -25,13 +25,13 @@ import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import isqrt
 from operator import add, index, mod
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 from ._jsonout import IntRuns, _parts, _sorted_runs, dict_pieces
-from .matrices import BinaryMatrix, ConstructionError, _unchecked, can_construct, construct_matrix
+from .matrices import BinaryMatrix, ConstructionError, _checked_grid, _unchecked, can_construct
 
 PARTITION_SCHEMA = "kg-partition/1"
 
@@ -125,7 +125,7 @@ def represent(n: int, m: int) -> Representation:
     ends exactly at the triangular case t_j = j (s = 0).
     """
     t, s, k = _canonical(n, m)
-    # __post_init__ compares with _canonical, and construct_matrix checks gap-freeness itself.
+    # __post_init__ compares with _canonical, and the construction checks gap-freeness itself.
     return _unchecked(Representation, m=m, t=t, s=s, k=k)
 
 
@@ -314,6 +314,13 @@ def _rows(labels: Sequence, r: Sequence[int]) -> IntRuns:
     return IntRuns(labels, [(j, r_j // j) for j, r_j in enumerate(r, start=1)])
 
 
+def _grid_columns(rows: Sequence[bytes], cols: Sequence[bytes], c: Sequence[int]) -> IntRuns:
+    """_columns(_checked_cells(rows, labels, r, c), m + 1, labels) for the labels 1..n, read off byte rows, their
+    columns and column sums c: a 1-cell's label is its row-major rank, the running count of 1s at it."""
+    m, prefix = len(rows), list(accumulate(b"".join(rows)))
+    return _rows(list(chain.from_iterable(map(compress, (prefix[k::m] for k in range(m)), cols))), c)
+
+
 def _columns(cells: Iterable[int], width: int, labels: Iterable) -> IntRuns:
     """The B side: each column's labels, rows ascending, columns ascending, column k's in sets of k.
 
@@ -348,34 +355,34 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     """
     labels = tuple(labels)
     r = matrix.row_sums()
-    cells = _checked_cells(matrix, labels, r, matrix.col_sums())
+    cells = _checked_cells(matrix.rows, labels, r, matrix.col_sums())
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     return KgPartition(len(labels), _sets(_rows(labels, r)), _sets(_columns(cells, matrix.m + 1, labels)))
 
 
-def _checked_cells(matrix: BinaryMatrix, labels: Sequence, r: Sequence[int], c: Sequence[int]) -> list[int]:
-    """The checks matrix_to_partition and _checked_construction share, and the row-major keys
-    j * (m + 1) + k of the matrix's 1-cells (j, k), to which the labels attach in order; r and c
-    are the matrix's row and column sums. The checks find each sum a multiple of its index and one
-    label per 1-cell, so _rows(labels, r) and _columns(keys, m + 1, labels) cut whole sets.
+def _checked_cells(rows: Sequence[Sequence[int]], labels: Sequence, r: Sequence[int], c: Sequence[int]) -> list[int]:
+    """_check_cuts for the labels on m rows of 0s and 1s (int tuples or bytes) whose row and column sums are r
+    and c, and the row-major keys j * (m + 1) + k of their 1-cells (j, k), by one compress per row. For ascending
+    labels the cut order is canonical: row j and column j each hold their labels ascending and cut into all the
+    sets of size j, so the sets come by size, and those of one size are disjoint runs of ascending labels that
+    start ascending. _rows and _columns (or _grid_columns, for 1..n) then give the two sides in canonical order."""
+    _check_cuts(r, c, len(labels))
+    width = len(rows) + 1
+    row_cells = (compress(range(j * width + 1, (j + 1) * width), row) for j, row in enumerate(rows, start=1))
+    return list(chain.from_iterable(row_cells))
 
-    For ascending labels the cut order is canonical: row j and column j each hold their
-    labels ascending and cut into all the sets of size j, so the sets come by size, and those
-    of one size are disjoint runs of ascending labels that start ascending. _rows and
-    _columns then give the two sides in canonical order."""
-    m = matrix.m
-    for j in range(1, m + 1):
+
+def _check_cuts(r: Sequence[int], c: Sequence[int], count: int) -> None:
+    """The checks matrix_to_partition and _checked_construction share, on a grid's row and column sums
+    and label count: each sum a multiple of its index and one label per 1-cell, so the sides cut whole sets."""
+    for j in range(1, len(r) + 1):
         if r[j - 1] % j:
             raise ValueError(f"row {j} has sum {r[j - 1]}, not a multiple of {j}")
         if c[j - 1] % j:
             raise ValueError(f"column {j} has sum {c[j - 1]}, not a multiple of {j}")
-    total = sum(r)
-    if len(labels) != total:
-        raise ValueError(f"need exactly {total} labels (one per 1-entry), got {len(labels)}")
-    width = m + 1
-    row_cells = (compress(range(j * width + 1, (j + 1) * width), row) for j, row in enumerate(matrix.rows, start=1))
-    return list(chain.from_iterable(row_cells))
+    if count != sum(r):
+        raise ValueError(f"need exactly {sum(r)} labels (one per 1-entry), got {count}")
 
 
 @dataclass(frozen=True)
@@ -387,11 +394,10 @@ class Construction:
     partition: KgPartition
 
 
-def _checked_construction(n: int, m: int | None) -> tuple[Representation, BinaryMatrix, list[int]]:
-    """construct_trace's pipeline up to the sets, with no output check of its own: the
-    representation, the matrix construct_matrix checked, and _checked_cells' row-major cell keys
-    for the labels 1..n. The CLI writes the sides _rows and _columns give from these and cuts no frozenset.
-    A ValueError from either call on represent's own t is the construction's fault: ConstructionError."""
+def _checked_construction(n: int, m: int | None) -> tuple[Representation, list[bytearray], list[bytes]]:
+    """construct_trace's pipeline up to the sets, with no check of its own: the representation and the byte
+    rows and columns _checked_grid checked, whose cuts for the labels 1..n _check_cuts checked. It builds no
+    cell key, int tuple or frozenset. A ValueError from either call on represent's t: ConstructionError."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m is None:
@@ -401,10 +407,11 @@ def _checked_construction(n: int, m: int | None) -> tuple[Representation, Binary
         m = orders[0]
     rep = represent(n, m)
     try:
-        matrix = construct_matrix(rep.t, rep.t)
-        return rep, matrix, _checked_cells(matrix, range(1, n + 1), rep.t, rep.t)  # construct_matrix checked the sums
+        rows, cols = _checked_grid(rep.t, rep.t)
+        _check_cuts(rep.t, rep.t, n)  # _checked_grid checked the sums
     except ValueError as exc:
         raise ConstructionError(str(exc)) from exc
+    return rep, rows, cols
 
 
 def construct_trace(n: int, m: int | None = None) -> Construction:
@@ -412,13 +419,12 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
 
     With m omitted, the smallest feasible order is used. Pipeline:
     represent(n, m); realize t as both row and column sums, in t order
-    (construct_matrix checks symmetry); chunk into sets with labels 1..n.
+    (the construction checks symmetry); chunk into sets with labels 1..n.
     """
-    rep, matrix, cells = _checked_construction(n, m)
-    labels = range(1, n + 1)
-    a_sets, b_sets = _sets(_rows(labels, rep.t)), _sets(_columns(cells, rep.m + 1, labels))
+    rep, rows, cols = _checked_construction(n, m)
+    a_sets, b_sets = _sets(_rows(range(1, n + 1), rep.t)), _sets(_grid_columns(rows, cols, rep.t))
     partition = _unchecked(KgPartition, n=n, a_sets=a_sets, b_sets=b_sets)  # canonical order already
-    return Construction(rep, matrix, partition)
+    return Construction(rep, _unchecked(BinaryMatrix, rows=tuple(map(tuple, rows))), partition)  # checked byte rows
 
 
 def construct(n: int, m: int | None = None) -> KgPartition:

@@ -76,6 +76,17 @@ def test_bounds_rejects_nonpositive(capsys):
     assert "max-m" in err
 
 
+def test_bounds_takes_max_m_up_to_the_largest_order_of_any_n_up_to_max_n(capsys):
+    assert cli.MAX_M == partitions.feasible_orders(cli.MAX_N)[-1] == 1413
+    code, out, err = run(capsys, "bounds", "--max-m", "1413")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == f"1413 {partitions.min_elements(1413)} {partitions.max_elements(1413)}"
+    for max_m in ("1414", str(10**12)):
+        for fmt in ("grid", "structured"):
+            message = f"error: --max-m must be at most 1413, the largest order of any n up to 1000000, got {max_m}\n"
+            assert run(capsys, "bounds", "--max-m", max_m, "--format", fmt) == (EXIT_USAGE, "", message)
+
+
 # ── construct ────────────────────────────────────────────────────────────
 
 def test_construct_worked_example(capsys):
@@ -151,24 +162,31 @@ def test_the_cli_writes_the_public_bytes_without_cutting_the_constructions_froze
     constructs = [frozenset_rendering(n, m, fmt) for n, m in sizes]
     requests = [(n, m, seed) for n, m in sizes for seed in (0, 3)]
     simulations = [simulate_rendering(*request, fmt) for request in requests]
-    # No command builds a frozenset, a ConnectionPlan or a ProtocolTranscript (only run_protocol does), and
-    # simulate forms one B side, end B's own: the construction's B side is never formed.
-    columns, calls = partitions._columns, []
+    # No command builds a frozenset, a ConnectionPlan or a ProtocolTranscript (only run_protocol does).
+    # simulate forms one B side, end B's own by _columns: the construction's B side is never formed.
+    # construct reads its B side off the byte grid by _grid_columns alone.
+    calls, functions = [], {name: getattr(partitions, name) for name in ("_columns", "_grid_columns")}
 
-    def counted(*args):
-        calls.append(args)
-        return columns(*args)
+    def counted(name):
+        def wrapper(*args):
+            calls.append(name)
+            return functions[name](*args)
+        return wrapper
 
+    for module, name in ((partitions, "_columns"), (cable, "_columns"), (partitions, "_grid_columns"),
+                         (cli, "_grid_columns")):
+        monkeypatch.setattr(module, name, counted(name))
     for module in (partitions, cable, cli):
-        monkeypatch.setattr(module, "_columns", counted)
         for name in ("_sets", "frozenset", "ConnectionPlan", "ProtocolTranscript"):  # a builtin shadowed per module
             monkeypatch.setattr(module, name, refuse, raising=False)
     for request, expected in zip(requests, simulations):
         calls.clear()
         assert simulate_stdout(*request, fmt) == expected, request
-        assert len(calls) == 1, request
+        assert calls == ["_columns"], request
     for (n, m), expected in zip(sizes, constructs):
+        calls.clear()
         assert construct_stdout(n, m, fmt) == expected, (n, m)
+        assert calls == ["_grid_columns"], (n, m)
 
 
 @pytest.mark.slow
@@ -708,7 +726,7 @@ def run_and_close_early(argv, stream):
 @pytest.mark.parametrize("argv", [
     ["construct", "--n", "100000"],  # print
     ["simulate", "--n", "50000", "--format", "structured"],  # one sys.stdout.write
-    ["bounds", "--max-m", "3000"],  # one print per row
+    ["bounds", "--max-m", "1413", "--format", "structured"],  # one print of 104,073 bytes, more than a pipe holds
 ])
 def test_a_reader_closing_stdout_early_gets_exit_0_and_no_stderr(argv):
     assert run_and_close_early(argv, "stdout") == (EXIT_OK, b"")

@@ -173,16 +173,21 @@ def test_construct_checks_symmetry_on_equal_sums_first(monkeypatch):
 
 
 def test_construction_is_checked_on_one_transpose_and_no_entry_walk(monkeypatch):
-    # The CLI's construct path: construct_matrix checks its own output on one transpose
-    # and skips BinaryMatrix's entry check; partitions checks the matrix no further.
+    # The CLI's construct path: _checked_grid checks the byte rows on their one strided transpose,
+    # with no int-tuple transpose (zip), and builds no BinaryMatrix; partitions checks the grid no further.
     calls = []
-    monkeypatch.setattr(matrices, "zip", lambda *args: calls.append("zip") or zip(*args), raising=False)
-    monkeypatch.setattr(partitions, "zip", lambda *args: calls.append("zip") or zip(*args), raising=False)
+    for module in (matrices, partitions):
+        monkeypatch.setattr(module, "zip", lambda *args: calls.append("zip") or zip(*args), raising=False)
+    checked_grid, unchecked = matrices._checked_grid, partitions._unchecked
+    monkeypatch.setattr(partitions, "_checked_grid", lambda r, c: calls.append("grid") or checked_grid(r, c))
+    monkeypatch.setattr(partitions, "_unchecked", lambda cls, **kw: calls.append(cls.__name__) or unchecked(cls, **kw))
     post_init = BinaryMatrix.__post_init__
     monkeypatch.setattr(BinaryMatrix, "__post_init__", lambda self: calls.append("check") or post_init(self))
-    rep, matrix, _ = partitions._checked_construction(26, None)
-    assert calls == ["zip"]
-    assert matrix == BinaryMatrix(matrix.rows) and matrix.row_sums() == matrix.col_sums() == rep.t
+    rep, rows, cols = partitions._checked_construction(26, None)
+    assert calls == ["Representation", "grid"]
+    assert all(type(row) is bytearray for row in rows) and cols == list(map(bytes, zip(*rows)))
+    matrix = BinaryMatrix(tuple(map(tuple, rows)))
+    assert matrix == construct_matrix(rep.t, rep.t) and matrix.row_sums() == matrix.col_sums() == rep.t
 
 
 def test_output_check_survives_optimized_mode():

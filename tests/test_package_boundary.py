@@ -67,7 +67,8 @@ ALLOWED_ASSERTS: set[str] = set()
 # skipped __post_init__ could not fail there.
 ALLOWED_UNCHECKED = {
     ("matrices.BinaryMatrix.transpose", "BinaryMatrix"): "the transpose of a checked matrix",
-    ("matrices.construct_matrix", "BinaryMatrix"): "_construct writes only 0s and 1s into m lists of m",
+    ("matrices.construct_matrix", "BinaryMatrix"): "_construct writes only 0s and 1s into m bytearrays of m",
+    ("partitions.construct_trace", "BinaryMatrix"): "_construct's rows, as in construct_matrix",
     ("partitions.represent", "Representation"): "_canonical is what __post_init__ compares with",
     ("partitions.construct_trace", "KgPartition"): "labels 1..n ascending cut both sides in canonical order",
     ("cable.make_cable", "CableInstance"): "a shuffle of range(1, n + 1) is a bijection",

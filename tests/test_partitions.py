@@ -1,4 +1,5 @@
 import enum
+import functools
 import itertools
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import A_SETS_26, B_SETS_26, LETTERS, flip_off_diagonal_cell
 from oracles import gale_ryser_feasible, partition_to_matrix
 from reference_constructor import reference_canonical_order
-from wireid.matrices import BinaryMatrix
+from wireid.matrices import BinaryMatrix, can_construct, construct_matrix
 import wireid
 from wireid import matrices, partitions
 from wireid.partitions import (
@@ -186,7 +187,7 @@ def test_matrix_to_partition_checks_divisibility_then_count_then_distinctness():
     with pytest.raises(ValueError, match="need exactly 3 labels"):
         matrix_to_partition(BinaryMatrix(((0, 1), (1, 1))), [1, 1])
     # The distinctness check is matrix_to_partition's own: the shared checks take repeated labels.
-    assert partitions._checked_cells(BinaryMatrix(((0, 1), (1, 1))), [1, 1, 1], [1, 2], [1, 2]) == [5, 7, 8]
+    assert partitions._checked_cells(((0, 1), (1, 1)), [1, 1, 1], [1, 2], [1, 2]) == [5, 7, 8]
 
 
 def test_partition_to_matrix_round_trip_trivial():
@@ -345,6 +346,45 @@ def test_round_trip_preserves_size_multisets():
         assert not kg_violations(again)
         assert sorted(map(len, again.a_sets)) == sorted(map(len, pair.a_sets))
         assert sorted(map(len, again.b_sets)) == sorted(map(len, pair.b_sets))
+
+
+@functools.cache
+def divisible_gapfree_sums(m):
+    """Every length-m sequence with each t_j a multiple of j in [0, m] and a gap-free nonincreasing sort
+    (so construct_matrix realizes it and its lines cut whole sets), grouped by total."""
+    by_total = {}
+    for t in itertools.product(*(range(0, m + 1, j) for j in range(1, m + 1))):
+        ordered = sorted(t, reverse=True)
+        if can_construct(ordered, ordered):
+            by_total.setdefault(sum(t), []).append(t)
+    return by_total
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_the_grid_read_of_the_b_side_is_the_cell_key_read(data):
+    # Any two such sums with one total, r != c included: the B side read off the byte grid equals the
+    # one _columns queues from matrix_to_partition's cell keys, for the labels 1..n.
+    m = data.draw(st.integers(1, 7))
+    by_total = divisible_gapfree_sums(m)
+    sums = by_total[data.draw(st.sampled_from(sorted(by_total)))]
+    r, c = data.draw(st.sampled_from(sums)), data.draw(st.sampled_from(sums))
+    matrix = construct_matrix(r, c)
+    rows, cols = matrices._checked_grid(r, c)
+    assert tuple(map(tuple, rows)) == matrix.rows and cols == list(map(bytes, zip(*matrix.rows)))
+    labels = range(1, sum(r) + 1)
+    cells = partitions._checked_cells(matrix.rows, labels, r, c)
+    assert partitions._grid_columns(rows, cols, c) == partitions._columns(cells, m + 1, labels), (r, c)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, m, order", [(823_081, None, 1000), (1_000_000, 1413, 1413)])
+def test_large_constructions_read_their_b_side_as_matrix_to_partition_does(n, m, order):
+    # construct_trace reads its B side off the byte grid; matrix_to_partition queues its own from the
+    # cell keys of the int matrix and sorts both sides.
+    trace = construct_trace(n, m)
+    assert trace.matrix.m == trace.partition.order == order
+    assert trace.partition == matrix_to_partition(trace.matrix, range(1, n + 1))
 
 
 @given(st.integers(1, 200).filter(lambda n: n not in (2, 5, 9)))

@@ -33,6 +33,7 @@ from wireid.cable import (
 from wireid.partitions import (
     KgPartition,
     _cell_keys,
+    _checked_cells,
     _checked_construction,
     _rows,
     _sets,
@@ -76,7 +77,8 @@ def test_protocol_and_json_match_reference_for_sampled_large_n():
 
 def assert_construction_fed_phases_match(n, m, seed):
     trace, cable = construct_trace(n, m), make_cable(n, seed)
-    rep, _, cells = _checked_construction(n, m)
+    rep, rows, _ = _checked_construction(n, m)
+    cells = _checked_cells(rows, range(1, n + 1), rep.t, rep.t)  # as `wireid simulate` takes them
     size_a = [0, *chain.from_iterable(map(repeat, range(1, m + 1), rep.t))]  # as `wireid simulate` builds it
     probe_1, b_groups, size_b, probe_2 = _phases(m + 1, cells, size_a, cable.wiring)
     # The pair again through KgPartition's sort, which construct_trace skips.
