@@ -25,7 +25,6 @@ twin, and make_cable rejects it instead.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -35,7 +34,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces
 from .matrices import _unchecked
 from .partitions import (
-    KgPartition, _blocks, _canonical_order, _cell_keys, _columns, _side_sizes, _size_of, kg_violations,
+    KgPartition, _blocks, _canonical_order, _cell_keys, _grid_columns, _ranked, _side_sizes, _size_of, kg_violations,
+    min_elements,
 )
 
 END_A = "A"
@@ -151,13 +151,18 @@ class ProtocolTranscript:
     Probes and coordinate tuples are indexed by wire position (entry i is
     position i+1) at the probing end. coords_b read through the hidden
     wiring must equal coords_a: coords_b[wiring[a-1]-1] == coords_a[a-1]
-    at every A-position a. run_protocol checks this.
+    at every A-position a. run_protocol checks this. A probe entry that is
+    not exactly an int (True, 1.0) raises ValueError.
     """
 
     phase1_plan: ConnectionPlan
     phase1_probe: tuple[int, ...]
     phase2_plan: ConnectionPlan
     phase2_probe: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not set(map(type, chain(self.phase1_probe, self.phase2_probe))) <= {int}:
+            raise ValueError("probe readings must be ints, not bools or other numbers")
 
     @cached_property
     def coords_a(self) -> tuple[tuple[int, int], ...]:
@@ -168,30 +173,30 @@ class ProtocolTranscript:
         return tuple(zip(self.phase1_probe, islice(self.phase2_plan._size_at, 1, None)))
 
 
-def _assemble_b_sets(width: int, cells: Sequence[int], readings: Sequence[int]) -> tuple[tuple[list, ...], list[int]]:
+def _assemble_b_sets(r: Sequence[int], side: IntRuns, readings: Sequence[int]) -> tuple[tuple[list, ...], list[int]]:
     """End B's canonical grouping and the column it gives each wire.
 
-    cells lists, ascending, the keys j * width + k of the agreed matrix's
-    1-cells (j, k): row-major order. One pass buckets the wires by reading,
-    in ascending position order; the buckets, rows ascending, take the cells
-    as labels do in matrix_to_partition, _blocks cuts the B-sets as lists from
-    the side _columns gives, and (size, least wire) puts those disjoint blocks
-    in canonical order. Returns the blocks and column_of: column_of[b] is the
-    column of B-position b (entry 0 unused), the size of its block.
-    A valid pair read through a bijective wiring has the scheme's row counts,
-    so other readings are an internal fault and raise ProtocolError.
+    r is the agreed matrix's row sums and side its B side by row-major rank, as
+    _grid_columns reads it. One pass buckets the wires by reading, positions
+    ascending, so the buckets, rows ascending, list the wires in row-major
+    order: the i-th takes rank i (_ranked), as labels do in matrix_to_partition.
+    _blocks cuts the B-sets as lists, and (size, least wire) puts those disjoint
+    blocks in canonical order. Returns the blocks and column_of: column_of[b] is
+    the column of B-position b (entry 0 unused), the size of its block. A valid
+    pair read through a bijective wiring has the scheme's row counts, so other
+    readings are an internal fault and raise ProtocolError.
     """
+    width = len(r) + 1
     by_size: list[list[int]] = [[] for _ in range(width)]
     for pos, size in enumerate(readings, start=1):
         if 0 < size < width:
             by_size[size].append(pos)
-    for j in range(1, width):
-        count = bisect_left(cells, (j + 1) * width) - bisect_left(cells, j * width)
+    for j, count in enumerate(r, start=1):
         if len(by_size[j]) != count:
             raise ProtocolError(f"observed {len(by_size[j])} wires of bundle size {j} but the scheme has {count}")
-    if len(cells) != len(readings):
+    if sum(r) != len(readings):
         raise ProtocolError("some observed bundle sizes do not occur in the scheme")
-    blocks = _blocks(_columns(cells, width, chain.from_iterable(by_size)))
+    blocks = _blocks(_ranked(side, chain.from_iterable(by_size)))
     groups = tuple(sorted(blocks, key=lambda block: (len(block), min(block))))
     return groups, _size_of(groups, len(readings))
 
@@ -199,42 +204,49 @@ def _assemble_b_sets(width: int, cells: Sequence[int], readings: Sequence[int]) 
 def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTranscript:
     """Run both phases and derive consistent coordinates at both ends.
 
-    _cell_keys, which kg_violations shares, keys every element by its cell;
-    the keys must differ, and sorted they are the matrix both ends agreed
-    on (kg_violations runs only to explain a rejection). Labels are wire
-    positions, so a bool among them is rejected too. The cable checked
+    _cell_keys, which kg_violations shares, keys every element by its cell
+    j * width + k; set in a width² byte grid (O(n): an order-m pair has at least
+    m(m + 1)/2 elements), they must fill n + 1 cells, and the grid is the matrix
+    both ends agreed on (kg_violations runs only to explain a rejection). Labels
+    are wire positions, so a bool among them is rejected too. The cable checked
     its wiring when it was built, so the phases read it without probe's checks.
-    Phase 1: end A joins its A-sets; end B probes and learns each wire's
-    row, then assembles B-sets canonically from the matrix. Phase 2: end A
-    disconnects, end B joins its B-sets, end A probes and learns each
-    wire's column. Both ends' coordinates must agree through the hidden
-    wiring and be unique; a failure would falsify the scheme itself, so it
-    raises ProtocolError instead of being returned as data. `wireid simulate`
-    runs the same phases on the cell keys of _checked_construction's rows.
+    Phase 1: end A joins its A-sets; end B probes and learns each wire's row,
+    then assembles B-sets canonically from the matrix. Phase 2: end A
+    disconnects, end B joins its B-sets, end A probes and learns each wire's
+    column. Both ends' coordinates must agree through the hidden wiring and be
+    unique; a failure would falsify the scheme itself, so it raises ProtocolError
+    instead of being returned as data. `wireid simulate` runs the same phases.
     """
     if partition.n != cable.n:
         raise ValueError(f"partition covers {partition.n} elements but the cable has {cable.n} wires")
     scheme = _cell_keys(cable.n, partition.a_sets, partition.b_sets)
-    cells = sorted(set(scheme[1])) if scheme else []  # keys[0] == 0 sorts first
-    if len(cells) != cable.n + 1 or _holds_bool(chain.from_iterable(partition.a_sets + partition.b_sets)):
+    width, keys = scheme if scheme and min_elements(scheme[0] - 1) <= cable.n else (0, ())
+    grid = bytearray(width * width)
+    for key in keys:  # keys[0] == 0 sets the unused cell (0, 0)
+        grid[key] = 1
+    if grid.count(1) != cable.n + 1 or _holds_bool(chain.from_iterable(partition.a_sets + partition.b_sets)):
         problems = kg_violations(partition) or ["labels must be the integers 1..n"]
         raise ValueError("invalid partition pair:\n" + "\n".join(problems))
+    rows = [grid[j * width + 1 : (j + 1) * width] for j in range(1, width)]
+    r, c = [row.count(1) for row in rows], [grid[width + k :: width].count(1) for k in range(1, width)]
     size_a = _size_of(partition.a_sets, cable.n)
-    probe_1, b_groups, size_b, probe_2 = _phases(scheme[0], cells[1:], size_a, cable.wiring)
+    probe_1, b_groups, size_b, probe_2 = _phases(r, _grid_columns(rows, c), size_a, cable.wiring)
     # Only here are the phases' lists cut into plans: canonical sides, each with its own groups' size map.
     plan_a = _unchecked(ConnectionPlan, end=END_A, groups=partition.a_sets, _size_at=size_a)
     plan_b = _unchecked(ConnectionPlan, end=END_B, groups=tuple(map(frozenset, b_groups)), _size_at=size_b)
     return ProtocolTranscript(plan_a, probe_1, plan_b, probe_2)
 
 
-def _phases(width: int, cells: Sequence[int], size_a: Sequence[int], wiring: tuple[int, ...]) -> tuple:
-    """run_protocol's phases on a valid pair's ascending cell keys and end A's size map size_a. Returns
-    phase 1's probe, end B's groups as lists in canonical order, their size map and phase 2's probe.
-    That size map comes from the groups, so the agreement check compares end B's columns with the plan."""
-    n = len(wiring)
+def _phases(r: Sequence[int], side: IntRuns, size_a: Sequence[int], wiring: tuple[int, ...]) -> tuple:
+    """run_protocol's phases on a valid pair's matrix (its row sums r and the B side _grid_columns reads off
+    it) and end A's size map size_a. Returns phase 1's probe, end B's groups as lists in canonical order,
+    their size map and phase 2's probe. That size map comes from the groups, so the agreement check
+    compares end B's columns with the plan."""
+    n, width = len(wiring), len(r) + 1
     phase1_probe = _readings(END_A, size_a, wiring)
 
-    b_groups, column_of = _assemble_b_sets(width, cells, phase1_probe)
+    b_groups, column_of = _assemble_b_sets(r, side, phase1_probe)
+    del side  # n ranks no reader needs again, freed before the guards' lists set the peak
     size_b = _size_of(b_groups, n)
     phase2_probe = _readings(END_B, size_b, wiring)
 
@@ -259,10 +271,7 @@ def transcript_to_json(transcript: ProtocolTranscript) -> str:
     a, b = transcript.phase1_plan, transcript.phase2_plan
     probe_1, probe_2 = transcript.phase1_probe, transcript.phase2_probe
     bound = max(map(len, chain(a.groups, b.groups)), default=0)  # every probe reading and coordinate is a group size
-    bounds = {"coords_a": bound, "coords_b": bound}
-    for key, probe in (("phase1_probe", probe_1), ("phase2_probe", probe_2)):
-        if set(map(type, probe)) <= {int}:  # one built by hand may hold a bool, which json writes as true
-            bounds[key] = bound
+    bounds = dict.fromkeys(_TABLED, bound)  # the probes hold ints alone: ProtocolTranscript checked them
     rows_a, rows_b = _sorted_runs(a.groups), _sorted_runs(b.groups)
     return "".join(_transcript_pieces(rows_a, a._size_at, probe_1, rows_b, b._size_at, probe_2, bounds))
 

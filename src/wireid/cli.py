@@ -30,7 +30,6 @@ from .partitions import (
     PARTITION_SCHEMA,
     ConstructionError,
     InfeasibleOrderError,
-    _checked_cells,
     _checked_construction,
     _grid_columns,
     _read_partition,
@@ -112,9 +111,9 @@ def _capped(n: int) -> int:
 
 def cmd_construct(args) -> int:
     n = _capped(args.n)
-    rep, rows, cols = _checked_construction(n, args.m)
-    # Both sides in canonical order, as the construction cut the labels (see partitions._checked_cells).
-    a_rows, b_rows = _rows(range(1, n + 1), rep.t), _grid_columns(rows, cols, rep.t)
+    rep, rows = _checked_construction(n, args.m)
+    # Both sides in canonical order, as the construction cut the labels 1..n (see partitions._check_cuts).
+    a_rows, b_rows = _rows(range(1, n + 1), rep.t), _grid_columns(rows, rep.t)
     if args.format == STRUCTURED:
         payload = {
             "schema": CONSTRUCTION_SCHEMA,
@@ -185,12 +184,12 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cable = make_cable(_capped(args.n), args.seed)  # rejects a bad seed before the construction runs
-    rep, rows, _ = _checked_construction(args.n, args.m)
+    rep, rows = _checked_construction(args.n, args.m)
     # The construction vouches for its pair: run_protocol's check of it would repeat the construction's. End A
-    # joins its A-sets (label x of row j in a set of j); end B assembles its B-sets from the cells. No set is frozen.
-    a_rows, cells = _rows(range(1, args.n + 1), rep.t), _checked_cells(rows, range(1, args.n + 1), rep.t, rep.t)
+    # joins its A-sets (label x of row j in a set of j); end B assembles its B-sets off the grid. No set is frozen.
+    a_rows = _rows(range(1, args.n + 1), rep.t)
     size_a = [0, *chain.from_iterable(map(repeat, range(1, rep.m + 1), rep.t))]
-    probe_1, b_groups, size_b, probe_2 = _phases(rep.m + 1, cells, size_a, cable.wiring)
+    probe_1, b_groups, size_b, probe_2 = _phases(rep.t, _grid_columns(rows, rep.t), size_a, cable.wiring)
     b_rows = _sorted_runs(b_groups)
     # Probes and coordinates are set sizes, at most m: format_int_runs writes them through its tables.
     if args.format == STRUCTURED:

@@ -77,10 +77,15 @@ class BinaryMatrix:
 
     def to_text(self) -> str:
         """Render as m newline-terminated lines of '.'/'1' characters."""
-        try:  # C speed for int and bool entries
-            return _text(map(bytes, self.rows))
-        except TypeError:  # other entries equal to 0 or 1, such as 1.0
-            return _text(bytes(map(bool, row)) for row in self.rows)
+        return _text(_byte_rows(self.rows))
+
+
+def _byte_rows(rows: Sequence[Sequence]) -> list[bytes]:
+    """Rows of entries equal to 0 or 1 as bytes, for _text and matrix_to_partition."""
+    try:  # C speed for int and bool entries
+        return list(map(bytes, rows))
+    except TypeError:  # other entries equal to 0 or 1, such as 1.0
+        return [bytes(map(bool, row)) for row in rows]
 
 
 def _text(rows: Iterable[bytes]) -> str:
@@ -138,12 +143,12 @@ def construct_matrix(r: Sequence[int], c: Sequence[int]) -> BinaryMatrix:
     symmetric matrix. The rows are checked once, as bytes (see _checked_grid),
     and a failure raises ConstructionError (the construction is at fault).
     """
-    rows, _ = _checked_grid(tuple(r), tuple(c))
+    rows = _checked_grid(tuple(r), tuple(c))
     return _unchecked(BinaryMatrix, rows=tuple(map(tuple, rows)))  # checked byte rows: only 0s and 1s, m of m
 
 
-def _checked_grid(r: DegreeSequence, c: DegreeSequence) -> tuple[list[bytearray], list[bytes]]:
-    """construct_matrix's byte rows and their columns, sliced from the flat grid. ValueError if can_construct
+def _checked_grid(r: DegreeSequence, c: DegreeSequence) -> list[bytearray]:
+    """construct_matrix's byte rows, checked on their columns sliced from the flat grid. ValueError if can_construct
     rejects the sorted sums; ConstructionError unless rows == cols for r == c, then unless they realize r and c."""
     sums = f"r={format_degree_sequence(r)} c={format_degree_sequence(c)}"
     if not can_construct(sorted(r, reverse=True), sorted(c, reverse=True)):
@@ -156,7 +161,7 @@ def _checked_grid(r: DegreeSequence, c: DegreeSequence) -> tuple[list[bytearray]
         raise ConstructionError(f"the constructed matrix for {sums} is not symmetric")
     if tuple(row.count(1) for row in rows) != r or (r != c and tuple(col.count(1) for col in cols) != c):
         raise ConstructionError(f"the constructed matrix does not realize {sums}")
-    return rows, cols
+    return rows
 
 
 def _unchecked(cls: type, **attributes):

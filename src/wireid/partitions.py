@@ -25,13 +25,13 @@ import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress
 from math import isqrt
-from operator import add, index, mod
+from operator import add, index
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 from ._jsonout import IntRuns, _parts, _sorted_runs, dict_pieces
-from .matrices import BinaryMatrix, ConstructionError, _checked_grid, _unchecked, can_construct
+from .matrices import BinaryMatrix, ConstructionError, _byte_rows, _checked_grid, _unchecked, can_construct
 
 PARTITION_SCHEMA = "kg-partition/1"
 
@@ -314,24 +314,19 @@ def _rows(labels: Sequence, r: Sequence[int]) -> IntRuns:
     return IntRuns(labels, [(j, r_j // j) for j, r_j in enumerate(r, start=1)])
 
 
-def _grid_columns(rows: Sequence[bytes], cols: Sequence[bytes], c: Sequence[int]) -> IntRuns:
-    """_columns(_checked_cells(rows, labels, r, c), m + 1, labels) for the labels 1..n, read off byte rows, their
-    columns and column sums c: a 1-cell's label is its row-major rank, the running count of 1s at it."""
-    m, prefix = len(rows), list(accumulate(b"".join(rows)))
-    return _rows(list(chain.from_iterable(map(compress, (prefix[k::m] for k in range(m)), cols))), c)
+def _grid_columns(rows: Sequence[bytes], c: Sequence[int]) -> IntRuns:
+    """The B side of m byte rows of 0s and 1s with column sums c, for the labels 1..n (others attach by _ranked):
+    column k's labels, rows ascending, in sets of k, columns ascending. A 1-cell's label is its row-major rank,
+    the running count of 1s at it: column k's are its stride of those counts, compressed by its stride of the grid."""
+    m, flat = len(rows), b"".join(rows)
+    prefix = list(accumulate(flat))
+    return _rows(list(chain.from_iterable(compress(prefix[k::m], flat[k::m]) for k in range(m))), c)
 
 
-def _columns(cells: Iterable[int], width: int, labels: Iterable) -> IntRuns:
-    """The B side: each column's labels, rows ascending, columns ascending, column k's in sets of k.
-
-    cells yields the key j * width + k of each 1-cell (j, k) in row-major
-    order, and the labels attach to those cells in that order. End B forms
-    its B-sets by this rule too, with its wires in place of the labels.
-    """
-    per_column: list[list] = [[] for _ in range(width)]
-    for k, label in zip(map(mod, cells, repeat(width)), labels):
-        per_column[k].append(label)
-    return IntRuns(list(chain.from_iterable(per_column)), [(k, len(per_column[k]) // k) for k in range(1, width)])
+def _ranked(side: IntRuns, labels: Iterable) -> IntRuns:
+    """The side with the i-th of the labels in place of each rank i (1-based)."""
+    by_rank = [None, *labels]  # a list: its __getitem__ is a faster call than a tuple's
+    return IntRuns(list(map(by_rank.__getitem__, side.flat)), side.runs)
 
 
 def _blocks(side: IntRuns) -> Iterator[Sequence]:
@@ -353,29 +348,20 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     B-sets). An element's (row, column) cell is therefore exactly its
     (A-size, B-size) coordinate pair.
     """
-    labels = tuple(labels)
-    r = matrix.row_sums()
-    cells = _checked_cells(matrix.rows, labels, r, matrix.col_sums())
+    labels, rows = tuple(labels), _byte_rows(matrix.rows)  # int sums, whatever entries equal 0 and 1
+    m, flat = len(rows), b"".join(rows)
+    r, c = [row.count(1) for row in rows], [flat[k::m].count(1) for k in range(m)]
+    _check_cuts(r, c, len(labels))
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
-    return KgPartition(len(labels), _sets(_rows(labels, r)), _sets(_columns(cells, matrix.m + 1, labels)))
-
-
-def _checked_cells(rows: Sequence[Sequence[int]], labels: Sequence, r: Sequence[int], c: Sequence[int]) -> list[int]:
-    """_check_cuts for the labels on m rows of 0s and 1s (int tuples or bytes) whose row and column sums are r
-    and c, and the row-major keys j * (m + 1) + k of their 1-cells (j, k), by one compress per row. For ascending
-    labels the cut order is canonical: row j and column j each hold their labels ascending and cut into all the
-    sets of size j, so the sets come by size, and those of one size are disjoint runs of ascending labels that
-    start ascending. _rows and _columns (or _grid_columns, for 1..n) then give the two sides in canonical order."""
-    _check_cuts(r, c, len(labels))
-    width = len(rows) + 1
-    row_cells = (compress(range(j * width + 1, (j + 1) * width), row) for j, row in enumerate(rows, start=1))
-    return list(chain.from_iterable(row_cells))
+    return KgPartition(len(labels), _sets(_rows(labels, r)), _sets(_ranked(_grid_columns(rows, c), labels)))
 
 
 def _check_cuts(r: Sequence[int], c: Sequence[int], count: int) -> None:
-    """The checks matrix_to_partition and _checked_construction share, on a grid's row and column sums
-    and label count: each sum a multiple of its index and one label per 1-cell, so the sides cut whole sets."""
+    """The checks matrix_to_partition and _checked_construction share, on a grid's row and column sums and label
+    count: each sum a multiple of its index and one label per 1-cell, so the sides cut whole sets. For ascending
+    labels, _rows and _grid_columns give the sides in canonical order: line j holds its labels ascending and cuts
+    all the sets of size j, so the sets come by size, those of one size disjoint runs that start ascending."""
     for j in range(1, len(r) + 1):
         if r[j - 1] % j:
             raise ValueError(f"row {j} has sum {r[j - 1]}, not a multiple of {j}")
@@ -394,10 +380,10 @@ class Construction:
     partition: KgPartition
 
 
-def _checked_construction(n: int, m: int | None) -> tuple[Representation, list[bytearray], list[bytes]]:
+def _checked_construction(n: int, m: int | None) -> tuple[Representation, list[bytearray]]:
     """construct_trace's pipeline up to the sets, with no check of its own: the representation and the byte
-    rows and columns _checked_grid checked, whose cuts for the labels 1..n _check_cuts checked. It builds no
-    cell key, int tuple or frozenset. A ValueError from either call on represent's t: ConstructionError."""
+    rows _checked_grid checked, whose cuts for the labels 1..n _check_cuts checked. It builds no int tuple
+    or frozenset. A ValueError from either call on represent's t: ConstructionError."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m is None:
@@ -407,11 +393,11 @@ def _checked_construction(n: int, m: int | None) -> tuple[Representation, list[b
         m = orders[0]
     rep = represent(n, m)
     try:
-        rows, cols = _checked_grid(rep.t, rep.t)
+        rows = _checked_grid(rep.t, rep.t)
         _check_cuts(rep.t, rep.t, n)  # _checked_grid checked the sums
     except ValueError as exc:
         raise ConstructionError(str(exc)) from exc
-    return rep, rows, cols
+    return rep, rows
 
 
 def construct_trace(n: int, m: int | None = None) -> Construction:
@@ -421,8 +407,8 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     represent(n, m); realize t as both row and column sums, in t order
     (the construction checks symmetry); chunk into sets with labels 1..n.
     """
-    rep, rows, cols = _checked_construction(n, m)
-    a_sets, b_sets = _sets(_rows(range(1, n + 1), rep.t)), _sets(_grid_columns(rows, cols, rep.t))
+    rep, rows = _checked_construction(n, m)
+    a_sets, b_sets = _sets(_rows(range(1, n + 1), rep.t)), _sets(_grid_columns(rows, rep.t))
     partition = _unchecked(KgPartition, n=n, a_sets=a_sets, b_sets=b_sets)  # canonical order already
     return Construction(rep, _unchecked(BinaryMatrix, rows=tuple(map(tuple, rows))), partition)  # checked byte rows
 

@@ -1,8 +1,12 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from oracles import matrix_from_text
+from wireid.matrices import can_construct
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -56,6 +60,18 @@ def gapfree_sequences(m):
     for start in range(m + 1):
         extend([start])
     return out
+
+
+@functools.cache
+def divisible_gapfree_sums(m):
+    """Every length-m sequence with each t_j a multiple of j in [0, m] and a gap-free nonincreasing sort
+    (so construct_matrix realizes it and its lines cut whole sets), grouped by total."""
+    by_total = {}
+    for t in itertools.product(*(range(0, m + 1, j) for j in range(1, m + 1))):
+        ordered = sorted(t, reverse=True)
+        if can_construct(ordered, ordered):
+            by_total.setdefault(sum(t), []).append(t)
+    return by_total
 
 
 # Any JSON value, for fuzzing the document parsers.

@@ -163,26 +163,22 @@ def test_the_cli_writes_the_public_bytes_without_cutting_the_constructions_froze
     requests = [(n, m, seed) for n, m in sizes for seed in (0, 3)]
     simulations = [simulate_rendering(*request, fmt) for request in requests]
     # No command builds a frozenset, a ConnectionPlan or a ProtocolTranscript (only run_protocol does).
-    # simulate forms one B side, end B's own by _columns: the construction's B side is never formed.
-    # construct reads its B side off the byte grid by _grid_columns alone.
-    calls, functions = [], {name: getattr(partitions, name) for name in ("_columns", "_grid_columns")}
+    # Each command reads one B side off the byte grid by _grid_columns: construct the construction's,
+    # simulate end B's own, which it never cuts into the construction's sets.
+    calls, grid_columns = [], partitions._grid_columns
 
-    def counted(name):
-        def wrapper(*args):
-            calls.append(name)
-            return functions[name](*args)
-        return wrapper
+    def counted(*args):
+        calls.append("_grid_columns")
+        return grid_columns(*args)
 
-    for module, name in ((partitions, "_columns"), (cable, "_columns"), (partitions, "_grid_columns"),
-                         (cli, "_grid_columns")):
-        monkeypatch.setattr(module, name, counted(name))
     for module in (partitions, cable, cli):
+        monkeypatch.setattr(module, "_grid_columns", counted)
         for name in ("_sets", "frozenset", "ConnectionPlan", "ProtocolTranscript"):  # a builtin shadowed per module
             monkeypatch.setattr(module, name, refuse, raising=False)
     for request, expected in zip(requests, simulations):
         calls.clear()
         assert simulate_stdout(*request, fmt) == expected, request
-        assert calls == ["_columns"], request
+        assert calls == ["_grid_columns"], request
     for (n, m), expected in zip(sizes, constructs):
         calls.clear()
         assert construct_stdout(n, m, fmt) == expected, (n, m)

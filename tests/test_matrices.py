@@ -183,9 +183,9 @@ def test_construction_is_checked_on_one_transpose_and_no_entry_walk(monkeypatch)
     monkeypatch.setattr(partitions, "_unchecked", lambda cls, **kw: calls.append(cls.__name__) or unchecked(cls, **kw))
     post_init = BinaryMatrix.__post_init__
     monkeypatch.setattr(BinaryMatrix, "__post_init__", lambda self: calls.append("check") or post_init(self))
-    rep, rows, cols = partitions._checked_construction(26, None)
+    rep, rows = partitions._checked_construction(26, None)
     assert calls == ["Representation", "grid"]
-    assert all(type(row) is bytearray for row in rows) and cols == list(map(bytes, zip(*rows)))
+    assert all(type(row) is bytearray for row in rows)
     matrix = BinaryMatrix(tuple(map(tuple, rows)))
     assert matrix == construct_matrix(rep.t, rep.t) and matrix.row_sums() == matrix.col_sums() == rep.t
 

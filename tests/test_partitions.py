@@ -1,5 +1,4 @@
 import enum
-import functools
 import itertools
 import json
 import os
@@ -11,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A_SETS_26, B_SETS_26, LETTERS, flip_off_diagonal_cell
+from conftest import A_SETS_26, B_SETS_26, LETTERS, divisible_gapfree_sums, flip_off_diagonal_cell
 from oracles import gale_ryser_feasible, partition_to_matrix
-from reference_constructor import reference_canonical_order
-from wireid.matrices import BinaryMatrix, can_construct, construct_matrix
+from reference_constructor import reference_canonical_order, reference_matrix_to_partition
+from wireid.matrices import BinaryMatrix, construct_matrix
 import wireid
 from wireid import matrices, partitions
 from wireid.partitions import (
@@ -181,13 +180,22 @@ def test_matrix_to_partition_rejects_bad_input():
         matrix_to_partition(BinaryMatrix(((0, 1), (1, 1))), [1, 1, 1])
 
 
+def test_matrix_to_partition_takes_any_entries_equal_to_0_or_1(matrix26):
+    # The sums come off the byte rows as ints, so True, 1.0 and 1 + 0j cut the sets 1 does.
+    odd = BinaryMatrix(tuple(tuple((True, 1.0, 1 + 0j)[j % 3] if v else 0.0 for j, v in enumerate(row))
+                             for row in matrix26.rows))
+    assert matrix_to_partition(odd, LETTERS) == matrix_to_partition(matrix26, LETTERS)
+    with pytest.raises(ValueError, match="^row 2 has sum 1, not a multiple of 2$"):
+        matrix_to_partition(BinaryMatrix(((0.0, 1.0), (1.0, 0.0))), [1, 2])
+
+
 def test_matrix_to_partition_checks_divisibility_then_count_then_distinctness():
     with pytest.raises(ValueError, match="row 2 has sum 1"):
         matrix_to_partition(BinaryMatrix(((0, 1), (1, 0))), [1, 1])
     with pytest.raises(ValueError, match="need exactly 3 labels"):
         matrix_to_partition(BinaryMatrix(((0, 1), (1, 1))), [1, 1])
     # The distinctness check is matrix_to_partition's own: the shared checks take repeated labels.
-    assert partitions._checked_cells(((0, 1), (1, 1)), [1, 1, 1], [1, 2], [1, 2]) == [5, 7, 8]
+    assert partitions._check_cuts((1, 2), (1, 2), len([1, 1, 1])) is None
 
 
 def test_partition_to_matrix_round_trip_trivial():
@@ -348,43 +356,33 @@ def test_round_trip_preserves_size_multisets():
         assert sorted(map(len, again.b_sets)) == sorted(map(len, pair.b_sets))
 
 
-@functools.cache
-def divisible_gapfree_sums(m):
-    """Every length-m sequence with each t_j a multiple of j in [0, m] and a gap-free nonincreasing sort
-    (so construct_matrix realizes it and its lines cut whole sets), grouped by total."""
-    by_total = {}
-    for t in itertools.product(*(range(0, m + 1, j) for j in range(1, m + 1))):
-        ordered = sorted(t, reverse=True)
-        if can_construct(ordered, ordered):
-            by_total.setdefault(sum(t), []).append(t)
-    return by_total
-
-
 @given(st.data())
 @settings(max_examples=200)
 def test_the_grid_read_of_the_b_side_is_the_cell_key_read(data):
-    # Any two such sums with one total, r != c included: the B side read off the byte grid equals the
-    # one _columns queues from matrix_to_partition's cell keys, for the labels 1..n.
+    # Any two such sums with one total, r != c included: the B side read off the byte grid for the labels
+    # 1..n is the reference's, which labels each cell in a dict, and comes in canonical order as read
+    # (a pair has n >= 1 elements, so the total is positive).
     m = data.draw(st.integers(1, 7))
     by_total = divisible_gapfree_sums(m)
-    sums = by_total[data.draw(st.sampled_from(sorted(by_total)))]
+    sums = by_total[data.draw(st.sampled_from(sorted(by_total)[1:]))]
     r, c = data.draw(st.sampled_from(sums)), data.draw(st.sampled_from(sums))
     matrix = construct_matrix(r, c)
-    rows, cols = matrices._checked_grid(r, c)
-    assert tuple(map(tuple, rows)) == matrix.rows and cols == list(map(bytes, zip(*matrix.rows)))
-    labels = range(1, sum(r) + 1)
-    cells = partitions._checked_cells(matrix.rows, labels, r, c)
-    assert partitions._grid_columns(rows, cols, c) == partitions._columns(cells, m + 1, labels), (r, c)
+    rows = matrices._checked_grid(r, c)
+    assert tuple(map(tuple, rows)) == matrix.rows
+    reference = reference_matrix_to_partition(matrix, range(1, sum(r) + 1))
+    assert partitions._sets(partitions._grid_columns(rows, c)) == reference.b_sets, (r, c)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n, m, order", [(823_081, None, 1000), (1_000_000, 1413, 1413)])
 def test_large_constructions_read_their_b_side_as_matrix_to_partition_does(n, m, order):
-    # construct_trace reads its B side off the byte grid; matrix_to_partition queues its own from the
-    # cell keys of the int matrix and sorts both sides.
+    # construct_trace reads its B side off the byte grid and matrix_to_partition off the int matrix's
+    # bytes, by one reader; the reference labels each cell in a dict. Both sort their sides.
     trace = construct_trace(n, m)
     assert trace.matrix.m == trace.partition.order == order
-    assert trace.partition == matrix_to_partition(trace.matrix, range(1, n + 1))
+    labels = range(1, n + 1)
+    assert trace.partition == matrix_to_partition(trace.matrix, labels) == reference_matrix_to_partition(
+        trace.matrix, labels)
 
 
 @given(st.integers(1, 200).filter(lambda n: n not in (2, 5, 9)))

@@ -17,8 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wireid
-from conftest import swap_first_and_last
+from conftest import divisible_gapfree_sums, swap_first_and_last
 from oracles import partition_to_matrix
+from reference_constructor import reference_canonical_order
 from reference_protocol import (
     reference_assemble_b_sets,
     reference_coordinates,
@@ -30,11 +31,12 @@ from wireid._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, fo
 from wireid.cable import (
     _TABLED, ConnectionPlan, ProtocolError, _phases, _transcript_pieces, make_cable, run_protocol, transcript_to_json,
 )
+from wireid.matrices import construct_matrix
 from wireid.partitions import (
     KgPartition,
     _cell_keys,
-    _checked_cells,
     _checked_construction,
+    _grid_columns,
     _rows,
     _sets,
     construct,
@@ -77,10 +79,10 @@ def test_protocol_and_json_match_reference_for_sampled_large_n():
 
 def assert_construction_fed_phases_match(n, m, seed):
     trace, cable = construct_trace(n, m), make_cable(n, seed)
-    rep, rows, _ = _checked_construction(n, m)
-    cells = _checked_cells(rows, range(1, n + 1), rep.t, rep.t)  # as `wireid simulate` takes them
+    rep, rows = _checked_construction(n, m)
+    side = _grid_columns(rows, rep.t)  # as `wireid simulate` reads it
     size_a = [0, *chain.from_iterable(map(repeat, range(1, m + 1), rep.t))]  # as `wireid simulate` builds it
-    probe_1, b_groups, size_b, probe_2 = _phases(m + 1, cells, size_a, cable.wiring)
+    probe_1, b_groups, size_b, probe_2 = _phases(rep.t, side, size_a, cable.wiring)
     # The pair again through KgPartition's sort, which construct_trace skips.
     public = run_protocol(KgPartition(n, trace.partition.a_sets, trace.partition.b_sets), cable)
     assert probe_1 == public.phase1_probe, (n, m, seed)
@@ -155,24 +157,67 @@ def test_invalid_pair_message_matches_reference():
     assert len(messages) == 1 and "invalid partition pair" in messages.pop()
 
 
+def test_the_agreed_grid_stays_linear_in_n_for_pairs_with_a_large_set(monkeypatch):
+    # Both sides exactly partition 1..n, but one A-set holds every element, so the cell keys' width is n + 1.
+    # No pair of order n exists below n(n + 1)/2 elements: run_protocol rejects it without a width² grid.
+    n, sizes = 3_000, []
+    monkeypatch.setattr(cable_module, "bytearray", lambda size: sizes.append(size) or bytearray(size), raising=False)
+    pair = KgPartition(n, (frozenset(range(1, n + 1)),), tuple(frozenset({x}) for x in range(1, n + 1)))
+    with pytest.raises(ValueError) as excinfo:
+        run_protocol(pair, make_cable(n, 1))
+    assert str(excinfo.value) == "invalid partition pair:\n" + "\n".join(kg_violations(pair))
+    assert sizes and max(sizes) <= 4 * n, sizes
+
+
 @pytest.mark.parametrize("readings", [
     (1,) * 26,                                    # row 1 gets 26 wires, the scheme has 2
     (2, 2, 3, 3, 3, 1) + (6,) * 20,               # row 1 gets one wire
     tuple(sorted([1, 1] + [2] * 6 + [3] * 3 + [4] * 4 + [5] * 5 + [6] * 6)) + (7,),  # stray size
 ])
 def test_assembly_errors_match_reference(matrix26, readings):
-    cells = [j * 7 + k for j, row in enumerate(matrix26.rows, start=1) for k in compress(range(1, 7), row)]
+    side = _grid_columns(list(map(bytes, matrix26.rows)), matrix26.col_sums())
     messages = []
     # The package raises ProtocolError: run_protocol has validated the pair
     # and the wiring by then, so such readings are an internal fault.
     for assemble, scheme, error in (
-        (cable_module._assemble_b_sets, (7, cells), ProtocolError),
+        (cable_module._assemble_b_sets, (matrix26.row_sums(), side), ProtocolError),
         (reference_assemble_b_sets, (matrix26,), ValueError),
     ):
         with pytest.raises(error) as excinfo:
             assemble(*scheme, readings)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
+
+
+@given(st.data())
+def test_assembly_matches_reference_on_divisible_gapfree_matrices(data):
+    """End B's assembly on any index-divisible gap-free matrix, r != c included (run_protocol accepts such
+    pairs; construct builds r == c alone), from its rows' readings at shuffled positions, one of them at
+    times changed to another size: the reference's groups in canonical order, or its message."""
+    m = data.draw(st.integers(1, 7))
+    by_total = divisible_gapfree_sums(m)
+    sums = by_total[data.draw(st.sampled_from(sorted(by_total)))]
+    r, c = data.draw(st.sampled_from(sums)), data.draw(st.sampled_from(sums))
+    matrix = construct_matrix(r, c)
+    readings = data.draw(st.permutations([j for j, r_j in enumerate(r, start=1) for _ in range(r_j)]))
+    if readings and data.draw(st.booleans()):
+        readings[data.draw(st.integers(0, len(readings) - 1))] = data.draw(st.integers(0, m + 1))
+    readings = tuple(readings)
+    side = _grid_columns(list(map(bytes, matrix.rows)), c)
+    try:
+        reference = reference_assemble_b_sets(matrix, readings)
+    except ValueError as exc:
+        with pytest.raises(ProtocolError) as excinfo:
+            cable_module._assemble_b_sets(r, side, readings)
+        assert str(excinfo.value) == str(exc), (r, c, readings)
+        return
+    groups, column_of = cable_module._assemble_b_sets(r, side, readings)
+    assert tuple(map(frozenset, groups)) == reference_canonical_order(reference), (r, c, readings)
+    expected = [0] * (len(readings) + 1)
+    for group in reference:
+        for wire in group:
+            expected[wire] = len(group)
+    assert column_of == expected, (r, c, readings)
 
 
 # ── the single validation pass against kg_violations ─────────────────────

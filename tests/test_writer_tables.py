@@ -110,19 +110,21 @@ def test_in_bound_values_are_looked_up_not_formatted():
         '  "phase2_probe": [\n    1\n  ],\n  "coords_a": [\n    [\n      1,\n      1\n    ]\n  ],\n'
         '  "coords_b": [\n    [\n      1,\n      1\n    ]\n  ]\n}\n',
     ),
-    (
-        # Probes that are not the plans' readings: 2 is past the largest group, True and -1 are
-        # not sizes at all.
-        ProtocolTranscript(
-            ConnectionPlan("A", (frozenset({1}), frozenset({2}))), (2, 0),
-            ConnectionPlan("B", (frozenset({1}), frozenset({2}))), (True, -1),
-        ),
-        '{\n  "schema": "cable-transcript/1",\n  "phase1_plan": [\n    [\n      1\n    ],\n    [\n      2\n'
-        '    ]\n  ],\n  "phase1_probe": [\n    2,\n    0\n  ],\n  "phase2_plan": [\n    [\n      1\n'
-        '    ],\n    [\n      2\n    ]\n  ],\n  "phase2_probe": [\n    true,\n    -1\n  ],\n'
-        '  "coords_a": [\n    [\n      1,\n      1\n    ],\n    [\n      1,\n      -1\n    ]\n  ],\n'
-        '  "coords_b": [\n    [\n      2,\n      1\n    ],\n    [\n      0,\n      1\n    ]\n  ]\n}\n',
-    ),
 ])
 def test_transcript_edge_cases_keep_their_bytes(transcript, expected):
     assert transcript_to_json(transcript) == expected
+
+
+def test_transcript_probes_hold_ints_alone():
+    # Probes that are not the plans' readings: 2 is past the largest group, -1 is not a size at all, and
+    # both are written as json writes them. True would be written as true in its probe and as 1 in the
+    # coordinates derived from it, so the transcript rejects it, as it does 1.0.
+    a, b = ConnectionPlan("A", (frozenset({1}), frozenset({2}))), ConnectionPlan("B", (frozenset({1}), frozenset({2})))
+    transcript = ProtocolTranscript(a, (2, 0), b, (1, -1))
+    document = json.loads(transcript_to_json(transcript))
+    assert document["phase1_probe"] == [2, 0] and document["phase2_probe"] == [1, -1]
+    assert document["coords_a"] == [[1, 1], [1, -1]] and document["coords_b"] == [[2, 1], [0, 1]]
+    assert transcript_to_json(transcript) == json.dumps(document, indent=2) + "\n"
+    for probe_1, probe_2 in (((2, 0), (True, -1)), ((2, 0), (1.0, -1)), ((False, 0), (1, -1))):
+        with pytest.raises(ValueError, match="probe readings must be ints, not bools or other numbers"):
+            ProtocolTranscript(a, probe_1, b, probe_2)
