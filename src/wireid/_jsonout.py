@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, cycle, groupby
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class IntRuns(NamedTuple):
@@ -24,15 +24,15 @@ class IntRuns(NamedTuple):
     runs: Sequence[tuple[int, int]]
 
 
-def dict_pieces(obj: dict, bounds: Mapping[str, int]) -> Iterator[str]:
-    """``json.dumps(obj, indent=2)`` of a non-empty dict with str keys, in pieces that join to it, no
-    more than one field's text at a time (a list's brackets apart from its body, so no body is copied).
-    An IntRuns value is written as its rows, with its key's bound if bounds has one; any other value
-    under a key in bounds is a flat list of ints (no bools: the caller vouches for it), one row through
-    the tables; anything else is ``json.dumps(value, indent=2)``, re-indented (json escapes the
-    newlines inside strings, so each one it writes is a line break)."""
+def dict_pieces(fields: Iterable[tuple[str, object]], bounds: Mapping[str, int]) -> Iterator[str]:
+    """``json.dumps(dict(fields), indent=2)`` for one or more (str key, value) pairs, keys distinct, in pieces
+    that join to it. Each field's value and text are dropped before the next pair is drawn, and a list's
+    brackets come apart from its body, so no body is copied. An IntRuns value is written as its rows, with its
+    key's bound if bounds has one; any other value under a key in bounds is a flat list of ints (no bools: the
+    caller vouches for it), one row through the tables; anything else is ``json.dumps(value, indent=2)``,
+    re-indented (json escapes the newlines inside strings, so each one it writes is a line break)."""
     opening = "{\n  "
-    for key, value in obj.items():
+    for key, value in fields:
         yield opening + json.dumps(key) + ": "
         if isinstance(value, IntRuns):
             body = format_int_runs(value, _row_template("\n    "), ",\n    ", bounds.get(key, -1))
@@ -41,7 +41,7 @@ def dict_pieces(obj: dict, bounds: Mapping[str, int]) -> Iterator[str]:
             yield format_int_runs(IntRuns(value, [(len(value), 1)]), _row_template("\n  "), "", bounds[key])
         else:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
-        opening = ",\n  "
+        opening, value, body = ",\n  ", None, None
     yield "\n}"
 
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
-from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, compress, count, islice, repeat
+from operator import add, mul, ne
+from typing import Iterable, Iterator, Sequence
 
 from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces
 from .matrices import _unchecked
@@ -47,7 +47,7 @@ _TABLED = ("phase1_probe", "phase2_probe", "coords_a", "coords_b")  # the transc
 
 class ProtocolError(RuntimeError):
     """An internal check failed: end B's readings miss the scheme's row counts,
-    or the two ends' coordinates disagree or repeat."""
+    or the two ends' coordinates disagree or are not the agreed matrix's 1-cells, each once."""
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,8 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     Phase 1: end A joins its A-sets; end B probes and learns each wire's row,
     then assembles B-sets canonically from the matrix. Phase 2: end A
     disconnects, end B joins its B-sets, end A probes and learns each wire's
-    column. Both ends' coordinates must agree through the hidden wiring and be
-    unique; a failure would falsify the scheme itself, so it raises ProtocolError
+    column. Both ends' coordinates must agree through the hidden wiring and be the
+    matrix's 1-cells, each once; a failure would falsify the scheme, so it raises ProtocolError
     instead of being returned as data. `wireid simulate` runs the same phases.
     """
     if partition.n != cable.n:
@@ -228,39 +228,40 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
         problems = kg_violations(partition) or ["labels must be the integers 1..n"]
         raise ValueError("invalid partition pair:\n" + "\n".join(problems))
     rows = [grid[j * width + 1 : (j + 1) * width] for j in range(1, width)]
-    r, c = [row.count(1) for row in rows], [grid[width + k :: width].count(1) for k in range(1, width)]
     size_a = _size_of(partition.a_sets, cable.n)
-    probe_1, b_groups, size_b, probe_2 = _phases(r, _grid_columns(rows, c), size_a, cable.wiring)
+    probe_1, b_groups, size_b, probe_2 = _phases(rows, size_a, cable.wiring)
     # Only here are the phases' lists cut into plans: canonical sides, each with its own groups' size map.
     plan_a = _unchecked(ConnectionPlan, end=END_A, groups=partition.a_sets, _size_at=size_a)
     plan_b = _unchecked(ConnectionPlan, end=END_B, groups=tuple(map(frozenset, b_groups)), _size_at=size_b)
     return ProtocolTranscript(plan_a, probe_1, plan_b, probe_2)
 
 
-def _phases(r: Sequence[int], side: IntRuns, size_a: Sequence[int], wiring: tuple[int, ...]) -> tuple:
-    """run_protocol's phases on a valid pair's matrix (its row sums r and the B side _grid_columns reads off
-    it) and end A's size map size_a. Returns phase 1's probe, end B's groups as lists in canonical order,
-    their size map and phase 2's probe. That size map comes from the groups, so the agreement check
-    compares end B's columns with the plan."""
-    n, width = len(wiring), len(r) + 1
+def _phases(rows: Sequence[bytes], size_a: Sequence[int], wiring: tuple[int, ...]) -> tuple:
+    """run_protocol's phases on a valid pair's agreed matrix, as its m byte rows, and end A's size map size_a.
+    Returns phase 1's probe, end B's groups as lists in canonical order, their size map and phase 2's probe.
+    That size map comes from the groups, so the agreement check compares end B's columns with the plan. Both
+    guards stream over the wires and hold nothing n-sized: end A's (j, k) are checked against the grid."""
+    n, m = len(wiring), len(rows)
     phase1_probe = _readings(END_A, size_a, wiring)
 
-    b_groups, column_of = _assemble_b_sets(r, side, phase1_probe)
-    del side  # n ranks no reader needs again, freed before the guards' lists set the peak
+    b_groups, column_of = _assemble_b_sets([row.count(1) for row in rows], _grid_columns(rows), phase1_probe)
     size_b = _size_of(b_groups, n)
     phase2_probe = _readings(END_B, size_b, wiring)
 
-    # Each end's coordinate (j, k) as the key j * width + k.
-    key_a = list(map(add, map(mul, islice(size_a, 1, None), repeat(width)), phase2_probe))
-    key_b = list(map(add, map(mul, chain((0,), phase1_probe), repeat(width)), column_of))
-    through_wiring = list(map(key_b.__getitem__, wiring))
-    if through_wiring != key_a:
-        a = next(a for a, (x, y) in enumerate(zip(through_wiring, key_a), start=1) if x != y)
-        raise ProtocolError(
-            f"coordinate mismatch at position {a}: ends disagree, which would falsify the scheme"
-        )
-    if len(set(key_a)) != n:
-        raise ProtocolError("coordinates must be unique per wire")
+    # End B's (j, k) at B-position b is (phase1_probe[b - 1], column_of[b]); end A's must match it through the wiring.
+    coords_a = zip(islice(size_a, 1, None), phase2_probe)
+    coords_b = zip(map(phase1_probe.__getitem__, map(add, wiring, repeat(-1))), map(column_of.__getitem__, wiring))
+    a = next(compress(count(1), map(ne, coords_a, coords_b)), 0)  # the first A-position where they differ
+    if a:
+        raise ProtocolError(f"coordinate mismatch at position {a}: ends disagree, which would falsify the scheme")
+    # Cell (j, k) sits at j * m + k, past m + 1 leading bytes. A k outside 1..m would land in another row, so
+    # none is set then; otherwise the grid equals the agreed one iff the n coordinates are its n 1-cells.
+    cells = bytearray(m * m + m + 1)
+    if 0 < min(phase2_probe) and max(phase2_probe) <= m:
+        for key in map(add, map(mul, islice(size_a, 1, None), repeat(m)), phase2_probe):
+            cells[key] = 1
+    if cells[m + 1 :] != b"".join(rows):
+        raise ProtocolError("coordinates must be unique per wire and cells of the agreed matrix")
 
     return phase1_probe, b_groups, size_b, phase2_probe
 
@@ -271,25 +272,22 @@ def transcript_to_json(transcript: ProtocolTranscript) -> str:
     a, b = transcript.phase1_plan, transcript.phase2_plan
     probe_1, probe_2 = transcript.phase1_probe, transcript.phase2_probe
     bound = max(map(len, chain(a.groups, b.groups)), default=0)  # every probe reading and coordinate is a group size
-    bounds = dict.fromkeys(_TABLED, bound)  # the probes hold ints alone: ProtocolTranscript checked them
-    rows_a, rows_b = _sorted_runs(a.groups), _sorted_runs(b.groups)
-    return "".join(_transcript_pieces(rows_a, a._size_at, probe_1, rows_b, b._size_at, probe_2, bounds))
+    rows_a, rows_b = _sorted_runs(a.groups), _sorted_runs(b.groups)  # the probes hold ints alone: checked at init
+    return "".join(_transcript_pieces(rows_a, a._size_at, probe_1, rows_b, b._size_at, probe_2, bound))
 
 
 def _transcript_pieces(rows_a: IntRuns, size_a: Sequence[int], probe_1: Sequence[int], rows_b: IntRuns,
-                       size_b: Sequence[int], probe_2: Sequence[int], bounds: Mapping[str, int]) -> Iterator[str]:
-    """transcript_to_json's document in pieces, holding at most one field's text. Each plan is its rows
-    (its groups in canonical order, as an IntRuns of their ascending elements) and size map. bounds is
-    dict_pieces': a probe under a key in it must hold ints alone, and the coordinates under a key in it
-    are written through format_int_runs' tables for the ints 0..bound."""
-    payload = {
-        "schema": TRANSCRIPT_SCHEMA,
-        "phase1_plan": rows_a,
-        "phase1_probe": probe_1,
-        "phase2_plan": rows_b,
-        "phase2_probe": probe_2,
-        "coords_a": _paired_runs(size_a[1:], probe_2),
-        "coords_b": _paired_runs(probe_1, size_b[1:]),
-    }
-    yield from dict_pieces(payload, bounds)
+                       size_b: Sequence[int], probe_2: Sequence[int], bound: int) -> Iterator[str]:
+    """transcript_to_json's document in pieces, holding at most one field's text and one coordinate list. Each
+    plan is its rows (its groups in canonical order, as an IntRuns of their ascending elements) and size map.
+    The probes must hold ints alone; they and the coordinates are written through format_int_runs' tables for
+    the ints 0..bound."""
+
+    def fields() -> Iterator[tuple[str, object]]:  # each coordinate list is built as its field is written
+        yield from {"schema": TRANSCRIPT_SCHEMA, "phase1_plan": rows_a, "phase1_probe": probe_1,
+                    "phase2_plan": rows_b, "phase2_probe": probe_2}.items()
+        yield "coords_a", _paired_runs(size_a[1:], probe_2)
+        yield "coords_b", _paired_runs(probe_1, size_b[1:])
+
+    yield from dict_pieces(fields(), dict.fromkeys(_TABLED, bound))
     yield "\n"

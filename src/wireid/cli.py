@@ -24,7 +24,7 @@ import sys
 from itertools import chain, repeat
 
 from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, format_int_runs
-from .cable import _TABLED, ProtocolError, _phases, _transcript_pieces, make_cable
+from .cable import ProtocolError, _phases, _transcript_pieces, make_cable
 from .matrices import _text, format_degree_sequence
 from .partitions import (
     PARTITION_SCHEMA,
@@ -113,7 +113,7 @@ def cmd_construct(args) -> int:
     n = _capped(args.n)
     rep, rows = _checked_construction(n, args.m)
     # Both sides in canonical order, as the construction cut the labels 1..n (see partitions._check_cuts).
-    a_rows, b_rows = _rows(range(1, n + 1), rep.t), _grid_columns(rows, rep.t)
+    a_rows, b_rows = _rows(range(1, n + 1), rep.t), _grid_columns(rows)
     if args.format == STRUCTURED:
         payload = {
             "schema": CONSTRUCTION_SCHEMA,
@@ -126,7 +126,7 @@ def cmd_construct(args) -> int:
             "a_sets": a_rows,
             "b_sets": b_rows,
         }
-        sys.stdout.writelines(dict_pieces(payload, {}))
+        sys.stdout.writelines(dict_pieces(payload.items(), {}))
         sys.stdout.write("\n")
     else:
         print(f"n={n} m={rep.m}")
@@ -189,12 +189,11 @@ def cmd_simulate(args) -> int:
     # joins its A-sets (label x of row j in a set of j); end B assembles its B-sets off the grid. No set is frozen.
     a_rows = _rows(range(1, args.n + 1), rep.t)
     size_a = [0, *chain.from_iterable(map(repeat, range(1, rep.m + 1), rep.t))]
-    probe_1, b_groups, size_b, probe_2 = _phases(rep.t, _grid_columns(rows, rep.t), size_a, cable.wiring)
+    probe_1, b_groups, size_b, probe_2 = _phases(rows, size_a, cable.wiring)
     b_rows = _sorted_runs(b_groups)
     # Probes and coordinates are set sizes, at most m: format_int_runs writes them through its tables.
     if args.format == STRUCTURED:
-        bounds = dict.fromkeys(_TABLED, rep.m)
-        sys.stdout.writelines(_transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2, bounds))
+        sys.stdout.writelines(_transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2, rep.m))
     else:
         print(f"n={args.n} m={rep.m} seed={args.seed}")
         print("phase1_plan:", format_int_runs(a_rows, _braces, " "))

@@ -314,13 +314,14 @@ def _rows(labels: Sequence, r: Sequence[int]) -> IntRuns:
     return IntRuns(labels, [(j, r_j // j) for j, r_j in enumerate(r, start=1)])
 
 
-def _grid_columns(rows: Sequence[bytes], c: Sequence[int]) -> IntRuns:
-    """The B side of m byte rows of 0s and 1s with column sums c, for the labels 1..n (others attach by _ranked):
-    column k's labels, rows ascending, in sets of k, columns ascending. A 1-cell's label is its row-major rank,
-    the running count of 1s at it: column k's are its stride of those counts, compressed by its stride of the grid."""
+def _grid_columns(rows: Sequence[bytes]) -> IntRuns:
+    """The B side of m byte rows of 0s and 1s, for the labels 1..n (others attach by _ranked): column k's labels,
+    rows ascending, in sets of k, columns ascending. A 1-cell's label is its row-major rank, the running count of
+    1s at it: column k's are its stride of those counts, compressed by its stride of the grid, which it sums."""
     m, flat = len(rows), b"".join(rows)
-    prefix = list(accumulate(flat))
-    return _rows(list(chain.from_iterable(compress(prefix[k::m], flat[k::m]) for k in range(m))), c)
+    prefix, columns = list(accumulate(flat)), [flat[k::m] for k in range(m)]
+    labels = chain.from_iterable(compress(prefix[k::m], column) for k, column in enumerate(columns))
+    return _rows(list(labels), [column.count(1) for column in columns])
 
 
 def _ranked(side: IntRuns, labels: Iterable) -> IntRuns:
@@ -354,7 +355,7 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     _check_cuts(r, c, len(labels))
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
-    return KgPartition(len(labels), _sets(_rows(labels, r)), _sets(_ranked(_grid_columns(rows, c), labels)))
+    return KgPartition(len(labels), _sets(_rows(labels, r)), _sets(_ranked(_grid_columns(rows), labels)))
 
 
 def _check_cuts(r: Sequence[int], c: Sequence[int], count: int) -> None:
@@ -408,7 +409,7 @@ def construct_trace(n: int, m: int | None = None) -> Construction:
     (the construction checks symmetry); chunk into sets with labels 1..n.
     """
     rep, rows = _checked_construction(n, m)
-    a_sets, b_sets = _sets(_rows(range(1, n + 1), rep.t)), _sets(_grid_columns(rows, rep.t))
+    a_sets, b_sets = _sets(_rows(range(1, n + 1), rep.t)), _sets(_grid_columns(rows))
     partition = _unchecked(KgPartition, n=n, a_sets=a_sets, b_sets=b_sets)  # canonical order already
     return Construction(rep, _unchecked(BinaryMatrix, rows=tuple(map(tuple, rows))), partition)  # checked byte rows
 
@@ -432,7 +433,7 @@ def partition_to_json(partition: KgPartition) -> str:
         "a_sets": _sorted_runs(partition.a_sets),
         "b_sets": _sorted_runs(partition.b_sets),
     }
-    return "".join(dict_pieces(payload, {})) + "\n"
+    return "".join(dict_pieces(payload.items(), {})) + "\n"
 
 
 def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,)) -> KgPartition:

@@ -610,10 +610,10 @@ def test_protocol_error_exits_4(capsys, monkeypatch):
 def test_assembly_error_exits_4(capsys, monkeypatch):
     original = cable._assemble_b_sets
 
-    def misread(width, cells, readings):
+    def misread(r, side, readings):
         readings = list(readings)
         readings[readings.index(5)] = 6
-        return original(width, cells, readings)
+        return original(r, side, readings)
 
     monkeypatch.setattr(cable, "_assemble_b_sets", misread)
     code, out, err = run(capsys, "simulate", "--n", "26", "--seed", "3")

@@ -370,7 +370,7 @@ def test_the_grid_read_of_the_b_side_is_the_cell_key_read(data):
     rows = matrices._checked_grid(r, c)
     assert tuple(map(tuple, rows)) == matrix.rows
     reference = reference_matrix_to_partition(matrix, range(1, sum(r) + 1))
-    assert partitions._sets(partitions._grid_columns(rows, c)) == reference.b_sets, (r, c)
+    assert partitions._sets(partitions._grid_columns(rows)) == reference.b_sets, (r, c)
 
 
 @pytest.mark.slow

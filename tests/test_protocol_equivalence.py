@@ -4,12 +4,14 @@ kg_violations and json.dumps), and the phases fed by the construction (as
 `wireid simulate` runs them) against the public run_protocol."""
 
 import inspect
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import chain, compress, repeat
 
 import pytest
@@ -29,7 +31,7 @@ from reference_protocol import (
 from wireid import cable as cable_module
 from wireid._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, format_int_runs
 from wireid.cable import (
-    _TABLED, ConnectionPlan, ProtocolError, _phases, _transcript_pieces, make_cable, run_protocol, transcript_to_json,
+    ConnectionPlan, ProtocolError, _phases, _transcript_pieces, make_cable, run_protocol, transcript_to_json,
 )
 from wireid.matrices import construct_matrix
 from wireid.partitions import (
@@ -80,9 +82,8 @@ def test_protocol_and_json_match_reference_for_sampled_large_n():
 def assert_construction_fed_phases_match(n, m, seed):
     trace, cable = construct_trace(n, m), make_cable(n, seed)
     rep, rows = _checked_construction(n, m)
-    side = _grid_columns(rows, rep.t)  # as `wireid simulate` reads it
     size_a = [0, *chain.from_iterable(map(repeat, range(1, m + 1), rep.t))]  # as `wireid simulate` builds it
-    probe_1, b_groups, size_b, probe_2 = _phases(rep.t, side, size_a, cable.wiring)
+    probe_1, b_groups, size_b, probe_2 = _phases(rows, size_a, cable.wiring)
     # The pair again through KgPartition's sort, which construct_trace skips.
     public = run_protocol(KgPartition(n, trace.partition.a_sets, trace.partition.b_sets), cable)
     assert probe_1 == public.phase1_probe, (n, m, seed)
@@ -91,9 +92,9 @@ def assert_construction_fed_phases_match(n, m, seed):
     assert probe_2 == public.phase2_probe, (n, m, seed)
     for size_at, plan in ((size_a, public.phase1_plan), (size_b, public.phase2_plan)):
         assert size_at == plan._size_at == ConnectionPlan(plan.end, plan.groups)._size_at, (n, m, seed, plan.end)
-    # The document as `wireid simulate` writes it, with its bounds.
-    a_rows, b_rows, bounds = _rows(range(1, n + 1), rep.t), _sorted_runs(b_groups), dict.fromkeys(_TABLED, m)
-    pieces = _transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2, bounds)
+    # The document as `wireid simulate` writes it, with its bound.
+    a_rows, b_rows = _rows(range(1, n + 1), rep.t), _sorted_runs(b_groups)
+    pieces = _transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2, m)
     assert "".join(pieces) == transcript_to_json(public), (n, m, seed)
 
 
@@ -175,7 +176,7 @@ def test_the_agreed_grid_stays_linear_in_n_for_pairs_with_a_large_set(monkeypatc
     tuple(sorted([1, 1] + [2] * 6 + [3] * 3 + [4] * 4 + [5] * 5 + [6] * 6)) + (7,),  # stray size
 ])
 def test_assembly_errors_match_reference(matrix26, readings):
-    side = _grid_columns(list(map(bytes, matrix26.rows)), matrix26.col_sums())
+    side = _grid_columns(list(map(bytes, matrix26.rows)))
     messages = []
     # The package raises ProtocolError: run_protocol has validated the pair
     # and the wiring by then, so such readings are an internal fault.
@@ -203,7 +204,7 @@ def test_assembly_matches_reference_on_divisible_gapfree_matrices(data):
     if readings and data.draw(st.booleans()):
         readings[data.draw(st.integers(0, len(readings) - 1))] = data.draw(st.integers(0, m + 1))
     readings = tuple(readings)
-    side = _grid_columns(list(map(bytes, matrix.rows)), c)
+    side = _grid_columns(list(map(bytes, matrix.rows)))
     try:
         reference = reference_assemble_b_sets(matrix, readings)
     except ValueError as exc:
@@ -344,6 +345,69 @@ def test_repeated_coordinates_raise(monkeypatch):
         run_protocol(pair, cable)
 
 
+def test_unique_coordinates_off_the_matrix_raise(monkeypatch):
+    pair, cable = construct(20, 5), make_cable(20, 0)
+    cells = set(run_protocol(pair, cable).coords_a)
+    original = cable_module._assemble_b_sets
+
+    def exchanged(*args):
+        # Wires 1 and 9 change B-sets, and their columns with them: the ends still agree, and the 20 coordinates
+        # still differ, but (1, 3) and (3, 1) are 0-cells of the agreed matrix.
+        groups, column_of = original(*args)
+        swap = {1: 9, 9: 1}
+        groups = tuple([swap.get(w, w) for w in g] for g in groups)
+        column_of = list(column_of)
+        column_of[1], column_of[9] = column_of[9], column_of[1]
+        assert {(1, column_of[1]), (3, column_of[9])}.isdisjoint(cells)
+        return groups, column_of
+
+    monkeypatch.setattr(cable_module, "_assemble_b_sets", exchanged)
+    with pytest.raises(ProtocolError, match="cells of the agreed matrix"):
+        run_protocol(pair, cable)
+
+
+def test_a_column_past_the_order_raises(monkeypatch):
+    pair, cable = construct(20, 5), make_cable(20, 0)
+    original = cable_module._assemble_b_sets
+
+    def grown(*args):
+        # A wire leaves its B-set of one for the B-set of five, and all six take column 6, past the order:
+        # the ends agree, and every coordinate differs, but some lie outside the agreed matrix.
+        groups, column_of = original(*args)
+        wire = groups[0][0]
+        groups = ([], *groups[1:-1], [*groups[-1], wire])
+        column_of = list(column_of)
+        for w in groups[-1]:
+            column_of[w] = 6
+        return groups, column_of
+
+    monkeypatch.setattr(cable_module, "_assemble_b_sets", grown)
+    with pytest.raises(ProtocolError, match="cells of the agreed matrix"):
+        run_protocol(pair, cable)
+
+
+def test_phases_hold_no_n_sized_guard_copies():
+    """_phases' traced peak above its inputs at n = 2e5: its outputs (about 61 B a wire) and the ranks and lists
+    it frees, but no key list, no copy of a key list through the wiring and no set of keys (221 B a wire)."""
+    n = 200_000
+    rep, rows = _checked_construction(n, None)
+    size_a = [0, *chain.from_iterable(map(repeat, range(1, rep.m + 1), rep.t))]
+    wiring = make_cable(n, 3).wiring
+    collecting = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        phases = _phases(rows, size_a, wiring)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+    assert len(phases[0]) == n
+    assert peak <= 150 * n, peak / n
+
+
 def test_coordinate_guard_survives_optimized_mode():
     script = textwrap.dedent(
         f"""
@@ -389,7 +453,7 @@ json_values = st.recursive(
 
 
 def write(payload, bounds={}):
-    return "".join(dict_pieces(payload, bounds))
+    return "".join(dict_pieces(payload.items(), bounds))
 
 
 @given(json_values, st.text())

@@ -76,7 +76,7 @@ def test_bounded_dict_fields_match_json_dumps(case):
     as_ints = [[int(value) for value in row] for row in rows]
     expected = {"rows": as_ints, "flat": flat, "plain": as_ints}
     bounds = {"rows": bound, "flat": bound} if set(map(type, flat)) <= {int} else {"rows": bound}
-    text = "".join(dict_pieces(payload, bounds))
+    text = "".join(dict_pieces(payload.items(), bounds))
     assert text == json.dumps(expected, indent=2)
 
 
