@@ -34,8 +34,7 @@ from typing import Iterable, Iterator, Sequence
 from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces
 from .matrices import _unchecked
 from .partitions import (
-    KgPartition, _blocks, _canonical_order, _cell_keys, _grid_columns, _ranked, _side_sizes, _size_of, kg_violations,
-    min_elements,
+    KgPartition, _blocks, _canonical_order, _grid_columns, _key_rows, _ranked, _side_sizes, _size_of, _verdict,
 )
 
 END_A = "A"
@@ -204,12 +203,9 @@ def _assemble_b_sets(r: Sequence[int], side: IntRuns, readings: Sequence[int]) -
 def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTranscript:
     """Run both phases and derive consistent coordinates at both ends.
 
-    _cell_keys, which kg_violations shares, keys every element by its cell
-    j * width + k; set in a width² byte grid (O(n): an order-m pair has at least
-    m(m + 1)/2 elements), they must fill n + 1 cells, and the grid is the matrix
-    both ends agreed on (kg_violations runs only to explain a rejection). Labels
-    are wire positions, so a bool among them is rejected too. The cable checked
-    its wiring when it was built, so the phases read it without probe's checks.
+    _verdict, which kg_violations wraps, decides the pair and returns its matrix, the one both ends agreed on,
+    as m byte rows. Labels are wire positions, the ints 1..n, so a pair it accepts by value (1.0, True) is
+    rejected too. The cable checked its wiring when it was built, so the phases read it without probe's checks.
     Phase 1: end A joins its A-sets; end B probes and learns each wire's row,
     then assembles B-sets canonically from the matrix. Phase 2: end A
     disconnects, end B joins its B-sets, end A probes and learns each wire's
@@ -219,15 +215,11 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     """
     if partition.n != cable.n:
         raise ValueError(f"partition covers {partition.n} elements but the cable has {cable.n} wires")
-    scheme = _cell_keys(cable.n, partition.a_sets, partition.b_sets)
-    width, keys = scheme if scheme and min_elements(scheme[0] - 1) <= cable.n else (0, ())
-    grid = bytearray(width * width)
-    for key in keys:  # keys[0] == 0 sets the unused cell (0, 0)
-        grid[key] = 1
-    if grid.count(1) != cable.n + 1 or _holds_bool(chain.from_iterable(partition.a_sets + partition.b_sets)):
-        problems = kg_violations(partition) or ["labels must be the integers 1..n"]
+    rows, problems = _verdict(cable.n, partition.a_sets, partition.b_sets)
+    if not problems and not set(map(type, chain.from_iterable(partition.a_sets + partition.b_sets))) <= {int}:
+        problems = ["labels must be the integers 1..n"]
+    if problems:
         raise ValueError("invalid partition pair:\n" + "\n".join(problems))
-    rows = [grid[j * width + 1 : (j + 1) * width] for j in range(1, width)]
     size_a = _size_of(partition.a_sets, cable.n)
     probe_1, b_groups, size_b, probe_2 = _phases(rows, size_a, cable.wiring)
     # Only here are the phases' lists cut into plans: canonical sides, each with its own groups' size map.
@@ -236,11 +228,11 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     return ProtocolTranscript(plan_a, probe_1, plan_b, probe_2)
 
 
-def _phases(rows: Sequence[bytes], size_a: Sequence[int], wiring: tuple[int, ...]) -> tuple:
-    """run_protocol's phases on a valid pair's agreed matrix, as its m byte rows, and end A's size map size_a.
+def _phases(rows: list[bytes], size_a: Sequence[int], wiring: tuple[int, ...]) -> tuple:
+    """run_protocol's phases on a valid pair's agreed matrix, as a list of its m byte rows, and end A's size map.
     Returns phase 1's probe, end B's groups as lists in canonical order, their size map and phase 2's probe.
     That size map comes from the groups, so the agreement check compares end B's columns with the plan. Both
-    guards stream over the wires and hold nothing n-sized: end A's (j, k) are checked against the grid."""
+    guards stream over the wires and hold nothing n-sized: end A's (j, k) must set the rows by _key_rows."""
     n, m = len(wiring), len(rows)
     phase1_probe = _readings(END_A, size_a, wiring)
 
@@ -254,13 +246,9 @@ def _phases(rows: Sequence[bytes], size_a: Sequence[int], wiring: tuple[int, ...
     a = next(compress(count(1), map(ne, coords_a, coords_b)), 0)  # the first A-position where they differ
     if a:
         raise ProtocolError(f"coordinate mismatch at position {a}: ends disagree, which would falsify the scheme")
-    # Cell (j, k) sits at j * m + k, past m + 1 leading bytes. A k outside 1..m would land in another row, so
-    # none is set then; otherwise the grid equals the agreed one iff the n coordinates are its n 1-cells.
-    cells = bytearray(m * m + m + 1)
-    if 0 < min(phase2_probe) and max(phase2_probe) <= m:
-        for key in map(add, map(mul, islice(size_a, 1, None), repeat(m)), phase2_probe):
-            cells[key] = 1
-    if cells[m + 1 :] != b"".join(rows):
+    # Cell (j, k) is key j * (m + 1) + k: with k in 1..m, the keys set the agreed grid iff they are its n 1-cells.
+    keys = map(add, map(mul, islice(size_a, 1, None), repeat(m + 1)), phase2_probe)
+    if not 0 < min(phase2_probe) <= max(phase2_probe) <= m or _key_rows(m + 1, keys, n) != rows:
         raise ProtocolError("coordinates must be unique per wire and cells of the agreed matrix")
 
     return phase1_probe, b_groups, size_b, phase2_probe

@@ -158,9 +158,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Judge the parsed lists by partitions._verdict: their cell keys decide, and the sets are frozen
-    (a set may repeat a label: it counts once) but never sorted, and only when the lists are not exact
-    partitions of 1..n."""
+    """Judge the parsed lists by partitions._verdict: their cell keys decide, and the order is its matrix's
+    row count. The sets are frozen (a set may repeat a label: it counts once) but never sorted, and only when
+    the lists are not exact partitions of 1..n."""
     try:
         if args.path != "-":
             with open(args.path, encoding="utf-8") as source:
@@ -174,11 +174,11 @@ def cmd_verify(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
     n, a_sets, b_sets = _read_partition(text, (PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
-    order, problems = _verdict(_capped(n), a_sets, b_sets)
+    rows, problems = _verdict(_capped(n), a_sets, b_sets)
     if problems:
         _print_error(*problems)
         return EXIT_INVALID
-    print(f"valid Knowlton-Graham pair: n={n} order={order}")
+    print(f"valid Knowlton-Graham pair: n={n} order={len(rows)}")
     return EXIT_OK
 
 

@@ -196,18 +196,17 @@ def kg_violations(partition: KgPartition) -> list[str]:
     return _verdict(partition.n, partition.a_sets, partition.b_sets)[1]
 
 
-def _verdict(n: int, a_sets: Collection[Collection], b_sets: Collection[Collection]) -> tuple[int, list[str]]:
-    """The order of the pair (its largest set's size) and kg_violations' messages for it.
-    The order is meaningful only when the messages are empty; otherwise it is 0.
+def _verdict(n: int, a_sets: Collection[Collection],
+             b_sets: Collection[Collection]) -> tuple[list[bytearray], list[str]]:
+    """The pair's matrix as its m byte rows and kg_violations' messages for it. The rows are empty unless the
+    messages are, and their count is the pair's order (its largest set's size).
 
-    Labels are compared by value, as sets compare them, so 1.0 stands for 1.
-    _cell_keys decides the structure and gives each element the flat key of
-    its (j, k) cell; the pair is valid iff the keys differ. When the sides
-    are not exact partitions as given, each set is frozen, so a label
-    repeated within a set counts once, but the sets are not sorted: for int
-    labels no message depends on their order. Sets and Counters are built
-    only to word a structure failure or to map value-equal labels onto
-    ints, and the key Counter only to name crowded cells.
+    Labels are compared by value, as sets compare them, so 1.0 stands for 1. _cell_keys decides the structure
+    and keys each element by its (j, k) cell; _key_rows sets the keys in a width² grid, the matrix iff the n + 1
+    keys differ. An order-m pair has at least m(m + 1)/2 elements, so a wider pair crowds a cell and gets no
+    grid. When the sides are not exact partitions as given, each set is frozen, so a label repeated within a
+    set counts once, but the sets are not sorted: for int labels no message depends on their order. Sets and
+    Counters are built only to word a failure; value-equal labels are mapped onto ints and judged again.
     """
     cells = _cell_keys(n, a_sets, b_sets)
     if cells is None:
@@ -233,20 +232,31 @@ def _verdict(n: int, a_sets: Collection[Collection], b_sets: Collection[Collecti
                 if extra:
                     messages.append(f"{name}-sets contain elements outside 1..{n}: {_ordered(extra)}")
         if messages:
-            return 0, messages
+            return [], messages
         # Labels equal to 1..n but not ints, 1.0 say.
         as_int = {x: x for x in universe}
-        a_sets, b_sets = ([[as_int[x] for x in s] for s in sets] for sets in (a_sets, b_sets))
-        cells = _cell_keys(n, a_sets, b_sets)
-    return cells[0] - 1, _crowded_cells(*cells)
+        return _verdict(n, *([[as_int[x] for x in s] for s in sets] for sets in (a_sets, b_sets)))
+    width, keys = cells
+    rows = _key_rows(width, keys, n + 1) if min_elements(width - 1) <= n else None
+    if rows is None:
+        return [], _crowded_cells(width, list(_cell_keys(n, a_sets, b_sets)[1]))
+    return rows, []
+
+
+def _key_rows(width: int, keys: Iterable[int], count: int) -> list[bytearray] | None:
+    """The width x width byte grid with a 1 at each key j * width + k, as its rows and columns 1..width - 1,
+    if exactly count cells are set; otherwise None. The keys must lie in 0..width² - 1."""
+    grid = bytearray(width * width)
+    for key in keys:
+        grid[key] = 1
+    if grid.count(1) != count:
+        return None
+    return [grid[j * width + 1 : (j + 1) * width] for j in range(1, width)]
 
 
 def _crowded_cells(width: int, keys: Sequence[int]) -> list[str]:
-    """kg_violations' messages for a pair whose _cell_keys are (width, keys):
-    one per (j, k) cell holding two or more elements, cells ascending, with
-    its elements ascending. Empty list when the keys differ."""
-    if len(set(keys)) == len(keys):
-        return []
+    """kg_violations' messages for a pair whose _cell_keys are (width, keys), when two keys are equal: one per
+    (j, k) cell holding two or more elements, cells ascending, with its elements ascending."""
     crowded = sorted(key for key, count in Counter(keys).items() if count > 1)
     members: dict[int, list[int]] = {key: [] for key in crowded}
     for x, key in enumerate(keys):  # keys[0] == 0 is never crowded
@@ -259,17 +269,16 @@ def _crowded_cells(width: int, keys: Sequence[int]) -> list[str]:
     return messages
 
 
-def _cell_keys(n: int, a_sets: Collection, b_sets: Collection) -> tuple[int, list[int]] | None:
-    """(width, keys), keys[x] = j * width + k for the element x of an A-set of
-    size j and a B-set of size k (keys[0] == 0), or None unless both sides
-    exactly partition the ints 1..n. No set reaches width, so the pair is a KG
-    pair iff the n + 1 keys differ; sorted, they list its matrix's 1-cells
-    in row-major order."""
+def _cell_keys(n: int, a_sets: Collection, b_sets: Collection) -> tuple[int, Iterator[int]] | None:
+    """(width, keys), keys streaming j * width + k for each element x = 0..n of an A-set of size j and a B-set
+    of size k (0 for x = 0), or None unless both sides exactly partition the ints 1..n. No set reaches width,
+    so the pair is a KG pair iff the n + 1 keys differ; sorted, they list its matrix's 1-cells in row-major
+    order."""
     width = max(map(len, chain(a_sets, b_sets)), default=0) + 1
     size_a, size_b = _side_sizes(a_sets, n, width), _side_sizes(b_sets, n)
     if size_a is None or size_b is None:
         return None
-    return width, list(map(add, size_a, size_b))
+    return width, map(add, size_a, size_b)
 
 
 def _side_sizes(sets: Collection[Collection], n: int, unit: int = 1) -> list[int] | None:

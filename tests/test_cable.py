@@ -302,12 +302,15 @@ def test_protocol_rejects_invalid_pair():
         run_protocol(KgPartition(2, singletons, singletons), make_cable(2, 0))
 
 
-@pytest.mark.parametrize("a_sets, b_sets", [(({True},), ({True},)), (({1},), ({True},)), (({True},), ({1},))])
+@pytest.mark.parametrize("a_sets, b_sets", [
+    (({True},), ({True},)), (({1},), ({True},)), (({True},), ({1},)),
+    ([{1.0 if x == 1 else x for x in s} for s in construct(26).a_sets], construct(26).b_sets),  # 1.0 for 1
+])
 def test_protocol_rejects_bool_labels(a_sets, b_sets):
-    pair = KgPartition(1, a_sets, b_sets)
-    assert kg_violations(pair) == []  # it judges labels by value, and True == 1
+    pair = KgPartition(sum(map(len, a_sets)), a_sets, b_sets)
+    assert kg_violations(pair) == []  # it judges labels by value, and True == 1 == 1.0
     with pytest.raises(ValueError, match="invalid partition pair:\nlabels must be the integers 1..n"):
-        run_protocol(pair, make_cable(1, 0))
+        run_protocol(pair, make_cable(pair.n, 0))
 
 
 # ── transcript serialization ─────────────────────────────────────────────

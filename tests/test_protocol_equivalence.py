@@ -28,7 +28,7 @@ from reference_protocol import (
     reference_run_protocol,
     reference_transcript_to_json,
 )
-from wireid import cable as cable_module
+from wireid import cable as cable_module, partitions as partitions_module
 from wireid._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, format_int_runs
 from wireid.cable import (
     ConnectionPlan, ProtocolError, _phases, _transcript_pieces, make_cable, run_protocol, transcript_to_json,
@@ -160,14 +160,16 @@ def test_invalid_pair_message_matches_reference():
 
 def test_the_agreed_grid_stays_linear_in_n_for_pairs_with_a_large_set(monkeypatch):
     # Both sides exactly partition 1..n, but one A-set holds every element, so the cell keys' width is n + 1.
-    # No pair of order n exists below n(n + 1)/2 elements: run_protocol rejects it without a width² grid.
+    # No pair of order n exists below n(n + 1)/2 elements: _verdict rejects it without a width² grid.
     n, sizes = 3_000, []
-    monkeypatch.setattr(cable_module, "bytearray", lambda size: sizes.append(size) or bytearray(size), raising=False)
+    monkeypatch.setattr(partitions_module, "bytearray", lambda size: sizes.append(size) or bytearray(size),
+                        raising=False)
     pair = KgPartition(n, (frozenset(range(1, n + 1)),), tuple(frozenset({x}) for x in range(1, n + 1)))
     with pytest.raises(ValueError) as excinfo:
         run_protocol(pair, make_cable(n, 1))
     assert str(excinfo.value) == "invalid partition pair:\n" + "\n".join(kg_violations(pair))
-    assert sizes and max(sizes) <= 4 * n, sizes
+    assert not kg_violations(construct(21)) and sizes, "the patch sees the grid of a valid pair"
+    assert max(sizes) <= 4 * n, sizes
 
 
 @pytest.mark.parametrize("readings", [
@@ -251,18 +253,15 @@ def _mutate(data, pair):
     return KgPartition(n, tuple(map(frozenset, sides[0])), tuple(map(frozenset, sides[1])))
 
 
-def _cell_keys_accept(pair):
-    """_cell_keys' verdict as run_protocol reads it: a key list whose keys differ."""
-    scheme = _cell_keys(pair.n, pair.a_sets, pair.b_sets)
-    return scheme is not None and len(set(scheme[1])) == pair.n + 1
-
-
 def _check_against_kg_violations(pair):
-    problems = kg_violations(pair)
-    assert _cell_keys_accept(pair) == (not problems), (pair, problems)
+    # _verdict's rows, as run_protocol reads them: the pair's matrix, or empty when the pair is rejected.
+    problems, rows = kg_violations(pair), partitions_module._verdict(pair.n, pair.a_sets, pair.b_sets)[0]
+    assert bool(rows) == (not problems), (pair, problems)
     if not problems:
-        width, keys = _cell_keys(pair.n, pair.a_sets, pair.b_sets)
         matrix = partition_to_matrix(pair)
+        assert list(map(bytes, rows)) == list(map(bytes, matrix.rows))
+        width, keys = _cell_keys(pair.n, pair.a_sets, pair.b_sets)
+        keys = list(keys)
         assert [divmod(key, width) for key in sorted(keys)[1:]] == [
             (j, k) for j, row in enumerate(matrix.rows, start=1) for k in compress(range(1, matrix.m + 1), row)
         ]

@@ -3,8 +3,10 @@ the same message list, in the same order and wording, on every input."""
 
 import ast
 import dataclasses
+import gc
 import inspect
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -179,10 +181,33 @@ def test_verdict_words_int_lists_in_any_set_order_as_the_reference_does(data):
         target %= len(side)
         side[target] = labels if replace else side[target] + labels
     a_sets, b_sets = (data.draw(st.permutations(side)) for side in sides)
-    order, messages = partitions._verdict(n, a_sets, b_sets)
+    rows, messages = partitions._verdict(n, a_sets, b_sets)
     pair = KgPartition(n, a_sets, b_sets)
     assert messages == reference_kg_violations(pair)
-    assert messages or order == pair.order
+    assert len(rows) == (0 if messages else pair.order)
+
+
+def test_verdict_builds_no_key_list_or_key_set_for_a_valid_pair():
+    """_verdict's traced peak above its inputs on a valid pair at n = 2e5, relabelled and its sets shuffled: its
+    two size maps (8 B an element each) and the grid, but no list or set of the cell keys (about 100 B an element)."""
+    n, rng = 200_000, random.Random(7)
+    pair = _relabelled(construct(n), rng)
+    a_sets, b_sets = list(pair.a_sets), list(pair.b_sets)
+    rng.shuffle(a_sets)
+    rng.shuffle(b_sets)
+    collecting = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows, messages = partitions._verdict(n, a_sets, b_sets)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+    assert messages == [] and len(rows) == pair.order
+    assert peak <= 40 * n, peak / n
 
 
 # ── the shared structure check: partitions._side_sizes ──────────────────
@@ -243,8 +268,8 @@ def test_boundary_labels_with_n_labels_in_all(side, old, new, scheme_accepts):
 def test_oracle_stays_independent_of_the_matrix_layer():
     source = "".join(
         map(inspect.getsource,
-            (kg_violations, partitions._verdict, partitions._crowded_cells, partitions._cell_keys,
-             partitions._side_sizes, partitions._size_of))
+            (kg_violations, partitions._verdict, partitions._key_rows, partitions._crowded_cells,
+             partitions._cell_keys, partitions._side_sizes, partitions._size_of))
     )
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     matrix_layer = {"matrices", "_rows", "_blocks", "_sets", "_grid_columns", "_ranked", "matrix_to_partition",
