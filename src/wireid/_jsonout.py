@@ -5,14 +5,16 @@ dict whose long fields are flat int lists (the probes) or IntRuns, the one row f
 int sets as their ascending elements (_sorted_runs) and coordinates (rows of two, _paired_runs) are rows
 cut from one flat list.
 One %-operation per run of equal-length rows writes them several times faster; ints a caller knows to
-lie in 0..bound (set sizes, bounded by the order) are looked up in a table instead. ``dict_pieces``
-writes a document one field at a time, as the caller says, without scanning a value's types.
+lie in 0..bound (set sizes, bounded by the order) are looked up in a table instead, and rows cut from a
+range (the A side: the labels 1..n in order) are slices of one text of its labels, built by copying.
+``dict_pieces`` writes a document one field at a time, as the caller says, without scanning a value's types.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, cycle, groupby
+from itertools import accumulate, chain, cycle, groupby, islice, repeat, starmap
+from operator import add, mul, sub
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -92,8 +94,38 @@ def format_int_runs(rows: IntRuns, template: Callable[[int], str], sep: str, bou
     and sep attached, one lookup per value and one join. For that, every
     template(size) with size >= 1 must read pre + mid.join(["%d"] * size) + post.
     A value the tables miss (outside 0..bound, or not an int) sends the run
-    back to its %-operation, so the bytes are the same for any values."""
-    return sep.join(_run_text(template, sep, bound, size, count, part) for size, count, part in _parts(rows) if count)
+    back to its %-operation, so the bytes are the same for any values. A flat
+    step-1 range of positive ints, cut into runs of count >= 1 rows of size >= 1,
+    is written by _range_text whatever the bound; its template must read so too."""
+    parts, (flat, runs) = _parts(rows), rows
+    if type(flat) is range and flat.step == 1 and 0 < flat.start < flat.stop and all(s > 0 < c for s, c in runs):
+        next(parts)  # ValueError unless the runs take the range exactly
+        return _range_text(flat, runs, *template(2).split("%d"), sep)
+    return sep.join(_run_text(template, sep, bound, size, count, part) for size, count, part in parts if count)
+
+
+def _range_text(labels: range, runs: Sequence[tuple[int, int]], pre: str, mid: str, post: str, sep: str) -> str:
+    """format_int_runs of runs of rows cut from labels, a step-1 range of positive ints, for a template reading
+    pre + mid.join(["%d"] * size) + post: slices of one text of the labels, each followed by mid, built by copying
+    (labels 1000p..1000p + 999 are str(p) joined onto the suffixes 000..999; only the edges are formatted) and
+    cut where 1..x - 1 hold L * x - (10^L - 1) / 9 digits, L being the digit count of x (or of x - 1)."""
+    start, stop, width = labels.start, labels.stop, len(mid)
+    low = -(-max(start, 1000) // 1000)  # the thousands the range holds whole are low..high - 1
+    high = max(low, stop // 1000)
+    edges = [range(start, min(1000 * low, stop)), range(1000 * high, stop)]
+    head, tail = ["".join(map(add, map(str, edge), repeat(mid))) for edge in edges]
+    block = ["", *map(add, map("%03d".__mod__, range(1000)), repeat(mid))]
+    text = "".join(chain([head], map(str.join, map(str, range(low, high)), repeat(block)), [tail]))
+    offsets = list(accumulate(chain.from_iterable(starmap(repeat, runs)), initial=start))  # each row's first label
+    digits = list(map(len, map(str, offsets)))
+    ones = [(10**length - 1) // 9 for length in range(digits[-1] + 1)]
+    offsets = list(map(sub, map(mul, offsets, map(width.__add__, digits)), map(ones.__getitem__, digits)))  # their texts'
+    ends = map((offsets[0] + width).__rsub__, islice(offsets, 1, None))
+    row_texts = list(map(text.__getitem__, map(slice, map(offsets[0].__rsub__, offsets), ends)))
+    del text, offsets  # two copies of the labels' text at most: the rows, then the rows and their join
+    row_texts[0] = pre + row_texts[0]
+    row_texts[-1] += post
+    return (post + sep + pre).join(row_texts)
 
 
 def _run_text(template: Callable[[int], str], sep: str, bound: int, size: int, count: int, part: Sequence) -> str:

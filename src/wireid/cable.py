@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import add, mul, ne
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces
 from .matrices import _unchecked
@@ -61,7 +61,7 @@ class CableInstance:
         if self.n < 1:
             raise ValueError(f"need at least one wire, got n={self.n}")
         object.__setattr__(self, "wiring", tuple(self.wiring))
-        if _side_sizes((self.wiring,), self.n) is None or _holds_bool(self.wiring):
+        if _side_sizes((self.wiring,), self.n) is None or not set(map(type, self.wiring)) <= {int}:
             raise ValueError("wiring must be a bijection on positions 1..n")
 
 
@@ -95,19 +95,13 @@ class ConnectionPlan:
         object.__setattr__(self, "groups", _canonical_order(self.groups))
         n = sum(map(len, self.groups))
         size_at = _side_sizes(tuple(filter(None, self.groups)), n) if n else [0]
-        if size_at is None or _holds_bool(chain.from_iterable(self.groups)):
+        if size_at is None or not set(map(type, chain.from_iterable(self.groups))) <= {int}:
             raise ValueError("groups must be disjoint and cover positions 1..n")
         object.__setattr__(self, "_size_at", size_at)
 
     @property
     def n(self) -> int:
         return len(self._size_at) - 1
-
-
-def _holds_bool(positions: Iterable) -> bool:
-    """Whether a bool is among the positions. _side_sizes takes True for the int 1, as
-    kg_violations does; the cable's entry points take the ints 1..n and nothing else."""
-    return bool in set(map(type, positions))
 
 
 def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tuple[int, ...]:
@@ -126,7 +120,7 @@ def probe(plan: ConnectionPlan, wiring: Sequence[int], queried_end: str) -> tupl
     n = len(wiring)
     if plan.n != n:
         raise ValueError(f"plan covers {plan.n} positions but the cable has {n} wires")
-    if (n and _side_sizes((wiring,), n) is None) or _holds_bool(wiring):
+    if (n and _side_sizes((wiring,), n) is None) or not set(map(type, wiring)) <= {int}:
         raise ValueError("wiring must be a bijection on the ints 1..n")
     return _readings(plan.end, plan._size_at, wiring)
 
@@ -228,11 +222,12 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
     return ProtocolTranscript(plan_a, probe_1, plan_b, probe_2)
 
 
-def _phases(rows: list[bytes], size_a: Sequence[int], wiring: tuple[int, ...]) -> tuple:
+def _phases(rows: list[bytes], size_a: list[int], wiring: tuple[int, ...]) -> tuple:
     """run_protocol's phases on a valid pair's agreed matrix, as a list of its m byte rows, and end A's size map.
     Returns phase 1's probe, end B's groups as lists in canonical order, their size map and phase 2's probe.
-    That size map comes from the groups, so the agreement check compares end B's columns with the plan. Both
-    guards stream over the wires and hold nothing n-sized: end A's (j, k) must set the rows by _key_rows."""
+    That size map comes from the groups, so the agreement check compares end B's columns with the plan. It
+    gathers each half through the wiring as one flat list, freed before the next; the uniqueness guard streams
+    over the wires and holds nothing n-sized: end A's (j, k) must set the rows by _key_rows."""
     n, m = len(wiring), len(rows)
     phase1_probe = _readings(END_A, size_a, wiring)
 
@@ -240,11 +235,13 @@ def _phases(rows: list[bytes], size_a: Sequence[int], wiring: tuple[int, ...]) -
     size_b = _size_of(b_groups, n)
     phase2_probe = _readings(END_B, size_b, wiring)
 
-    # End B's (j, k) at B-position b is (phase1_probe[b - 1], column_of[b]); end A's must match it through the wiring.
-    coords_a = zip(islice(size_a, 1, None), phase2_probe)
-    coords_b = zip(map(phase1_probe.__getitem__, map(add, wiring, repeat(-1))), map(column_of.__getitem__, wiring))
-    a = next(compress(count(1), map(ne, coords_a, coords_b)), 0)  # the first A-position where they differ
-    if a:
+    # End B's (j, k) at B-position b is (phase1_probe[b - 1], column_of[b]); end A's must match it through the wiring:
+    # the rows gathered through it, not scattered as _readings does, and the columns. Only a failure is located.
+    if (list(map((0, *phase1_probe).__getitem__, wiring)) != size_a[1:]
+            or tuple(map(column_of.__getitem__, wiring)) != phase2_probe):
+        coords_a = zip(islice(size_a, 1, None), phase2_probe)
+        coords_b = zip(map(phase1_probe.__getitem__, map(add, wiring, repeat(-1))), map(column_of.__getitem__, wiring))
+        a = next(compress(count(1), map(ne, coords_a, coords_b)), 0)  # the first A-position where they differ
         raise ProtocolError(f"coordinate mismatch at position {a}: ends disagree, which would falsify the scheme")
     # Cell (j, k) is key j * (m + 1) + k: with k in 1..m, the keys set the agreed grid iff they are its n 1-cells.
     keys = map(add, map(mul, islice(size_a, 1, None), repeat(m + 1)), phase2_probe)

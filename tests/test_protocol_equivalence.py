@@ -385,6 +385,26 @@ def test_a_column_past_the_order_raises(monkeypatch):
         run_protocol(pair, cable)
 
 
+@pytest.mark.parametrize("end", [cable_module.END_A, cable_module.END_B])
+def test_a_corrupted_probe_raises(monkeypatch, end):
+    # Two unequal readings exchanged in one probe: opposite end A's plan (phase 1, end B's rows) or opposite end
+    # B's (phase 2, end A's columns). The agreement guard reads both halves through the wiring on its own, so it
+    # does not take _readings' word for either.
+    original = cable_module._readings
+
+    def exchanged(plan_end, size_at, wiring):
+        readings = list(original(plan_end, size_at, wiring))
+        if plan_end == end:
+            other = next(i for i, reading in enumerate(readings) if reading != readings[0])
+            readings[0], readings[other] = readings[other], readings[0]
+        return tuple(readings)
+
+    monkeypatch.setattr(cable_module, "_readings", exchanged)
+    for n, seed in ((26, 42), (26, 0), (2000, 3)):
+        with pytest.raises(ProtocolError, match="coordinate mismatch at position [1-9]"):
+            run_protocol(construct(n), make_cable(n, seed))
+
+
 def test_phases_hold_no_n_sized_guard_copies():
     """_phases' traced peak above its inputs at n = 2e5: its outputs (about 61 B a wire) and the ranks and lists
     it frees, but no key list, no copy of a key list through the wiring and no set of keys (221 B a wire)."""

@@ -1,7 +1,9 @@
-"""format_int_runs' tables: with a bound, runs of small ints are written by
-lookups in tables of 0..bound instead of one %-operation per run, and every
-byte must stay what the %-operation writes. The oracle writes each row by its
-own template, ``template(size) % tuple(row)``, and joins the rows by sep."""
+"""format_int_runs' tables and ranges: with a bound, runs of small ints are
+written by lookups in tables of 0..bound instead of one %-operation per run,
+rows cut from a range of positive ints are slices of one text of its labels,
+and every byte must stay what the %-operation writes. The oracle writes each
+row by its own template, ``template(size) % tuple(row)``, and joins the rows
+by sep."""
 
 import json
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from wireid import cli
 from wireid._jsonout import IntRuns, _row_template, dict_pieces, format_int_runs
 from wireid.cable import ConnectionPlan, ProtocolTranscript, transcript_to_json
+from wireid.partitions import _checked_construction, _rows
 
 # Every template the package writes ints with: JSON rows at the two indents
 # the documents use, the grid's sets and coordinates, and the grid's probes.
@@ -36,6 +39,15 @@ def cut(flat, runs):
 
 def oracle(rows, template, sep):
     return sep.join(template(len(row)) % tuple(row) for row in rows)
+
+
+def mismatch(text, expected):
+    """None if the texts are equal, else where they first differ: pytest's diff of two long texts is quadratic,
+    and Hypothesis fails a test many times while it shrinks an example."""
+    if text == expected:
+        return None
+    at = next((i for i, (x, y) in enumerate(zip(text, expected)) if x != y), min(len(text), len(expected)))
+    return at, text[at - 20 : at + 20], expected[at - 20 : at + 20]
 
 
 @st.composite
@@ -93,6 +105,83 @@ def test_in_bound_values_are_looked_up_not_formatted():
     assert asked == [2]
     assert format_int_runs(IntRuns([3, 0, 6, 5, 1], [(5, 1)]), template, "", 5) == "3,0,6,5,1"
     assert asked == [2, 2, 5]
+
+
+@st.composite
+def range_rows(draw):
+    """(flat, runs): a step-1 range starting near 1, 9, 99, ..., 999,999, so that rows cross a digit count and
+    thousands, cut into runs of rows of 1 to 4 ints or one long run. Now and then the range starts at 0 or below
+    or has another step, or a size-0 row or a count-0 run is put in: those go to the %-operation."""
+    start = draw(st.sampled_from([1, 9, 99, 999, 9_999, 99_999, 999_999])) + draw(st.integers(-3, 3))
+    runs = draw(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 300)), min_size=1, max_size=4)
+        | st.tuples(st.integers(1, 3), st.integers(1000, 3000)).map(lambda run: [run])
+    )
+    if draw(st.integers(0, 7)) == 0:
+        runs.insert(draw(st.integers(0, len(runs))), draw(st.sampled_from([(0, 1), (0, 3), (2, 0)])))
+    step = draw(st.sampled_from([1] * 6 + [2, -1]))
+    return range(start, start + step * sum(size * count for size, count in runs), step), runs
+
+
+@given(range_rows(), st.sampled_from(sorted(TEMPLATES)), st.sampled_from(SEPS), st.sampled_from([-1, 0, 9, 300]))
+def test_ranges_write_what_the_templates_write(case, name, sep, bound):
+    flat, runs = case
+    template = TEMPLATES[name]
+    expected = oracle(cut(flat, runs), template, sep)
+    assert mismatch(format_int_runs(IntRuns(flat, runs), template, sep, bound), expected) is None
+    assert mismatch(format_int_runs(IntRuns(list(flat), runs), template, sep, bound), expected) is None  # list path
+
+
+@pytest.mark.parametrize("start", [1, 2, 6, 95, 996, 9_995, 99_994, 999_993])
+def test_ranges_cross_every_digit_count_and_thousand(start):
+    # Rows of each size from 1 to 5 end on, start on and straddle 10^k, and the long run crosses thousands.
+    runs = [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (4, 600), (1, 7)]
+    flat = range(start, start + sum(size * count for size, count in runs))
+    for name, template in TEMPLATES.items():
+        for sep in SEPS:
+            expected = oracle(cut(flat, runs), template, sep)
+            assert mismatch(format_int_runs(IntRuns(flat, runs), template, sep), expected) is None
+
+
+@pytest.mark.parametrize("runs, asked", [
+    ([(3, 2), (1, 4)], [2]),  # sliced out of the labels' text: only the row of two is asked for its pieces
+    ([(3, 2), (1, 0)], [3]),  # a count-0 run: the %-operation
+    ([(0, 1), (3, 2)], [0, 3]),  # a size-0 row: the %-operation
+])
+def test_ranges_are_sliced_only_in_runs_of_non_empty_rows(runs, asked):
+    seen = []
+
+    def template(size):
+        seen.append(size)
+        return cli._braces(size)
+
+    flat = range(998, 998 + sum(size * count for size, count in runs))
+    assert format_int_runs(IntRuns(flat, runs), template, " ") == oracle(cut(flat, runs), cli._braces, " ")
+    assert seen == asked
+
+
+@pytest.mark.parametrize("flat, runs", [
+    (range(1, 4), [(1, 2)]), (range(1, 2), [(1, 2)]), (range(5, 5), [(1, 1)]), (range(1, 2), []),
+    (range(1000, 3001), [(2, 1000)]),
+])
+def test_ranges_reject_runs_that_miss_them_as_lists_do(flat, runs):
+    for rows in (IntRuns(flat, runs), IntRuns(list(flat), runs)):
+        with pytest.raises(ValueError, match=f"the runs take {sum(s * c for s, c in runs)} ints, but the flat"):
+            format_int_runs(rows, cli._braces, " ")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, m", [(100_000, None), (1_000_000, 1413)])
+def test_construct_writes_the_a_side_the_list_path_writes(capsys, n, m):
+    # The digest sweep stops at n = 20,000; here the A side's labels run past 10^5 and up to 10^6.
+    listed = IntRuns(list(range(1, n + 1)), _rows(range(1, n + 1), _checked_construction(n, m)[0].t).runs)
+    order = [] if m is None else ["--m", str(m)]
+    assert cli.main(["construct", "--n", str(n), *order]) == 0
+    expected = "a_sets: " + format_int_runs(listed, cli._braces, " ") + "\n"
+    assert expected in capsys.readouterr().out
+    assert cli.main(["construct", "--n", str(n), *order, "--format", "structured"]) == 0
+    expected = '  "a_sets": [\n    ' + format_int_runs(listed, _row_template("\n    "), ",\n    ") + '\n  ],\n'
+    assert expected in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("transcript, expected", [
