@@ -1,13 +1,14 @@
-"""``json.dumps(obj, indent=2)``'s bytes for the package's documents, written directly.
+"""The one writer of the package's documents, in both output formats: ``document``.
 
-With ``indent`` set, CPython's ``json`` falls back to its pure-Python encoder. Each document is a flat
-dict whose long fields are flat int lists (the probes) or IntRuns, the one row form: a side of the pair,
-int sets as their ascending elements (_sorted_runs) and coordinates (rows of two, _paired_runs) are rows
-cut from one flat list.
-One %-operation per run of equal-length rows writes them several times faster; ints a caller knows to
-lie in 0..bound (set sizes, bounded by the order) are looked up in a table instead, and rows cut from a
-range (the A side: the labels 1..n in order) are slices of one text of its labels, built by copying.
-``dict_pieces`` writes a document one field at a time, as the caller says, without scanning a value's types.
+A document is a head and a list of fields. Structured, the head is a dict of scalars (and short lists)
+that ``json.dumps(indent=2)`` writes, and the whole document is ``json.dumps(obj, indent=2)``'s bytes plus a
+newline; in the grid, the head is text lines and each field is one ``key: rows`` line. A field's value is
+IntRuns, the one row form: a side of the pair, int sets as their ascending elements (_sorted_runs),
+coordinates (rows of two, _paired_runs) and probes (rows of one) are rows cut from one flat list.
+Each field is written in pieces of consecutive whole rows, at most CHUNK values each, so no field's whole
+text is built. One %-operation writes a piece; ints a caller knows to lie in 0..bound (set sizes, bounded
+by the order) are looked up in a table instead, and rows cut from a range (the A side: the labels 1..n in
+order) are slices of one text of its labels, built by copying.
 """
 
 from __future__ import annotations
@@ -15,46 +16,47 @@ from __future__ import annotations
 import json
 from itertools import accumulate, chain, cycle, groupby, islice, repeat, starmap
 from operator import add, mul, sub
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+
+CHUNK = 2**16  # the most values a piece of a field holds, unless it is one longer row
 
 
 class IntRuns(NamedTuple):
     """Rows cut from one flat list, in order: each (size, count) of runs takes
-    count rows of size items (dict_pieces writes a field's int rows from one,
+    count rows of size items (document writes a field's int rows from one,
     and partitions._sets cuts any labels into frozensets)."""
     flat: Sequence
     runs: Sequence[tuple[int, int]]
 
 
-def dict_pieces(fields: Iterable[tuple[str, object]], bounds: Mapping[str, int]) -> Iterator[str]:
-    """``json.dumps(dict(fields), indent=2)`` for one or more (str key, value) pairs, keys distinct, in pieces
-    that join to it. Each field's value and text are dropped before the next pair is drawn, and a list's
-    brackets come apart from its body, so no body is copied. An IntRuns value is written as its rows, with its
-    key's bound if bounds has one; any other value under a key in bounds is a flat list of ints (no bools: the
-    caller vouches for it), one row through the tables; anything else is ``json.dumps(value, indent=2)``,
-    re-indented (json escapes the newlines inside strings, so each one it writes is a line break)."""
-    opening = "{\n  "
-    for key, value in fields:
-        yield opening + json.dumps(key) + ": "
-        if isinstance(value, IntRuns):
-            body = format_int_runs(value, _row_template("\n    "), ",\n    ", bounds.get(key, -1))
-            yield from ("[\n    ", body, "\n  ]") if body else ("[]",)
-        elif key in bounds:
-            yield format_int_runs(IntRuns(value, [(len(value), 1)]), _row_template("\n  "), "", bounds[key])
+def document(head: dict | str, fields: Iterable[tuple[str, IntRuns, int, str]], structured: bool) -> Iterator[str]:
+    """The document in pieces that join to it: the head, then each (key, rows, bound, brackets) field.
+    Brackets are "{}" for sets, "()" for pairs and "" for a list of ints (rows of one), as the grid writes
+    them; JSON writes each bracketed row as a list. With bound >= 0 the values are looked up in tables of
+    0..bound; any value the tables miss is %-formatted, so the bytes are the same for any values. Rows must
+    hold ints (a bool is written as %d writes it): the head is json's to write. The structured head must
+    hold at least one key; it is written a key at a time, so that a str value, like a schema, takes
+    json.dumps' fast path (which builds no reference cycles, unlike its indenting encoder)."""
+    yield "{\n  " + ",\n  ".join(json.dumps(key) + ": " + json.dumps(value, indent=2).replace("\n", "\n  ")
+                                  for key, value in head.items()) if structured else head
+    for key, rows, bound, brackets in fields:
+        if structured:
+            pre, mid, post = ("[\n      ", ",\n      ", "\n    ]") if brackets else ("", ",\n    ", "")
+            pieces = _pieces(rows, bound, pre, mid, post, ",\n    ", "[]")
+            label, opening, closing, nothing = ",\n  " + json.dumps(key) + ": ", "[\n    ", "\n  ]", "[]"
         else:
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
-        opening, value, body = ",\n  ", None, None
-    yield "\n}"
-
-
-def _row_template(inner: str) -> Callable[[int], str]:
-    """The %-template of one int row of a given size inside a list at indentation inner."""
-    leaf = inner + "  "
-
-    def template(size: int) -> str:
-        return "[" + leaf + ("," + leaf).join(["%d"] * size) + inner + "]" if size else "[]"
-
-    return template
+            pieces = _pieces(rows, bound, brackets[:1], ",", brackets[1:], " " if brackets else ",", brackets)
+            label, opening, closing, nothing = key + ": ", "", "\n", "\n"
+        first = next(pieces, None)  # ValueError unless the runs take the flat list exactly
+        if first is None:  # no rows
+            yield label + nothing
+            continue
+        yield label + opening
+        yield first
+        yield from pieces
+        yield closing
+    if structured:
+        yield "\n}\n"
 
 
 def _sorted_runs(sets: Sequence[Collection[int]]) -> IntRuns:
@@ -63,20 +65,40 @@ def _sorted_runs(sets: Sequence[Collection[int]]) -> IntRuns:
     return IntRuns(flat, [(size, len(list(run))) for size, run in groupby(map(len, sets))])
 
 
+class _Interleaved:
+    """The flat list firsts[0], seconds[0], firsts[1], seconds[1], ... of two equal-length lists, built only
+    a slice of whole pairs at a time."""
+
+    def __init__(self, firsts: Sequence[int], seconds: Sequence[int]):
+        self.firsts, self.seconds = firsts, seconds
+
+    def __len__(self) -> int:
+        return 2 * len(self.firsts)
+
+    def __getitem__(self, part: slice) -> list:
+        pairs, flat = slice(part.start // 2, part.stop // 2), [0] * (part.stop - part.start)
+        whole = len(flat) == len(self)  # the lists themselves: a slice of them would cost as much as the rest
+        flat[::2], flat[1::2] = (self.firsts, self.seconds) if whole else (self.firsts[pairs], self.seconds[pairs])
+        return flat
+
+
 def _paired_runs(firsts: Sequence[int], seconds: Sequence[int]) -> IntRuns:
     """The rows [firsts[i], seconds[i]], one run of rows of two over the two lists interleaved."""
-    flat = [0] * (2 * len(firsts))
-    flat[::2], flat[1::2] = firsts, seconds
-    return IntRuns(flat, [(2, len(firsts))])
+    return IntRuns(_Interleaved(firsts, seconds), [(2, len(firsts))])
+
+
+def _check(rows: IntRuns) -> None:
+    """ValueError unless the runs take the flat list exactly."""
+    taken = sum(size * count for size, count in rows.runs)
+    if taken != len(rows.flat):
+        raise ValueError(f"the runs take {taken} ints, but the flat list holds {len(rows.flat)}")
 
 
 def _parts(rows: IntRuns) -> Iterator[tuple[int, int, Sequence]]:
     """Each (size, count) run of rows with the part of the flat list it takes.
     ValueError unless the runs take the flat list exactly."""
+    _check(rows)
     flat, runs = rows
-    taken = sum(size * count for size, count in runs)
-    if taken != len(flat):
-        raise ValueError(f"the runs take {taken} ints, but the flat list holds {len(flat)}")
     start = 0
     for size, count in runs:
         end = start + size * count
@@ -84,37 +106,76 @@ def _parts(rows: IntRuns) -> Iterator[tuple[int, int, Sequence]]:
         start = end
 
 
-def format_int_runs(rows: IntRuns, template: Callable[[int], str], sep: str, bound: int = -1) -> str:
-    """The rows of rows, each written as ``template(size) % tuple(row)`` and
-    joined by sep: one %-operation per (size, count) run. The runs must take
-    the flat list exactly.
-
-    With bound >= 0, each run of non-empty rows is written through tables
-    instead: the text of each of 0..bound with the template's literal pieces
-    and sep attached, one lookup per value and one join. For that, every
-    template(size) with size >= 1 must read pre + mid.join(["%d"] * size) + post.
-    A value the tables miss (outside 0..bound, or not an int) sends the run
-    back to its %-operation, so the bytes are the same for any values. A flat
-    step-1 range of positive ints, cut into runs of count >= 1 rows of size >= 1,
-    is written by _range_text whatever the bound; its template must read so too."""
-    parts, (flat, runs) = _parts(rows), rows
-    if type(flat) is range and flat.step == 1 and 0 < flat.start < flat.stop and all(s > 0 < c for s, c in runs):
-        next(parts)  # ValueError unless the runs take the range exactly
-        return _range_text(flat, runs, *template(2).split("%d"), sep)
-    return sep.join(_run_text(template, sep, bound, size, count, part) for size, count, part in parts if count)
+def _cuts(runs: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+    """The rows cut into pieces of consecutive whole rows, at most CHUNK values each (a row of none counts
+    as one) or one longer row: each piece's start and end in the flat list and its runs, none of count 0."""
+    piece, room, start, end = [], CHUNK, 0, 0
+    for size, count in runs:
+        width = size or 1
+        while count:
+            take = count if count * width <= room else max(room // width, not piece)  # a piece takes at least one row
+            if not take:
+                yield start, end, piece
+                piece, room, start = [], CHUNK, end
+                continue
+            piece.append((size, take))
+            room, end, count = room - take * width, end + take * size, count - take
+    if piece:
+        yield start, end, piece
 
 
-def _range_text(labels: range, runs: Sequence[tuple[int, int]], pre: str, mid: str, post: str, sep: str) -> str:
-    """format_int_runs of runs of rows cut from labels, a step-1 range of positive ints, for a template reading
-    pre + mid.join(["%d"] * size) + post: slices of one text of the labels, each followed by mid, built by copying
-    (labels 1000p..1000p + 999 are str(p) joined onto the suffixes 000..999; only the edges are formatted) and
-    cut where 1..x - 1 hold L * x - (10^L - 1) / 9 digits, L being the digit count of x (or of x - 1)."""
+def _pieces(rows: IntRuns, bound: int, pre: str, mid: str, post: str, sep: str, empty: str) -> Iterator[str]:
+    """The rows, each written pre + mid.join(its values) + post (empty if it has none) and joined by sep, in
+    the pieces _cuts gives, with sep yielded between them. Each piece is one slice of the flat list; a step-1
+    range of positive ints is sliced out of one text of its labels (_range_text), and with bound >= 0 a
+    piece is written through tables of 0..bound, built once per field. ValueError, before the first piece,
+    unless the runs take the flat list exactly."""
+    _check(rows)
+    flat, runs = rows
+    ranged = type(flat) is range and flat.step == 1 and flat.start > 0
+    # A table per position in a row: the last one's text also closes the row and opens the next.
+    tables = [{value: "%d" % value + text for value in range(bound + 1)} for text in (mid, post + sep + pre)]
+    block = ["", *map(add, map("%03d".__mod__, range(1000)), repeat(mid))] if ranged else None  # see _range_text
+    for i, (start, end, piece) in enumerate(_cuts(runs)):
+        if i:
+            yield sep
+        part, filled = flat[start:end], all(size for size, _ in piece)
+        if ranged and filled:
+            yield _range_text(part, piece, pre, mid, post, sep, block)
+            continue
+        text = _table_text(tables, piece, part, pre, post) if bound >= 0 and filled else None
+        yield text or sep.join(chain.from_iterable(
+            repeat(pre + mid.join(["%d"] * size) + post if size else empty, count) for size, count in piece
+        )) % tuple(part)
+
+
+def _table_text(tables: list[dict], runs: Sequence[tuple[int, int]], part: Sequence, pre: str, post: str) -> str | None:
+    """_pieces' text of one piece of non-empty rows by one lookup per value, or None if the tables miss one
+    (a value outside 0..bound, or not an int)."""
+    inner, last = tables
+    rows = [cycle([inner] * (size - 1) + [last]) for size, _ in runs]
+    # A lone run's cycle alone: islice and chain would cost a third more per value.
+    positions = rows[0] if len(rows) == 1 else chain.from_iterable(map(islice, rows, starmap(mul, runs)))
+    try:
+        texts = list(map(dict.__getitem__, positions, part))
+    except (KeyError, TypeError):  # a miss (or an unhashable value): the %-operation decides
+        return None
+    texts[-1] = "%d" % part[-1] + post
+    texts[0] = pre + texts[0]
+    return "".join(texts)
+
+
+def _range_text(labels: range, runs: Sequence[tuple[int, int]], pre: str, mid: str, post: str, sep: str,
+                block: list[str]) -> str:
+    """_pieces' text of runs of non-empty rows cut from labels, a step-1 range of positive ints: slices of one
+    text of the labels, each followed by mid, built by copying (labels 1000p..1000p + 999 are str(p) joined
+    onto block, "" and the suffixes 000..999 each followed by mid; only the edges are formatted) and cut where
+    1..x - 1 hold L * x - (10^L - 1) / 9 digits, L being the digit count of x (or of x - 1)."""
     start, stop, width = labels.start, labels.stop, len(mid)
     low = -(-max(start, 1000) // 1000)  # the thousands the range holds whole are low..high - 1
     high = max(low, stop // 1000)
     edges = [range(start, min(1000 * low, stop)), range(1000 * high, stop)]
     head, tail = ["".join(map(add, map(str, edge), repeat(mid))) for edge in edges]
-    block = ["", *map(add, map("%03d".__mod__, range(1000)), repeat(mid))]
     text = "".join(chain([head], map(str.join, map(str, range(low, high)), repeat(block)), [tail]))
     offsets = list(accumulate(chain.from_iterable(starmap(repeat, runs)), initial=start))  # each row's first label
     digits = list(map(len, map(str, offsets)))
@@ -126,25 +187,3 @@ def _range_text(labels: range, runs: Sequence[tuple[int, int]], pre: str, mid: s
     row_texts[0] = pre + row_texts[0]
     row_texts[-1] += post
     return (post + sep + pre).join(row_texts)
-
-
-def _run_text(template: Callable[[int], str], sep: str, bound: int, size: int, count: int, part: Sequence) -> str:
-    """format_int_runs of one run of count rows of size items, part being their values."""
-    if size and bound >= 0:
-        pre, mid, post = template(2).split("%d")
-
-        def table(piece: str) -> dict:
-            return {value: "%d" % value + piece for value in range(bound + 1)}
-
-        # A table per position in a row; the last one's text also closes the row and opens the next.
-        positions = [table(mid)] * (size - 1) + [table(post + sep + pre)] if count > 1 else [table(mid)]
-        try:
-            texts = list(map(dict.__getitem__, cycle(positions), part))
-            texts[-1] = "%d" % part[-1] + post
-        except (KeyError, TypeError):  # a miss (or an unhashable value): the %-operation decides
-            pass
-        else:
-            texts[0] = pre + texts[0]
-            return "".join(texts)
-    return sep.join([template(size)] * count) % tuple(part)
-

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import add, mul, ne
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces
+from ._jsonout import IntRuns, _paired_runs, _sorted_runs, document
 from .matrices import _unchecked
 from .partitions import (
     KgPartition, _blocks, _canonical_order, _grid_columns, _key_rows, _ranked, _side_sizes, _size_of, _verdict,
@@ -41,7 +41,6 @@ END_A = "A"
 END_B = "B"
 
 TRANSCRIPT_SCHEMA = "cable-transcript/1"
-_TABLED = ("phase1_probe", "phase2_probe", "coords_a", "coords_b")  # the transcript's fields of set sizes
 
 
 class ProtocolError(RuntimeError):
@@ -258,21 +257,20 @@ def transcript_to_json(transcript: ProtocolTranscript) -> str:
     probe_1, probe_2 = transcript.phase1_probe, transcript.phase2_probe
     bound = max(map(len, chain(a.groups, b.groups)), default=0)  # every probe reading and coordinate is a group size
     rows_a, rows_b = _sorted_runs(a.groups), _sorted_runs(b.groups)  # the probes hold ints alone: checked at init
-    return "".join(_transcript_pieces(rows_a, a._size_at, probe_1, rows_b, b._size_at, probe_2, bound))
+    fields = _transcript_fields(rows_a, a._size_at, probe_1, rows_b, b._size_at, probe_2, bound)
+    return "".join(document({"schema": TRANSCRIPT_SCHEMA}, fields, True))
 
 
-def _transcript_pieces(rows_a: IntRuns, size_a: Sequence[int], probe_1: Sequence[int], rows_b: IntRuns,
-                       size_b: Sequence[int], probe_2: Sequence[int], bound: int) -> Iterator[str]:
-    """transcript_to_json's document in pieces, holding at most one field's text and one coordinate list. Each
-    plan is its rows (its groups in canonical order, as an IntRuns of their ascending elements) and size map.
-    The probes must hold ints alone; they and the coordinates are written through format_int_runs' tables for
-    the ints 0..bound."""
-
-    def fields() -> Iterator[tuple[str, object]]:  # each coordinate list is built as its field is written
-        yield from {"schema": TRANSCRIPT_SCHEMA, "phase1_plan": rows_a, "phase1_probe": probe_1,
-                    "phase2_plan": rows_b, "phase2_probe": probe_2}.items()
-        yield "coords_a", _paired_runs(size_a[1:], probe_2)
-        yield "coords_b", _paired_runs(probe_1, size_b[1:])
-
-    yield from dict_pieces(fields(), dict.fromkeys(_TABLED, bound))
-    yield "\n"
+def _transcript_fields(rows_a: IntRuns, size_a: Sequence[int], probe_1: Sequence[int], rows_b: IntRuns,
+                       size_b: Sequence[int], probe_2: Sequence[int], bound: int) -> list:
+    """The transcript's fields for _jsonout.document, in both formats: each plan is its rows (its groups in
+    canonical order, as an IntRuns of their ascending elements) and size map, each probe rows of one. The
+    probes must hold ints alone; they and the coordinates are written through tables of the ints 0..bound."""
+    return [
+        ("phase1_plan", rows_a, -1, "{}"),
+        ("phase1_probe", IntRuns(probe_1, [(1, len(probe_1))]), bound, ""),
+        ("phase2_plan", rows_b, -1, "{}"),
+        ("phase2_probe", IntRuns(probe_2, [(1, len(probe_2))]), bound, ""),
+        ("coords_a", _paired_runs(size_a[1:], probe_2), bound, "()"),
+        ("coords_b", _paired_runs(probe_1, size_b[1:]), bound, "()"),
+    ]

@@ -10,7 +10,9 @@ MAX_N included: ``error: internal error: MemoryError: ...``). Past verify's
 ``error:`` line on stderr, never a traceback. A reader closing stdout early gets 0 and no stderr line;
 one closing stderr early, or a closed fd 2, changes no status. Wire positions are the ints 1..n, no bools.
 The cyclic garbage collector is off while a command runs (the pipeline
-builds no reference cycles) and then back in its caller's state.
+builds no reference cycles) and then back in its caller's state. construct
+and simulate list their fields once, for both formats: _jsonout.document
+writes them to stdout in one writelines call, each field in bounded pieces.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import os
 import sys
 from itertools import chain, repeat
 
-from ._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, format_int_runs
-from .cable import ProtocolError, _phases, _transcript_pieces, make_cable
+from ._jsonout import _sorted_runs, document
+from .cable import TRANSCRIPT_SCHEMA, ProtocolError, _phases, _transcript_fields, make_cable
 from .matrices import _text, format_degree_sequence
 from .partitions import (
     PARTITION_SCHEMA,
@@ -90,18 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _braces(size: int) -> str:
-    return "{" + ",".join(["%d"] * size) + "}"
-
-
-def _parens(size: int) -> str:
-    return "(" + ",".join(["%d"] * size) + ")"
-
-
-def _bare(size: int) -> str:
-    return ",".join(["%d"] * size)
-
-
 def _capped(n: int) -> int:
     """n, unless it exceeds MAX_N: then ValueError (exit 3), before anything of size n is built."""
     if n > MAX_N:
@@ -114,28 +104,13 @@ def cmd_construct(args) -> int:
     rep, rows = _checked_construction(n, args.m)
     # Both sides in canonical order, as the construction cut the labels 1..n (see partitions._check_cuts).
     a_rows, b_rows = _rows(range(1, n + 1), rep.t), _grid_columns(rows)
+    fields = [("a_sets", a_rows, -1, "{}"), ("b_sets", b_rows, -1, "{}")]
     if args.format == STRUCTURED:
-        payload = {
-            "schema": CONSTRUCTION_SCHEMA,
-            "n": n,
-            "m": rep.m,
-            "t": rep.t,
-            "s": rep.s,
-            "k": rep.k,
-            "matrix": _text(rows).splitlines(),
-            "a_sets": a_rows,
-            "b_sets": b_rows,
-        }
-        sys.stdout.writelines(dict_pieces(payload.items(), {}))
-        sys.stdout.write("\n")
+        head = {"schema": CONSTRUCTION_SCHEMA, "n": n, "m": rep.m, "t": rep.t, "s": rep.s, "k": rep.k,
+                "matrix": _text(rows).splitlines()}
     else:
-        print(f"n={n} m={rep.m}")
-        print(f"t={format_degree_sequence(rep.t)}")
-        print(f"s={rep.s} k={rep.k}")
-        print("matrix:")
-        sys.stdout.write(_text(rows))
-        print("a_sets:", format_int_runs(a_rows, _braces, " "))
-        print("b_sets:", format_int_runs(b_rows, _braces, " "))
+        head = f"n={n} m={rep.m}\nt={format_degree_sequence(rep.t)}\ns={rep.s} k={rep.k}\nmatrix:\n" + _text(rows)
+    sys.stdout.writelines(document(head, fields, args.format == STRUCTURED))
     return EXIT_OK
 
 
@@ -190,18 +165,10 @@ def cmd_simulate(args) -> int:
     a_rows = _rows(range(1, args.n + 1), rep.t)
     size_a = [0, *chain.from_iterable(map(repeat, range(1, rep.m + 1), rep.t))]
     probe_1, b_groups, size_b, probe_2 = _phases(rows, size_a, cable.wiring)
-    b_rows = _sorted_runs(b_groups)
-    # Probes and coordinates are set sizes, at most m: format_int_runs writes them through its tables.
-    if args.format == STRUCTURED:
-        sys.stdout.writelines(_transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2, rep.m))
-    else:
-        print(f"n={args.n} m={rep.m} seed={args.seed}")
-        print("phase1_plan:", format_int_runs(a_rows, _braces, " "))
-        print("phase1_probe:", format_int_runs(IntRuns(probe_1, [(args.n, 1)]), _bare, "", rep.m))
-        print("phase2_plan:", format_int_runs(b_rows, _braces, " "))
-        print("phase2_probe:", format_int_runs(IntRuns(probe_2, [(args.n, 1)]), _bare, "", rep.m))
-        print("coords_a:", format_int_runs(_paired_runs(size_a[1:], probe_2), _parens, " ", rep.m))
-        print("coords_b:", format_int_runs(_paired_runs(probe_1, size_b[1:]), _parens, " ", rep.m))
+    # Probes and coordinates are set sizes, at most m: the writer looks them up in its tables.
+    fields = _transcript_fields(a_rows, size_a, probe_1, _sorted_runs(b_groups), size_b, probe_2, rep.m)
+    head = {"schema": TRANSCRIPT_SCHEMA} if args.format == STRUCTURED else f"n={args.n} m={rep.m} seed={args.seed}\n"
+    sys.stdout.writelines(document(head, fields, args.format == STRUCTURED))
     return EXIT_OK
 
 

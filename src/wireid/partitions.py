@@ -30,7 +30,7 @@ from math import isqrt
 from operator import add, index
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
-from ._jsonout import IntRuns, _parts, _sorted_runs, dict_pieces
+from ._jsonout import IntRuns, _parts, _sorted_runs, document
 from .matrices import BinaryMatrix, ConstructionError, _byte_rows, _checked_grid, _unchecked, can_construct
 
 PARTITION_SCHEMA = "kg-partition/1"
@@ -436,13 +436,8 @@ def partition_to_json(partition: KgPartition) -> str:
         for x in chain.from_iterable(sets):
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"only integer-labelled partitions serialize, got {x!r}")
-    payload = {
-        "schema": PARTITION_SCHEMA,
-        "n": partition.n,
-        "a_sets": _sorted_runs(partition.a_sets),
-        "b_sets": _sorted_runs(partition.b_sets),
-    }
-    return "".join(dict_pieces(payload.items(), {})) + "\n"
+    fields = [("a_sets", _sorted_runs(partition.a_sets), -1, "{}"), ("b_sets", _sorted_runs(partition.b_sets), -1, "{}")]
+    return "".join(document({"schema": PARTITION_SCHEMA, "n": partition.n}, fields, True))
 
 
 def partition_from_json(text: str, schemas: Sequence[str] = (PARTITION_SCHEMA,)) -> KgPartition:

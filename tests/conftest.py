@@ -82,6 +82,15 @@ json_values = st.recursive(
 )
 
 
+def mismatch(text, expected):
+    """None if the texts are equal, else where they first differ: pytest's diff of two long texts is quadratic,
+    and Hypothesis fails a test many times while it shrinks an example."""
+    if text == expected:
+        return None
+    at = next((i for i, (x, y) in enumerate(zip(text, expected)) if x != y), min(len(text), len(expected)))
+    return at, text[at - 20 : at + 20], expected[at - 20 : at + 20]
+
+
 def swap_first_and_last(groups):
     """Swap one wire between the first (smallest) and last (largest) B-set."""
     first, last = set(groups[0]), set(groups[-1])

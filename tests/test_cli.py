@@ -19,7 +19,7 @@ import wireid
 from conftest import flip_first_cell, flip_off_diagonal_cell, json_values, swap_first_and_last
 from oracles import transcript_from_json
 from wireid import cable, cli, matrices, partitions
-from wireid._jsonout import IntRuns, _sorted_runs, format_int_runs
+from wireid._jsonout import IntRuns, _sorted_runs, document
 from wireid.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from wireid.matrices import format_degree_sequence
 
@@ -35,11 +35,11 @@ def run(capsys, *argv):
 @given(st.lists(st.frozensets(st.integers(-5, 40) | st.integers(2**63, 2**64), max_size=5), max_size=15))
 def test_fmt_sets_matches_the_f_string_join(sets):
     sets = sorted(sets, key=len) if len(sets) % 2 else sets  # canonical runs and scattered sizes
-    expected = " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
-    assert format_int_runs(_sorted_runs(sets), cli._braces, " ") == expected
+    expected = "sets: " + " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets) + "\n"
+    assert "".join(document("", [("sets", _sorted_runs(sets), -1, "{}")], False)) == expected
     rows = list(map(sorted, sets))
     runs = [(size, len(list(run))) for size, run in groupby(map(len, rows))]
-    assert format_int_runs(IntRuns(list(chain.from_iterable(rows)), runs), cli._braces, " ") == expected
+    assert "".join(document("", [("sets", IntRuns(list(chain.from_iterable(rows)), runs), -1, "{}")], False)) == expected
 
 
 # ── bounds ───────────────────────────────────────────────────────────────

@@ -15,11 +15,11 @@ import tracemalloc
 from itertools import chain, compress, repeat
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import wireid
-from conftest import divisible_gapfree_sums, swap_first_and_last
+from conftest import divisible_gapfree_sums, mismatch, swap_first_and_last
 from oracles import partition_to_matrix
 from reference_constructor import reference_canonical_order
 from reference_protocol import (
@@ -29,9 +29,10 @@ from reference_protocol import (
     reference_transcript_to_json,
 )
 from wireid import cable as cable_module, partitions as partitions_module
-from wireid._jsonout import IntRuns, _paired_runs, _sorted_runs, dict_pieces, format_int_runs
+from wireid._jsonout import IntRuns, _paired_runs, _sorted_runs, document
 from wireid.cable import (
-    ConnectionPlan, ProtocolError, _phases, _transcript_pieces, make_cable, run_protocol, transcript_to_json,
+    TRANSCRIPT_SCHEMA, ConnectionPlan, ProtocolError, _phases, _transcript_fields, make_cable, run_protocol,
+    transcript_to_json,
 )
 from wireid.matrices import construct_matrix
 from wireid.partitions import (
@@ -94,8 +95,9 @@ def assert_construction_fed_phases_match(n, m, seed):
         assert size_at == plan._size_at == ConnectionPlan(plan.end, plan.groups)._size_at, (n, m, seed, plan.end)
     # The document as `wireid simulate` writes it, with its bound.
     a_rows, b_rows = _rows(range(1, n + 1), rep.t), _sorted_runs(b_groups)
-    pieces = _transcript_pieces(a_rows, size_a, probe_1, b_rows, size_b, probe_2, m)
-    assert "".join(pieces) == transcript_to_json(public), (n, m, seed)
+    fields = _transcript_fields(a_rows, size_a, probe_1, b_rows, size_b, probe_2, m)
+    text = "".join(document({"schema": TRANSCRIPT_SCHEMA}, fields, True))
+    assert mismatch(text, transcript_to_json(public)) is None, (n, m, seed)
 
 
 def test_construction_fed_phases_match_run_protocol_through_n_300():
@@ -471,23 +473,36 @@ json_values = st.recursive(
 )
 
 
-def write(payload, bounds={}):
-    return "".join(dict_pieces(payload.items(), bounds))
+HEAD = {"schema": 0}
+
+
+def write(rows, bound=-1, brackets="{}", structured=True):
+    """The document of one field "rows", as the writer writes it."""
+    return "".join(document(HEAD if structured else "", [("rows", rows, bound, brackets)], structured))
+
+
+def dumped(value):
+    """json.dumps' document of one field "rows" holding value."""
+    return json.dumps({**HEAD, "rows": value}, indent=2) + "\n"
 
 
 @given(json_values, st.text())
 def test_writer_matches_json_dumps(value, key):
-    """A field that is not an IntRuns and has no bound is json's to write, at the field's indent."""
-    payload = {key: value, "after": [value]}
-    assert write(payload) == json.dumps(payload, indent=2)
+    """The head is json's to write, and the fields follow it at the same indent."""
+    assume(key != "\0rows")
+    head = {key: value, "after": [value]}
+    assert mismatch("".join(document(head, [], True)), json.dumps(head, indent=2) + "\n") is None
+    fields = [("\0rows", IntRuns([1, 2, 3], [(2, 1), (1, 1)]), -1, "{}")]
+    expected = json.dumps({**head, "\0rows": [[1, 2], [3]]}, indent=2) + "\n"
+    assert mismatch("".join(document(head, fields, True)), expected) is None
 
 
 @given(st.lists(st.frozensets(st.integers()) | st.sets(st.integers(0, 9), max_size=3)))
 def test_writer_writes_sets_as_ascending_lists(sets):
     """Sets reach the writer as _sorted_runs, as partition_to_json and transcript_to_json pass them."""
-    expected = {"sets": [sorted(s) for s in sets]}
-    assert write({"sets": _sorted_runs(sets)}) == json.dumps(expected, indent=2)
-    assert write({"sets": _sorted_runs(tuple(sets))}, {"sets": 9}) == json.dumps(expected, indent=2)
+    expected = dumped([sorted(s) for s in sets])
+    assert mismatch(write(_sorted_runs(sets)), expected) is None
+    assert mismatch(write(_sorted_runs(tuple(sets)), 9), expected) is None
 
 
 int_rows = st.lists(
@@ -500,10 +515,9 @@ int_rows = st.lists(
 
 @given(int_rows, st.integers(-1, 3))
 def test_writer_matches_json_dumps_on_runs_of_mixed_int_rows(rows, bound):
-    """Rows of every kind and mixed lengths, empty rows included, go through the %-template runs or,
-    with a bound, the tables (values past it fall back); each comes out ascending."""
-    expected = {"rows": [sorted(row) for row in rows]}
-    assert write({"rows": _sorted_runs(rows)}, {"rows": bound}) == json.dumps(expected, indent=2)
+    """Rows of every kind and mixed lengths, empty rows included, go through the %-operation or, with a
+    bound, the tables (a piece with a value past it falls back); each comes out ascending."""
+    assert mismatch(write(_sorted_runs(rows), bound), dumped([sorted(row) for row in rows])) is None
 
 
 @given(st.integers(1, 400).filter(lambda n: feasible_orders(n)).flatmap(
@@ -527,12 +541,13 @@ def test_partition_json_is_json_dumps_of_plain_lists(case):
         assert partition_to_json(partition) == json.dumps(plain, indent=2) + "\n", (n, m)
 
 
-@given(st.lists(st.tuples(st.integers(-3, 3) | st.integers(2**63, 2**64) | st.integers(), st.integers())))
-def test_writer_writes_int_pairs_as_rows_of_two(pairs):
+@given(st.lists(st.tuples(st.integers(-3, 3) | st.integers(2**63, 2**64) | st.integers(), st.integers())),
+       st.integers(-1, 3))
+def test_writer_writes_int_pairs_as_rows_of_two(pairs, bound):
     firsts, seconds = [a for a, _ in pairs], tuple(b for _, b in pairs)
-    assert write({"pairs": _paired_runs(firsts, seconds)}) == json.dumps({"pairs": pairs}, indent=2)
-    grid = format_int_runs(_paired_runs(firsts, seconds), lambda size: "(%d,%d)", " ")
-    assert grid == " ".join(f"({a},{b})" for a, b in pairs)
+    assert mismatch(write(_paired_runs(firsts, seconds), bound, "()"), dumped(pairs)) is None
+    grid = write(_paired_runs(firsts, seconds), bound, "()", structured=False)
+    assert mismatch(grid, "rows: " + " ".join(f"({a},{b})" for a, b in pairs) + "\n") is None
 
 
 int_runs = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8).flatmap(
@@ -555,34 +570,37 @@ def cut(flat, runs):
 
 @given(int_runs)
 def test_int_runs_writer_writes_each_row_by_its_template(case):
-    """Runs of any size and count, empty rows and empty runs included."""
+    """Runs of any size and count, empty rows and empty runs included, as sets and as pairs in the grid and
+    as lists in JSON."""
     runs, flat = case
     rows = cut(flat, runs)
-    template = lambda size: "<" + "|".join(["%d"] * size) + ">"  # noqa: E731
-    for sep in (" ", ",\n  "):
-        expected = sep.join(template(len(row)) % tuple(row) for row in rows)
-        assert format_int_runs(IntRuns(flat, runs), template, sep) == expected
-        assert format_int_runs(IntRuns(tuple(flat), tuple(runs)), template, sep) == expected
-    assert write({"rows": IntRuns(flat, runs), "after": 1}) == json.dumps({"rows": rows, "after": 1}, indent=2)
+    for brackets in ("{}", "()"):
+        expected = "rows: " + " ".join(brackets[0] + ",".join(map(str, row)) + brackets[1] for row in rows) + "\n"
+        assert mismatch(write(IntRuns(flat, runs), -1, brackets, structured=False), expected) is None
+        assert mismatch(write(IntRuns(tuple(flat), tuple(runs)), -1, brackets, structured=False), expected) is None
+    assert mismatch(write(IntRuns(flat, runs)), dumped(rows)) is None
 
 
 @pytest.mark.parametrize("flat, runs", [([1, 2, 3], [(1, 2)]), ([1], [(1, 2)]), ([], [(1, 1)]), ([1], [])])
 def test_int_runs_writer_rejects_runs_that_miss_the_flat_list(flat, runs):
-    # The cutter shares the writer's check.
-    with pytest.raises(ValueError, match="the runs take"):
-        format_int_runs(IntRuns(flat, runs), str, " ")
+    # The cutter shares the writer's check, in either format, before the field's first byte.
+    for structured in (False, True):
+        pieces = document(HEAD if structured else "", [("rows", IntRuns(flat, runs), -1, "{}")], structured)
+        next(pieces)  # the head
+        with pytest.raises(ValueError, match="the runs take"):
+            next(pieces)
     with pytest.raises(ValueError, match="the runs take"):
         _sets(IntRuns(flat, runs))
 
 
 @pytest.mark.parametrize("value", [b"ab", (x for x in (2, 1)), bytearray(b"ab"), {1}])
 def test_writer_raises_like_json_dumps_on_what_json_cannot_write(value):
-    # Only what the caller passes as IntRuns is written as rows; json.dumps meets the rest.
+    # Only what the caller passes as a field is written as rows; json.dumps meets the head.
     with pytest.raises(TypeError, match="is not JSON serializable"):
-        write({"a": value})
+        "".join(document({"a": value}, [], True))
 
 
 def test_writer_keeps_bools_off_the_row_template():
-    # %d would write True as 1; json writes true. Rows not passed as IntRuns are json's.
-    rows = [[1, 2], [True, 0], (False,), [3]]
-    assert write({"rows": rows, "flat": [True, 0]}) == json.dumps({"rows": rows, "flat": [True, 0]}, indent=2)
+    # %d would write True as 1; json writes true. Rows with bools belong in the head, which is json's.
+    head = {"rows": [[1, 2], [True, 0], (False,), [3]], "flat": [True, 0]}
+    assert "".join(document(head, [], True)) == json.dumps(head, indent=2) + "\n"
