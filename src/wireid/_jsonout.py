@@ -1,10 +1,11 @@
 """The one writer of the package's documents, in both output formats: ``document``.
 
-A document is a head and a list of fields. Structured, the head is a dict of scalars (and short lists)
-that ``json.dumps(indent=2)`` writes, and the whole document is ``json.dumps(obj, indent=2)``'s bytes plus a
-newline; in the grid, the head is text lines and each field is one ``key: rows`` line. A field's value is
-IntRuns, the one row form: a side of the pair, int sets as their ascending elements (_sorted_runs),
-coordinates (rows of two, _paired_runs) and probes (rows of one) are rows cut from one flat list.
+A document is a head and a list of fields. Structured, the head is a dict, written as ``json.dumps(indent=2)``
+writes it but without json's indenting encoder (_indented), and the whole document is
+``json.dumps(obj, indent=2)``'s bytes plus a newline; in the grid, the head is text lines and each field is
+one ``key: rows`` line. A field's value is IntRuns, the one row form: a side of the pair, int sets as their
+ascending elements (_sorted_runs), coordinates (rows of two, _paired_runs) and probes (rows of one) are rows
+cut from one flat list.
 Each field is written in pieces of consecutive whole rows, at most CHUNK values each, so no field's whole
 text is built. One %-operation writes a piece; ints a caller knows to lie in 0..bound (set sizes, bounded
 by the order) are looked up in a table instead, and rows cut from a range (the A side: the labels 1..n in
@@ -35,10 +36,9 @@ def document(head: dict | str, fields: Iterable[tuple[str, IntRuns, int, str]], 
     them; JSON writes each bracketed row as a list. With bound >= 0 the values are looked up in tables of
     0..bound; any value the tables miss is %-formatted, so the bytes are the same for any values. Rows must
     hold ints (a bool is written as %d writes it): the head is json's to write. The structured head must
-    hold at least one key; it is written a key at a time, so that a str value, like a schema, takes
-    json.dumps' fast path (which builds no reference cycles, unlike its indenting encoder)."""
-    yield "{\n  " + ",\n  ".join(json.dumps(key) + ": " + json.dumps(value, indent=2).replace("\n", "\n  ")
-                                  for key, value in head.items()) if structured else head
+    hold at least one key; it is written as json.dumps(head, indent=2) would write it (_items), building no
+    reference cycles."""
+    yield "{\n  " + ",\n  ".join(_items(head, "  ")) if structured else head
     for key, rows, bound, brackets in fields:
         if structured:
             pre, mid, post = ("[\n      ", ",\n      ", "\n    ]") if brackets else ("", ",\n    ", "")
@@ -57,6 +57,25 @@ def document(head: dict | str, fields: Iterable[tuple[str, IntRuns, int, str]], 
         yield closing
     if structured:
         yield "\n}\n"
+
+
+def _indented(value, indent: str) -> str:
+    """The bytes json.dumps(value, indent=2) writes for a value nested at indent, without json's indenting
+    encoder: its closures reference each other, so each call would leave cyclic garbage. Lists and dicts are
+    written item by item, and each scalar, [] and {} by json.dumps with no indent, which builds none."""
+    if not (value and isinstance(value, (list, tuple, dict))):
+        return json.dumps(value)
+    inner = indent + "  "
+    items = _items(value, inner) if isinstance(value, dict) else (_indented(item, inner) for item in value)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
+
+
+def _items(mapping: dict, indent: str) -> Iterator[str]:
+    """Each key: value of a dict nested at indent, as json.dumps(indent=2) writes it (a key that is not a str is
+    written as json writes it, in quotes)."""
+    for key, value in mapping.items():
+        yield json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": " + _indented(value, indent)
 
 
 def _sorted_runs(sets: Sequence[Collection[int]]) -> IntRuns:
@@ -133,8 +152,10 @@ def _pieces(rows: IntRuns, bound: int, pre: str, mid: str, post: str, sep: str, 
     _check(rows)
     flat, runs = rows
     ranged = type(flat) is range and flat.step == 1 and flat.start > 0
-    # A table per position in a row: the last one's text also closes the row and opens the next.
-    tables = [{value: "%d" % value + text for value in range(bound + 1)} for text in (mid, post + sep + pre)]
+    # A table for a row's last value, whose text also closes the row and opens the next, and one for the values
+    # before it, which rows of one (a probe) do not have.
+    last = {value: "%d" % value + post + sep + pre for value in range(bound + 1)}
+    inner = {value: "%d" % value + mid for value in range(bound + 1)} if any(size > 1 for size, _ in runs) else None
     block = ["", *map(add, map("%03d".__mod__, range(1000)), repeat(mid))] if ranged else None  # see _range_text
     for i, (start, end, piece) in enumerate(_cuts(runs)):
         if i:
@@ -143,16 +164,17 @@ def _pieces(rows: IntRuns, bound: int, pre: str, mid: str, post: str, sep: str, 
         if ranged and filled:
             yield _range_text(part, piece, pre, mid, post, sep, block)
             continue
-        text = _table_text(tables, piece, part, pre, post) if bound >= 0 and filled else None
+        text = _table_text(inner, last, piece, part, pre, post) if bound >= 0 and filled else None
         yield text or sep.join(chain.from_iterable(
             repeat(pre + mid.join(["%d"] * size) + post if size else empty, count) for size, count in piece
         )) % tuple(part)
 
 
-def _table_text(tables: list[dict], runs: Sequence[tuple[int, int]], part: Sequence, pre: str, post: str) -> str | None:
+def _table_text(inner: dict | None, last: dict, runs: Sequence[tuple[int, int]], part: Sequence, pre: str,
+                post: str) -> str | None:
     """_pieces' text of one piece of non-empty rows by one lookup per value, or None if the tables miss one
-    (a value outside 0..bound, or not an int)."""
-    inner, last = tables
+    (a value outside 0..bound, or not an int). inner, the table of the values before a row's last, is None for
+    rows of one."""
     rows = [cycle([inner] * (size - 1) + [last]) for size, _ in runs]
     # A lone run's cycle alone: islice and chain would cost a third more per value.
     positions = rows[0] if len(rows) == 1 else chain.from_iterable(map(islice, rows, starmap(mul, runs)))

@@ -25,14 +25,13 @@ twin, and make_cable rejects it instead.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import add, mul, ne
 from typing import Sequence
 
 from ._jsonout import IntRuns, _paired_runs, _sorted_runs, document
-from .matrices import _unchecked
+from .matrices import _Frozen, _unchecked
 from .partitions import (
     KgPartition, _blocks, _canonical_order, _grid_columns, _key_rows, _ranked, _side_sizes, _size_of, _verdict,
 )
@@ -48,8 +47,7 @@ class ProtocolError(RuntimeError):
     or the two ends' coordinates disagree or are not the agreed matrix's 1-cells, each once."""
 
 
-@dataclass(frozen=True)
-class CableInstance:
+class CableInstance(_Frozen):
     """n wires with a hidden end-A-position to end-B-position bijection on the ints 1..n."""
 
     n: int
@@ -78,8 +76,7 @@ def make_cable(n: int, seed: int) -> CableInstance:
     return _unchecked(CableInstance, n=n, wiring=tuple(positions), seed=seed)
 
 
-@dataclass(frozen=True)
-class ConnectionPlan:
+class ConnectionPlan(_Frozen):
     """Disjoint groups of wire positions, electrically joined at one end, that
     hold each of the ints 1..n once between them (a group may be empty). The
     check keeps its size map, _size_at[x] = the size of x's group; not being
@@ -134,8 +131,7 @@ def _readings(end: str, size_at: Sequence[int], wiring: tuple[int, ...]) -> tupl
     return tuple(map(size_at.__getitem__, wiring))
 
 
-@dataclass(frozen=True)
-class ProtocolTranscript:
+class ProtocolTranscript(_Frozen):
     """Everything both ends did and saw, from which each end derives its
     coordinates: A's are (phase-1 group size, phase-2 reading), B's are
     (phase-1 reading, phase-2 group size), read off the plans' size maps.

@@ -24,7 +24,6 @@ as comma-separated integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
 from typing import Iterable, Sequence
@@ -36,8 +35,66 @@ class ConstructionError(RuntimeError):
     """A check on the constructed output failed: the construction is at fault."""
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class _Frozen:
+    """Base of the package's immutable records, in place of a frozen dataclass (whose import costs a cold start
+    about 10 ms). A subclass's fields, also its __match_args__, are its base's and then its own annotations, in
+    order. __init__ takes them by position or by name, as a dataclass's does, then runs __post_init__; ==, hash
+    and repr are over the fields, in the dataclass layout, and == holds only within one class. Assigning or
+    deleting an attribute raises AttributeError."""
+
+    __match_args__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, name = self.__match_args__, type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{name}.__init__() takes {len(names) + 1} positional arguments but {len(args) + 1} "
+                            "were given")
+        values = dict(zip(names, args))
+        for key in kwargs:
+            if key in values:
+                raise TypeError(f"{name}.__init__() got multiple values for argument {key!r}")
+            if key not in names:
+                raise TypeError(f"{name}.__init__() got an unexpected keyword argument {key!r}")
+        values.update(kwargs)
+        missing = [key for key in names if key not in values]
+        if missing:
+            raise TypeError(f"{name}.__init__() missing required arguments: {', '.join(map(repr, missing))}")
+        vars(self).update((key, values[key]) for key in names)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self.__match_args__))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map('%s=%r'.__mod__, zip(self.__match_args__, self._values())))})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _unchecked(cls: type, **attributes):
+    """A _Frozen record holding attributes as given: the caller vouches for its __post_init__."""
+    instance = object.__new__(cls)
+    vars(instance).update(attributes)
+    return instance
+
+
+class BinaryMatrix(_Frozen):
     """An m x m grid with entries in {0, 1}, checked at C speed."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -162,14 +219,6 @@ def _checked_grid(r: DegreeSequence, c: DegreeSequence) -> list[bytearray]:
     if tuple(row.count(1) for row in rows) != r or (r != c and tuple(col.count(1) for col in cols) != c):
         raise ConstructionError(f"the constructed matrix does not realize {sums}")
     return rows
-
-
-def _unchecked(cls: type, **attributes):
-    """A frozen dataclass holding attributes as given: the caller vouches for its __post_init__."""
-    instance = object.__new__(cls)
-    for name, value in attributes.items():
-        object.__setattr__(instance, name, value)
-    return instance
 
 
 def _construct(r: DegreeSequence, c: DegreeSequence) -> list[bytearray]:

@@ -24,14 +24,13 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 from math import isqrt
 from operator import add, index
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 from ._jsonout import IntRuns, _parts, _sorted_runs, document
-from .matrices import BinaryMatrix, ConstructionError, _byte_rows, _checked_grid, _unchecked, can_construct
+from .matrices import BinaryMatrix, ConstructionError, _Frozen, _byte_rows, _checked_grid, _unchecked, can_construct
 
 PARTITION_SCHEMA = "kg-partition/1"
 
@@ -82,8 +81,7 @@ def feasible_orders(n: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(_Frozen):
     """n written as t_1 + ... + t_m with each t_j a positive multiple of j.
 
     Valid iff it is what :func:`represent` builds for its own sum, so (s, k)
@@ -162,12 +160,11 @@ def _canonical_order(sets: Iterable[Collection]) -> tuple[frozenset, ...]:
     return tuple(frozen)
 
 
-@dataclass(frozen=True)
-class KgPartition:
+class KgPartition(_Frozen):
     """Two partitions (A-sets, B-sets) of the same n elements.
 
     Sets are stored in canonical order (by cardinality, then by sorted
-    content; input already in that order sorts in one pass). The dataclass
+    content; input already in that order sorts in one pass). The class
     accepts malformed pairs, overlaps, gaps and all; kg_violations judges.
     """
 
@@ -381,8 +378,7 @@ def _check_cuts(r: Sequence[int], c: Sequence[int], count: int) -> None:
         raise ValueError(f"need exactly {sum(r)} labels (one per 1-entry), got {count}")
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(_Frozen):
     """The three artifacts of the constructive pipeline: representation, matrix, partition."""
 
     representation: Representation

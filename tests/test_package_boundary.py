@@ -6,13 +6,16 @@ stay independent of the code they check. Checks on what the program
 outputs raise exceptions, so they hold under ``python -O``; no assert is
 left in src/. A value the package builds itself may skip its class's
 check through ``matrices._unchecked``, but only where pinned here; every
-public constructor still checks input from outside.
+public constructor still checks input from outside. Every run is a fresh
+process, so what ``import wireid.cli`` loads is pinned too.
 """
 
 import ast
 import glob
 import inspect
 import os
+import subprocess
+import sys
 
 import oracles
 import wireid
@@ -158,3 +161,15 @@ def test_unchecked_builds_only_where_pinned():
                 stray.append(f"{path}:{node.lineno} {site}")
     assert not stray, "unpinned _unchecked calls:\n" + "\n".join(stray)
     assert seen == ALLOWED_UNCHECKED.keys(), f"pinned sites without a call: {ALLOWED_UNCHECKED.keys() - seen}"
+
+
+def test_the_cli_import_loads_neither_dataclasses_nor_inspect():
+    """The records are _Frozen, not dataclasses: dataclasses imports inspect (and with it ast, dis, tokenize and
+    linecache), which with the methods a dataclass generates cost a cold start about 10 ms. -S keeps site's .pth
+    files, which may import either, out of the count."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+    script = "import sys, wireid.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    flags = ["-S", *["-O"] * sys.flags.optimize]
+    result = subprocess.run([sys.executable, *flags, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n", result.stdout

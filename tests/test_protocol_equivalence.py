@@ -407,6 +407,27 @@ def test_a_corrupted_probe_raises(monkeypatch, end):
             run_protocol(construct(n), make_cable(n, seed))
 
 
+def test_a_corrupted_size_map_in_end_b_assembly_raises(monkeypatch):
+    # _assemble_b_sets maps its groups' sizes into column_of, end B's columns; _phases reads phase 2 off the groups'
+    # own size map, a second _size_of over the same groups. The two lists are equal unless the assembly is at
+    # fault, so the column half of the agreement guard compares them through the wiring: two unequal entries
+    # exchanged in the assembly's map alone are a coordinate mismatch. (Phase 2 read off column_of instead would
+    # compare the map with itself, and the corrupted columns could still be a bijection onto the 1-cells.)
+    original = cable_module._size_of
+
+    def exchanged(sets, n, unit=1):
+        size_of = original(sets, n, unit)
+        if sys._getframe(1).f_code is cable_module._assemble_b_sets.__code__:
+            other = next(x for x in range(2, n + 1) if size_of[x] != size_of[1])
+            size_of[1], size_of[other] = size_of[other], size_of[1]
+        return size_of
+
+    monkeypatch.setattr(cable_module, "_size_of", exchanged)
+    for n, seed in ((26, 42), (26, 0), (2000, 3)):
+        with pytest.raises(ProtocolError, match="coordinate mismatch at position [1-9]"):
+            run_protocol(construct(n), make_cable(n, seed))
+
+
 def test_phases_hold_no_n_sized_guard_copies():
     """_phases' traced peak above its inputs at n = 2e5: its outputs (about 61 B a wire) and the ranks and lists
     it frees, but no key list, no copy of a key list through the wiring and no set of keys (221 B a wire)."""

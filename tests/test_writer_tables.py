@@ -110,6 +110,28 @@ def test_in_bound_values_are_looked_up_not_formatted(monkeypatch):
     assert len(texts) == 2  # no bound: no tables
 
 
+def test_rows_of_one_build_only_the_row_end_table(monkeypatch):
+    # A probe's rows of one take every value from the table that also closes a row: the inner table, for the
+    # values before a row's last, is built only when some row holds more than one value.
+    inner_tables, table_text = [], _jsonout._table_text
+
+    def spied(inner, *args):
+        inner_tables.append(inner)
+        return table_text(inner, *args)
+
+    monkeypatch.setattr(_jsonout, "_table_text", spied)
+    assert written(IntRuns([3, 0, 5], [(1, 3)]), 5, (False, "")) == "rows: 3,0,5\n"
+    assert written(IntRuns([3, 0, 5], [(1, 1), (2, 1)]), 5, (False, "()")) == "rows: (3) (0,5)\n"
+    assert inner_tables[0] is None and inner_tables[1] == {value: "%d," % value for value in range(6)}
+
+
+@pytest.mark.parametrize("value", [0, 7, "kg-construction/1", [], (), [1, 2, 3], (4,), ["..1", "1.."], True, None,
+                                   {}, {1: [2, {}], None: {"x": [True, []]}, 2.5: (), False: "é"}])
+def test_the_structured_head_is_what_json_indents(value):
+    head = {"schema": "x", "value": value}
+    assert "".join(document(head, [], True)) == json.dumps(head, indent=2) + "\n"
+
+
 @st.composite
 def range_rows(draw):
     """(flat, runs): a step-1 range starting near 1, 9, 99, ..., 999,999, so that rows cross a digit count and
