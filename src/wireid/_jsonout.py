@@ -1,4 +1,5 @@
-"""The one writer of the package's documents, in both output formats: ``document``.
+"""The one writer of the package's documents, in both output formats: ``document``, and ``_indented`` for a
+JSON document with no fields (bounds).
 
 A document is a head and a list of fields. Structured, the head is a dict, written as ``json.dumps(indent=2)``
 writes it but without json's indenting encoder (_indented), and the whole document is
@@ -111,18 +112,6 @@ def _check(rows: IntRuns) -> None:
     taken = sum(size * count for size, count in rows.runs)
     if taken != len(rows.flat):
         raise ValueError(f"the runs take {taken} ints, but the flat list holds {len(rows.flat)}")
-
-
-def _parts(rows: IntRuns) -> Iterator[tuple[int, int, Sequence]]:
-    """Each (size, count) run of rows with the part of the flat list it takes.
-    ValueError unless the runs take the flat list exactly."""
-    _check(rows)
-    flat, runs = rows
-    start = 0
-    for size, count in runs:
-        end = start + size * count
-        yield size, count, flat[start:end] if len(runs) > 1 else flat  # a lone run takes all of flat: no copy
-        start = end
 
 
 def _cuts(runs: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:

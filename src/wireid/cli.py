@@ -13,6 +13,8 @@ The cyclic garbage collector is off while a command runs (the pipeline
 builds no reference cycles) and then back in its caller's state. construct
 and simulate list their fields once, for both formats: _jsonout.document
 writes them to stdout in one writelines call, each field in bounded pieces.
+bounds --format structured prints _jsonout._indented of its short document,
+the bytes of json.dumps(indent=2) without json's indenting encoder.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import os
 import sys
 from itertools import chain, repeat
 
-from ._jsonout import _sorted_runs, document
+from ._jsonout import _indented, _sorted_runs, document
 from .cable import TRANSCRIPT_SCHEMA, ProtocolError, _phases, _transcript_fields, make_cable
 from .matrices import _text, format_degree_sequence
 from .partitions import (
@@ -125,7 +126,7 @@ def cmd_bounds(args) -> int:
             "schema": BOUNDS_SCHEMA,
             "rows": [{"m": m, "min_n": lo, "max_n": hi} for m, lo, hi in rows],
         }
-        print(json.dumps(payload, indent=2))
+        print(_indented(payload, ""))
     else:
         for m, lo, hi in rows:
             print(f"{m} {lo} {hi}")

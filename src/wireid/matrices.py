@@ -24,6 +24,8 @@ as comma-separated integers.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from functools import cache
 from itertools import chain, repeat
 from operator import add
 from typing import Iterable, Sequence
@@ -38,9 +40,10 @@ class ConstructionError(RuntimeError):
 class _Frozen:
     """Base of the package's immutable records, in place of a frozen dataclass (whose import costs a cold start
     about 10 ms). A subclass's fields, also its __match_args__, are its base's and then its own annotations, in
-    order. __init__ takes them by position or by name, as a dataclass's does, then runs __post_init__; ==, hash
-    and repr are over the fields, in the dataclass layout, and == holds only within one class. Assigning or
-    deleting an attribute raises AttributeError."""
+    order. __init__ binds them through the class's namedtuple (_fields_of), so Python binds the arguments and a
+    bad call raises the dataclass's TypeError, naming __new__ for __init__; then it runs __post_init__. ==, hash
+    and repr are the namedtuple's of the fields, in the dataclass layout, and == holds only within one class.
+    Assigning or deleting an attribute raises AttributeError."""
 
     __match_args__ = ()
 
@@ -48,28 +51,14 @@ class _Frozen:
         cls.__match_args__ += tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs) -> None:
-        names, name = self.__match_args__, type(self).__qualname__
-        if len(args) > len(names):
-            raise TypeError(f"{name}.__init__() takes {len(names) + 1} positional arguments but {len(args) + 1} "
-                            "were given")
-        values = dict(zip(names, args))
-        for key in kwargs:
-            if key in values:
-                raise TypeError(f"{name}.__init__() got multiple values for argument {key!r}")
-            if key not in names:
-                raise TypeError(f"{name}.__init__() got an unexpected keyword argument {key!r}")
-        values.update(kwargs)
-        missing = [key for key in names if key not in values]
-        if missing:
-            raise TypeError(f"{name}.__init__() missing required arguments: {', '.join(map(repr, missing))}")
-        vars(self).update((key, values[key]) for key in names)
+        vars(self).update(_fields_of(type(self))(*args, **kwargs)._asdict())
         self.__post_init__()
 
     def __post_init__(self) -> None:
         pass
 
     def _values(self) -> tuple:
-        return tuple(map(vars(self).__getitem__, self.__match_args__))
+        return _fields_of(type(self))._make(map(vars(self).__getitem__, self.__match_args__))
 
     def __eq__(self, other):
         return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
@@ -78,13 +67,20 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(map('%s=%r'.__mod__, zip(self.__match_args__, self._values())))})"
+        return repr(self._values())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+@cache
+def _fields_of(cls: type) -> type:
+    """The namedtuple of a _Frozen class's fields, named as the class, built on first use: records made only by
+    _unchecked, as the CLI makes them, build none."""
+    return namedtuple(cls.__name__, cls.__match_args__)
 
 
 def _unchecked(cls: type, **attributes):

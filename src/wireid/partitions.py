@@ -24,12 +24,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, pairwise, repeat, starmap
 from math import isqrt
 from operator import add, index
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
-from ._jsonout import IntRuns, _parts, _sorted_runs, document
+from ._jsonout import IntRuns, _check, _sorted_runs, document
 from .matrices import BinaryMatrix, ConstructionError, _Frozen, _byte_rows, _checked_grid, _unchecked, can_construct
 
 PARTITION_SCHEMA = "kg-partition/1"
@@ -337,8 +337,11 @@ def _ranked(side: IntRuns, labels: Iterable) -> IntRuns:
 
 
 def _blocks(side: IntRuns) -> Iterator[Sequence]:
-    """The side's sets as slices of its labels, in its order. ValueError unless its runs take its labels exactly."""
-    return (part[i * size : (i + 1) * size] for size, count, part in _parts(side) for i in range(count))
+    """The side's sets as slices of its labels, in its order, cut at the running sums of their sizes.
+    ValueError unless its runs take its labels exactly."""
+    _check(side)
+    ends = accumulate(chain.from_iterable(starmap(repeat, side.runs)), initial=0)
+    return map(side.flat.__getitem__, starmap(slice, pairwise(ends)))
 
 
 def _sets(side: IntRuns) -> tuple[frozenset, ...]:

@@ -837,9 +837,10 @@ def test_a_run_leaves_no_cyclic_garbage_that_grows_with_n(capsys):
 
 
 def test_construct_leaves_no_more_garbage_in_either_format_than_the_grid_run(capsys):
-    """The structured head's lists and ints are written without json's indenting encoder, whose closures
-    reference each other: with the collector off, construct leaves no more unreachable objects in either
-    format, at n = 1000 or n = 20000, than its grid run at n = 1000."""
+    """The structured head's lists and ints, and the structured bounds table, are written without json's
+    indenting encoder, whose closures reference each other: with the collector off, construct at n = 1000 or
+    n = 20000 and bounds --max-m 10, in either format, leave no more unreachable objects than construct's
+    grid run at n = 1000."""
     was_enabled = gc.isenabled()
     gc.disable()
     counts = []
@@ -847,7 +848,8 @@ def test_construct_leaves_no_more_garbage_in_either_format_than_the_grid_run(cap
         # The first run warms caches that later runs reuse.
         for argv in (["construct", "--n", "1000"], ["construct", "--n", "1000"],
                      ["construct", "--n", "1000", "--format", "structured"],
-                     ["construct", "--n", "20000", "--format", "structured"], ["construct", "--n", "20000"]):
+                     ["construct", "--n", "20000", "--format", "structured"], ["construct", "--n", "20000"],
+                     ["bounds", "--max-m", "10", "--format", "structured"], ["bounds", "--max-m", "10"]):
             gc.collect()
             assert main(argv) == EXIT_OK
             counts.append(gc.collect())

@@ -17,9 +17,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import oracles
 import wireid
 from wireid import cable, matrices, partitions
+from wireid.cli import EXIT_OK, main
 
 PUBLIC_NAMES = [
     "BinaryMatrix",
@@ -161,6 +164,34 @@ def test_unchecked_builds_only_where_pinned():
                 stray.append(f"{path}:{node.lineno} {site}")
     assert not stray, "unpinned _unchecked calls:\n" + "\n".join(stray)
     assert seen == ALLOWED_UNCHECKED.keys(), f"pinned sites without a call: {ALLOWED_UNCHECKED.keys() - seen}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: wireid.CableInstance(0, (), 0), "need at least one wire, got n=0"),
+    (lambda: wireid.KgPartition(0, (), ()), "n must be positive, got 0"),
+    (lambda: wireid.feasible_orders(0), "n must be positive, got 0"),
+    (lambda: wireid.Representation(0, (), 0, 1), "need m >= 1 values, got m=0, t=()"),
+    (lambda: wireid.Representation(3, (1, 2), 0, 1), "need m >= 1 values, got m=3, t=(1, 2)"),
+    (lambda: matrices.can_construct((), ()), "degree sequences must have length at least 1"),
+], ids=["cable-n-0", "partition-n-0", "feasible-orders-0", "representation-m-0", "representation-t-not-m",
+        "can-construct-empty"])
+def test_public_input_checks_name_what_they_reject(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_the_cli_builds_no_record_namedtuple(tmp_path, capsys):
+    """The CLI makes its records through _unchecked only, so no command builds the namedtuple a record's
+    __init__, ==, hash and repr use (matrices._fields_of)."""
+    document = tmp_path / "pair.json"
+    assert main(["construct", "--n", "50", "--format", "structured"]) == EXIT_OK
+    document.write_text(capsys.readouterr().out)
+    matrices._fields_of.cache_clear()
+    for argv in (["construct", "--n", "50"], ["simulate", "--n", "50", "--seed", "3", "--format", "structured"],
+                 ["verify", str(document)], ["bounds", "--max-m", "5", "--format", "structured"]):
+        assert main(argv) == EXIT_OK
+    assert matrices._fields_of.cache_info().currsize == 0
 
 
 def test_the_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -4,7 +4,8 @@ The records share one small base, ``matrices._Frozen``, instead of
 ``@dataclass(frozen=True)``. Each twin below is a frozen dataclass built
 here, from field names written here, so the oracle does not read the code
 it checks. A record and its twin, given the same field values, must bind
-arguments the same way, reject the same bad calls with TypeError, and agree
+arguments the same way, reject the same bad calls with the same TypeError
+message (naming __new__ where the twin names __init__), and agree
 on ==, hash, repr, __match_args__ and on refusing assignment and deletion.
 """
 
@@ -83,9 +84,13 @@ def test_bad_calls_raise_type_error_as_the_twin_does(cls):
         ((), {}),
     ]
     for args, kwargs in calls:
+        messages = []
         for built in (cls, twin_of(cls)):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError) as raised:
                 built(*args, **kwargs)
+            messages.append(str(raised.value))
+        # The record's namedtuple binds the arguments in its __new__; the twin's generated __init__ does.
+        assert messages[0].replace(".__new__(", ".__init__(") == messages[1], (args, kwargs)
 
 
 @pytest.mark.parametrize("cls", RECORDS)
