@@ -14,9 +14,10 @@ writes n as a sum of multiples t_j of j whose values form a consecutive
 run, so the sorted sums are gap-free and the matrix layer can realize them
 in t order (symmetrically, since rows and columns get the same sums).
 
-:func:`kg_violations` checks the KG property by direct counting over the
-sets, with no matrix machinery; it is the direct-counting oracle for
-everything else here.
+:func:`kg_violations` checks the KG property through ``_verdict``, which
+keys each element by its (j, k) cell and sets the keys in a byte grid; the
+pair is valid iff no cell is set twice. The direct-counting oracle it is
+tested against is ``tests/reference_verify.py``.
 """
 
 from __future__ import annotations
@@ -198,15 +199,19 @@ def _verdict(n: int, a_sets: Collection[Collection],
     """The pair's matrix as its m byte rows and kg_violations' messages for it. The rows are empty unless the
     messages are, and their count is the pair's order (its largest set's size).
 
-    Labels are compared by value, as sets compare them, so 1.0 stands for 1. _cell_keys decides the structure
-    and keys each element by its (j, k) cell; _key_rows sets the keys in a width² grid, the matrix iff the n + 1
-    keys differ. An order-m pair has at least m(m + 1)/2 elements, so a wider pair crowds a cell and gets no
-    grid. When the sides are not exact partitions as given, each set is frozen, so a label repeated within a
-    set counts once, but the sets are not sorted: for int labels no message depends on their order. Sets and
-    Counters are built only to word a failure; value-equal labels are mapped onto ints and judged again.
+    Labels are compared by value, as sets compare them, so 1.0 stands for 1. _side_sizes decides each side's
+    structure and maps each element x = 0..n to its set's size, A's scaled by width, so x's key is j * width + k
+    for an A-set of size j and a B-set of size k (0 for x = 0). No set reaches width, so the pair is a KG pair iff
+    the n + 1 keys differ; sorted, they list its matrix's 1-cells in row-major order. _key_rows sets them in a
+    width² grid, the matrix iff they differ, and no list of them is built unless two are equal. An order-m pair
+    has at least m(m + 1)/2 elements, so a wider pair crowds a cell and gets no grid. When the sides are not
+    exact partitions as given, each set is frozen, so a label repeated within a set counts once, but the sets
+    are not sorted: for int labels no message depends on their order. Sets and Counters are built only to word
+    a failure; value-equal labels are mapped onto ints and judged again.
     """
-    cells = _cell_keys(n, a_sets, b_sets)
-    if cells is None:
+    width = max(map(len, chain(a_sets, b_sets)), default=0) + 1
+    size_a, size_b = _side_sizes(a_sets, n, width), _side_sizes(b_sets, n)
+    if size_a is None or size_b is None:
         a_sets, b_sets = list(map(frozenset, a_sets)), list(map(frozenset, b_sets))
         messages: list[str] = []
         universe = set(range(1, n + 1))
@@ -233,10 +238,9 @@ def _verdict(n: int, a_sets: Collection[Collection],
         # Labels equal to 1..n but not ints, 1.0 say.
         as_int = {x: x for x in universe}
         return _verdict(n, *([[as_int[x] for x in s] for s in sets] for sets in (a_sets, b_sets)))
-    width, keys = cells
-    rows = _key_rows(width, keys, n + 1) if min_elements(width - 1) <= n else None
+    rows = _key_rows(width, map(add, size_a, size_b), n + 1) if min_elements(width - 1) <= n else None
     if rows is None:
-        return [], _crowded_cells(width, list(_cell_keys(n, a_sets, b_sets)[1]))
+        return [], _crowded_cells(width, list(map(add, size_a, size_b)))
     return rows, []
 
 
@@ -252,8 +256,9 @@ def _key_rows(width: int, keys: Iterable[int], count: int) -> list[bytearray] | 
 
 
 def _crowded_cells(width: int, keys: Sequence[int]) -> list[str]:
-    """kg_violations' messages for a pair whose _cell_keys are (width, keys), when two keys are equal: one per
-    (j, k) cell holding two or more elements, cells ascending, with its elements ascending."""
+    """kg_violations' messages for a pair whose elements x = 0..n have _verdict's cell keys keys[x] for width,
+    when two keys are equal: one per (j, k) cell holding two or more elements, cells ascending, with its
+    elements ascending."""
     crowded = sorted(key for key, count in Counter(keys).items() if count > 1)
     members: dict[int, list[int]] = {key: [] for key in crowded}
     for x, key in enumerate(keys):  # keys[0] == 0 is never crowded
@@ -264,18 +269,6 @@ def _crowded_cells(width: int, keys: Sequence[int]) -> list[str]:
         j, k = divmod(key, width)
         messages.append(f"cell ({j},{k}) holds {len(xs)} elements: {xs}")
     return messages
-
-
-def _cell_keys(n: int, a_sets: Collection, b_sets: Collection) -> tuple[int, Iterator[int]] | None:
-    """(width, keys), keys streaming j * width + k for each element x = 0..n of an A-set of size j and a B-set
-    of size k (0 for x = 0), or None unless both sides exactly partition the ints 1..n. No set reaches width,
-    so the pair is a KG pair iff the n + 1 keys differ; sorted, they list its matrix's 1-cells in row-major
-    order."""
-    width = max(map(len, chain(a_sets, b_sets)), default=0) + 1
-    size_a, size_b = _side_sizes(a_sets, n, width), _side_sizes(b_sets, n)
-    if size_a is None or size_b is None:
-        return None
-    return width, map(add, size_a, size_b)
 
 
 def _side_sizes(sets: Collection[Collection], n: int, unit: int = 1) -> list[int] | None:

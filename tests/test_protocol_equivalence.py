@@ -37,11 +37,11 @@ from wireid.cable import (
 from wireid.matrices import construct_matrix
 from wireid.partitions import (
     KgPartition,
-    _cell_keys,
     _checked_construction,
     _grid_columns,
     _rows,
     _sets,
+    _side_sizes,
     construct,
     construct_trace,
     feasible_orders,
@@ -262,14 +262,13 @@ def _check_against_kg_violations(pair):
     if not problems:
         matrix = partition_to_matrix(pair)
         assert list(map(bytes, rows)) == list(map(bytes, matrix.rows))
-        width, keys = _cell_keys(pair.n, pair.a_sets, pair.b_sets)
-        keys = list(keys)
-        assert [divmod(key, width) for key in sorted(keys)[1:]] == [
+        size_a, size_b = (_side_sizes(side, pair.n) for side in (pair.a_sets, pair.b_sets))
+        assert sorted(zip(size_a, size_b))[1:] == [
             (j, k) for j, row in enumerate(matrix.rows, start=1) for k in compress(range(1, matrix.m + 1), row)
         ]
         for x in range(1, pair.n + 1):
             sizes = [len(s) for side in (pair.a_sets, pair.b_sets) for s in side if x in s]
-            assert divmod(keys[x], width) == tuple(sizes)
+            assert (size_a[x], size_b[x]) == tuple(sizes)
 
 
 @given(st.data())
@@ -292,13 +291,13 @@ def test_single_pass_agrees_on_arbitrary_pairs(data):
 
 def test_single_pass_rejects_non_integer_labels():
     singleton = (frozenset({"a"}),)
-    assert _cell_keys(1, singleton, singleton) is None
+    assert _side_sizes(singleton, 1) is None
     assert kg_violations(KgPartition(1, singleton, singleton))
     # kg_violations compares labels by value and accepts 1.0 for 1; the
     # protocol wants integer positions and says so.
     floats = (frozenset({1.0}),)
     pair = KgPartition(1, floats, floats)
-    assert _cell_keys(1, floats, floats) is None and not kg_violations(pair)
+    assert _side_sizes(floats, 1) is None and not kg_violations(pair)
     with pytest.raises(ValueError, match="labels must be the integers 1..n"):
         run_protocol(pair, make_cable(1, 0))
 

@@ -240,6 +240,28 @@ def test_side_sizes_matches_reference_structure_on_arbitrary_pairs(n, a_sets, b_
     _check_side_sizes(pair, unit)
 
 
+def test_a_judgement_makes_one_structure_pass_per_side(monkeypatch):
+    # A crowded pair is worded from the two size maps that judged it; value-equal float labels
+    # cost one pass per side to fail and one more per side on their int images.
+    calls = []
+    original = partitions._side_sizes
+
+    def counting(sets, n, *rest):
+        calls.append(n)
+        return original(sets, n, *rest)
+
+    monkeypatch.setattr(partitions, "_side_sizes", counting)
+    valid = construct(26)
+    swap = {2: 7, 7: 2}  # the first labels of the A-sets {2} and {7, 8}
+    crowded = KgPartition(26, tuple(frozenset(swap.get(x, x) for x in s) for s in valid.a_sets), valid.b_sets)
+    floats = KgPartition(26, *([frozenset(map(float, s)) for s in side] for side in (crowded.a_sets, crowded.b_sets)))
+    for pair, passes, messages in ((valid, 2, []), (crowded, 2, ["cell (1,1) holds 2 elements: [1, 7]"]),
+                                   (floats, 4, ["cell (1,1) holds 2 elements: [1, 7]"])):
+        calls.clear()
+        assert kg_violations(pair) == reference_kg_violations(pair) == messages
+        assert len(calls) == passes, pair
+
+
 BOUNDARY_N = 12
 
 
@@ -260,15 +282,16 @@ def test_boundary_labels_with_n_labels_in_all(side, old, new, scheme_accepts):
     assert sum(map(len, sets)) == BOUNDARY_N
     pair = KgPartition(n=pair.n, **{"a_sets": pair.a_sets, "b_sets": pair.b_sets, side: sets})
     assert (_same_messages(pair) == []) == (new == old)  # True and 1.0 stand for 1
-    scheme = partitions._cell_keys(pair.n, pair.a_sets, pair.b_sets)
-    assert (scheme is not None and len(set(scheme[1])) == BOUNDARY_N + 1) == scheme_accepts
+    size_a, size_b = (partitions._side_sizes(sets, pair.n) for sets in (pair.a_sets, pair.b_sets))
+    accepted = size_a is not None and size_b is not None and len(set(zip(size_a, size_b))) == BOUNDARY_N + 1
+    assert accepted == scheme_accepts
 
 
 def test_oracle_stays_independent_of_the_matrix_layer():
     source = "".join(
         map(inspect.getsource,
             (kg_violations, partitions._verdict, partitions._key_rows, partitions._crowded_cells,
-             partitions._cell_keys, partitions._side_sizes, partitions._size_of))
+             partitions._side_sizes, partitions._size_of))
     )
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     matrix_layer = {"matrices", "_rows", "_blocks", "_sets", "_grid_columns", "_ranked", "matrix_to_partition",
