@@ -1,5 +1,4 @@
-"""The one writer of the package's documents, in both output formats: ``document``, and ``_indented`` for a
-JSON document with no fields (bounds).
+"""The one writer of the package's documents, in both output formats: ``document``.
 
 A document is a head and a list of fields. Structured, the head is a dict, written as ``json.dumps(indent=2)``
 writes it but without json's indenting encoder (_indented), and the whole document is
@@ -9,8 +8,8 @@ ascending elements (_sorted_runs), coordinates (rows of two, _paired_runs) and p
 cut from one flat list.
 Each field is written in pieces of consecutive whole rows, at most CHUNK values each, so no field's whole
 text is built. One %-operation writes a piece; ints a caller knows to lie in 0..bound (set sizes, bounded
-by the order) are looked up in a table instead, and rows cut from a range (the A side: the labels 1..n in
-order) are slices of one text of its labels, built by copying.
+by the order, in one run of rows: probes and coordinates) are looked up in a table instead, and rows cut
+from a range (the A side: the labels 1..n in order) are slices of one text of its labels, built by copying.
 """
 
 from __future__ import annotations
@@ -34,11 +33,11 @@ class IntRuns(NamedTuple):
 def document(head: dict | str, fields: Iterable[tuple[str, IntRuns, int, str]], structured: bool) -> Iterator[str]:
     """The document in pieces that join to it: the head, then each (key, rows, bound, brackets) field.
     Brackets are "{}" for sets, "()" for pairs and "" for a list of ints (rows of one), as the grid writes
-    them; JSON writes each bracketed row as a list. With bound >= 0 the values are looked up in tables of
-    0..bound; any value the tables miss is %-formatted, so the bytes are the same for any values. Rows must
-    hold ints (a bool is written as %d writes it): the head is json's to write. The structured head must
-    hold at least one key; it is written as json.dumps(head, indent=2) would write it (_items), building no
-    reference cycles."""
+    them; JSON writes each bracketed row as a list. With bound >= 0 the values of a piece of one run are
+    looked up in tables of 0..bound; a piece of several runs, or holding a value the tables miss, is
+    %-formatted, so the bytes are the same for any values. Rows must hold ints (a bool is written as %d
+    writes it): the head is json's to write. The structured head must hold at least one key; it is written
+    as json.dumps(head, indent=2) would write it (_items), building no reference cycles."""
     yield "{\n  " + ",\n  ".join(_items(head, "  ")) if structured else head
     for key, rows, bound, brackets in fields:
         if structured:
@@ -136,8 +135,8 @@ def _pieces(rows: IntRuns, bound: int, pre: str, mid: str, post: str, sep: str, 
     """The rows, each written pre + mid.join(its values) + post (empty if it has none) and joined by sep, in
     the pieces _cuts gives, with sep yielded between them. Each piece is one slice of the flat list; a step-1
     range of positive ints is sliced out of one text of its labels (_range_text), and with bound >= 0 a
-    piece is written through tables of 0..bound, built once per field. ValueError, before the first piece,
-    unless the runs take the flat list exactly."""
+    piece of one run is written through tables of 0..bound, built once per field. ValueError, before the
+    first piece, unless the runs take the flat list exactly."""
     _check(rows)
     flat, runs = rows
     ranged = type(flat) is range and flat.step == 1 and flat.start > 0
@@ -153,22 +152,19 @@ def _pieces(rows: IntRuns, bound: int, pre: str, mid: str, post: str, sep: str, 
         if ranged and filled:
             yield _range_text(part, piece, pre, mid, post, sep, block)
             continue
-        text = _table_text(inner, last, piece, part, pre, post) if bound >= 0 and filled else None
+        one_run = bound >= 0 and len(piece) == 1 and filled  # every caller's bounded field is one run
+        text = _table_text(inner, last, piece[0][0], part, pre, post) if one_run else None
         yield text or sep.join(chain.from_iterable(
             repeat(pre + mid.join(["%d"] * size) + post if size else empty, count) for size, count in piece
         )) % tuple(part)
 
 
-def _table_text(inner: dict | None, last: dict, runs: Sequence[tuple[int, int]], part: Sequence, pre: str,
-                post: str) -> str | None:
-    """_pieces' text of one piece of non-empty rows by one lookup per value, or None if the tables miss one
-    (a value outside 0..bound, or not an int). inner, the table of the values before a row's last, is None for
-    rows of one."""
-    rows = [cycle([inner] * (size - 1) + [last]) for size, _ in runs]
-    # A lone run's cycle alone: islice and chain would cost a third more per value.
-    positions = rows[0] if len(rows) == 1 else chain.from_iterable(map(islice, rows, starmap(mul, runs)))
+def _table_text(inner: dict | None, last: dict, size: int, part: Sequence, pre: str, post: str) -> str | None:
+    """_pieces' text of one piece of rows of size >= 1 values each by one lookup per value, or None if the
+    tables miss one (a value outside 0..bound, or not an int). inner, the table of the values before a row's
+    last, is None for rows of one."""
     try:
-        texts = list(map(dict.__getitem__, positions, part))
+        texts = list(map(dict.__getitem__, cycle([inner] * (size - 1) + [last]), part))
     except (KeyError, TypeError):  # a miss (or an unhashable value): the %-operation decides
         return None
     texts[-1] = "%d" % part[-1] + post

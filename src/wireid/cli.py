@@ -13,7 +13,7 @@ The cyclic garbage collector is off while a command runs (the pipeline
 builds no reference cycles) and then back in its caller's state. construct
 and simulate list their fields once, for both formats: _jsonout.document
 writes them to stdout in one writelines call, each field in bounded pieces.
-bounds --format structured prints _jsonout._indented of its short document,
+bounds writes its table the same way, as a head with no fields: structured,
 the bytes of json.dumps(indent=2) without json's indenting encoder.
 """
 
@@ -26,7 +26,7 @@ import os
 import sys
 from itertools import chain, repeat
 
-from ._jsonout import _indented, _sorted_runs, document
+from ._jsonout import _sorted_runs, document
 from .cable import TRANSCRIPT_SCHEMA, ProtocolError, _phases, _transcript_fields, make_cable
 from .matrices import _text, format_degree_sequence
 from .partitions import (
@@ -122,14 +122,10 @@ def cmd_bounds(args) -> int:
         raise ValueError(f"--max-m must be at most {MAX_M}, the largest order of any n up to {MAX_N}, got {args.max_m}")
     rows = [(m, min_elements(m), max_elements(m)) for m in range(1, args.max_m + 1)]
     if args.format == STRUCTURED:
-        payload = {
-            "schema": BOUNDS_SCHEMA,
-            "rows": [{"m": m, "min_n": lo, "max_n": hi} for m, lo, hi in rows],
-        }
-        print(_indented(payload, ""))
+        head = {"schema": BOUNDS_SCHEMA, "rows": [{"m": m, "min_n": lo, "max_n": hi} for m, lo, hi in rows]}
     else:
-        for m, lo, hi in rows:
-            print(f"{m} {lo} {hi}")
+        head = "".join(f"{m} {lo} {hi}\n" for m, lo, hi in rows)
+    sys.stdout.writelines(document(head, [], args.format == STRUCTURED))
     return EXIT_OK
 
 
@@ -150,6 +146,7 @@ def cmd_verify(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
     n, a_sets, b_sets = _read_partition(text, (PARTITION_SCHEMA, CONSTRUCTION_SCHEMA))
+    del text  # the lists are read: the judgement need not hold the document too
     rows, problems = _verdict(_capped(n), a_sets, b_sets)
     if problems:
         _print_error(*problems)

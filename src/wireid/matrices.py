@@ -223,8 +223,8 @@ def _construct(r: DegreeSequence, c: DegreeSequence) -> list[bytearray]:
     m = len(r)
     out = [bytearray(m) for _ in range(m)]
     # Sorted position -> original row (column) of the output.
-    r_cur, rows = _sort_descending(list(r), list(range(m)))
-    c_cur, cols = (r_cur, rows) if r == c else _sort_descending(list(c), list(range(m)))
+    r_cur, rows = _sort_descending(r)
+    c_cur, cols = (r_cur, rows) if r == c else _sort_descending(c)
     for s in range(m):
         p, q = r_cur[s], c_cur[s]
         if not p:  # a zero largest sum means the rest is zero too: equal totals force both
@@ -261,7 +261,7 @@ def _peel(values: list[int], origin: list[int], s: int, q: int) -> None:
     origin[i:stop] = origin[end:stop] + origin[i:end]
 
 
-def _sort_descending(values: list[int], origin: list[int]) -> tuple[list[int], list[int]]:
-    """Stable descending sort of values, carrying origin along."""
+def _sort_descending(values: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Stable descending sort of values, and the position in values each sorted value came from."""
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-    return [values[i] for i in order], [origin[i] for i in order]
+    return [values[i] for i in order], order

@@ -6,7 +6,10 @@ desk scale only) decide realizability without the gap-free constructor.
 `partition_to_matrix` reads a pair's matrix off its sets through dicts,
 apart from the protocol's single validation pass. `transcript_from_json`
 and `matrix_from_text` parse the documents and grids the package writes,
-so tests can round-trip them.
+so tests can round-trip them. `kg_pair_orders` and `index_divisible_totals`
+check the paper's counting claims by exhaustion, from their definitions: the
+first over pairs of partitions themselves, the second over the matrices of
+the matrix lemma; neither names anything from the package.
 
 The package does not ship these. They use only its public types and
 formatting, never its constructor, its matrix-to-partition chunking or
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Hashable, Sequence
+from collections import Counter
+from typing import Hashable, Iterator, Sequence
 
 from wireid.cable import END_A, END_B, TRANSCRIPT_SCHEMA, ConnectionPlan, ProtocolTranscript
 from wireid.matrices import BinaryMatrix, DegreeSequence, format_degree_sequence
@@ -114,6 +118,67 @@ def enumerate_matrices(r: Sequence[int], c: Sequence[int], limit: int) -> list[B
 
     place(0)
     return found
+
+
+def kg_pair_orders(n: int) -> set[int]:
+    """The orders (largest set sizes) of the pairs of partitions of 1..n that put at most one element in each
+    (A-set size, B-set size) cell, by exhaustion: empty when no such pair exists. Relabelling keeps the property,
+    so the A side is fixed to consecutive blocks, one per integer partition of n, and the B side runs over
+    every set partition of 1..n. A pair is judged on its two size vectors (the size of each element's set),
+    so B sides with equal vectors are judged once. Bell(n) set partitions: desk scale only (n = 10 takes
+    seconds)."""
+    a_sides = [tuple(itertools.chain.from_iterable(itertools.repeat(size, size) for size in sizes))
+               for sizes in _integer_partitions(n, n)]
+    b_sides = set()
+    for blocks in _set_partitions(n):
+        size = Counter(blocks)
+        b_sides.add(tuple(map(size.__getitem__, blocks)))
+    orders = set()
+    for a in a_sides:
+        for b in b_sides:
+            order = max(a[0], max(b))
+            if order not in orders and len(set(zip(a, b))) == n:
+                orders.add(order)
+    return orders
+
+
+def _integer_partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Each partition of n into parts of at most largest, as a nonincreasing tuple."""
+    if not n:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _integer_partitions(n - part, part):
+            yield (part, *rest)
+
+
+def _set_partitions(n: int, prefix: tuple[int, ...] = (), blocks: int = 0) -> Iterator[tuple[int, ...]]:
+    """Each partition of 1..n into non-empty blocks, as its restricted growth string: element x's block
+    number, each number at most one more than every number before it."""
+    if len(prefix) == n:
+        yield prefix
+        return
+    for block in range(blocks + 1):
+        yield from _set_partitions(n, (*prefix, block), max(blocks, block + 1))
+
+
+def index_divisible_totals(m: int) -> set[int]:
+    """The 1-counts of the m x m 0-1 matrices whose row j and column j sums are multiples of j, with row m or
+    column m non-empty (the matrices of the order-m pairs), by exhaustion. Rows 2..m run over the rows whose
+    size is a multiple of their index; row 1's bit in column k >= 2 is then forced, as the one bit (if any)
+    that makes column k's sum a multiple of k, and its bit in column 1 is free."""
+    lines = list(itertools.product((0, 1), repeat=m))
+    later_rows = [[bits for bits in lines if sum(bits) % j == 0] for j in range(2, m + 1)]
+    totals = set()
+    for rows in itertools.product(*later_rows):
+        below = [sum(column) for column in zip(*rows)] if rows else [0] * m  # column sums over rows 2..m
+        first = [-total % k for k, total in enumerate(below[1:], 2)]  # row 1's bits in columns 2..m
+        if any(bit > 1 for bit in first):
+            continue
+        for corner in (0, 1):  # row 1's bit in column 1
+            last_row, last_column = (rows[-1], below[-1] + first[-1]) if rows else ((corner,), corner)
+            if any(last_row) or last_column:
+                totals.add(sum(below) + sum(first) + corner)
+    return totals
 
 
 def partition_to_matrix(partition: KgPartition) -> BinaryMatrix:

@@ -9,8 +9,17 @@ tests/test_acceptance.py` to see the lines as they go.
 import itertools
 import math
 
+import pytest
+
 from conftest import A_SETS_26, B_SETS_26, MATRIX_26_TEXT, gapfree_sequences
-from oracles import enumerate_matrices, gale_ryser_feasible, matrix_from_text, partition_to_matrix
+from oracles import (
+    enumerate_matrices,
+    gale_ryser_feasible,
+    index_divisible_totals,
+    kg_pair_orders,
+    matrix_from_text,
+    partition_to_matrix,
+)
 from wireid.cable import make_cable, run_protocol
 from wireid.matrices import construct_matrix
 from wireid.partitions import (
@@ -146,3 +155,24 @@ def test_criterion_8_protocol_soundness():
                 ok = False
     report("criterion 8: protocol coordinate agreement for n in 1..120, "
            "minimal order, seeds {0,1,2}", ok)
+
+
+@pytest.mark.parametrize("sizes", [range(1, 10), pytest.param(range(10, 11), marks=pytest.mark.slow)],
+                         ids=["n 1..9", "n 10"])
+def test_criterion_9_pairs_by_exhaustion(sizes):
+    # Every pair of partitions, not the formulas: no pair exists for n in {2, 5, 9}, and the orders the
+    # pairs reach are feasible_orders(n) for every other n.
+    found = {n: kg_pair_orders(n) for n in sizes}
+    ok = [n for n, orders in found.items() if not orders] == [n for n in (2, 5, 9) if n in sizes]
+    ok = ok and all(orders == set(feasible_orders(n)) for n, orders in found.items())
+    report(f"criterion 9: pairs of partitions of 1..n, n in {sizes.start}..{sizes.stop - 1}, by exhaustion: "
+           "none for n in {2,5,9}, the orders of feasible_orders(n) otherwise", ok)
+
+
+@pytest.mark.parametrize("orders", [range(1, 6), pytest.param(range(6, 7), marks=pytest.mark.slow)],
+                         ids=["m 1..5", "m 6"])
+def test_criterion_10_matrix_totals_by_exhaustion(orders):
+    # No order-m matrix holds fewer than m(m+1)/2 or more than J(m) 1s, and every total between is reached.
+    ok = all(index_divisible_totals(m) == set(range(min_elements(m), max_elements(m) + 1)) for m in orders)
+    report(f"criterion 10: index-divisible matrices of order m, m in {orders.start}..{orders.stop - 1}, by "
+           "exhaustion: their totals are exactly min_elements(m)..max_elements(m)", ok)

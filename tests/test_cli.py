@@ -328,6 +328,26 @@ def test_verify_with_fd_0_closed_exits_3():
     assert (result.returncode, result.stdout, result.stderr) == (EXIT_USAGE, "", "error: cannot read -: stdin is closed\n")
 
 
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+def test_verify_drops_the_document_text_before_it_judges(tmp_path):
+    """verify FILE on the 29.9 MB n = 10^6, m = 1413 structured document peaks at or under 125 MB in a fresh
+    process: holding the document's text through the judgement takes it to about 140 MB."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    doc = tmp_path / "pair.json"
+    with open(doc, "w") as out:
+        subprocess.run([sys.executable, "-m", "wireid.cli", "construct", "--n", "1000000", "--m", "1413", "--format",
+                        "structured"], stdout=out, env=env, check=True, timeout=300)
+    peak = ("import sys\nfrom wireid.cli import main\nstatus = main(sys.argv[1:])\n"
+            "print(status, *[line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')])")
+    result = subprocess.run([sys.executable, "-c", peak, "verify", str(doc)], capture_output=True, text=True,
+                            env=env, timeout=300)
+    verdict, status, peak_kb = result.stdout.split("\n")[0], *result.stdout.split("\n")[1].split()
+    assert (verdict, status, result.stderr) == ("valid Knowlton-Graham pair: n=1000000 order=1413", "0", "")
+    assert int(peak_kb) <= 125 * 1024, f"verify peaked at {int(peak_kb) / 1024:.1f} MB"
+
+
 label_lists = st.lists(st.lists(st.integers(-2, 40) | json_values, max_size=6), max_size=8)
 partition_documents = st.fixed_dictionaries(
     {"schema": st.sampled_from(["kg-partition/1", "kg-construction/1"])},

@@ -129,7 +129,8 @@ def test_peel_is_the_stable_sort_of_the_peeled_sums(start, drops, data):
         for q in range(1, len(values) - s + 1):
             peeled, carried = list(values), list(origin)
             _peel(peeled, carried, s, q)
-            expected = _sort_descending([v - 1 for v in values[s + 1 : s + q]] + values[s + q :], list(origin[s + 1 :]))
+            sums, order = _sort_descending([v - 1 for v in values[s + 1 : s + q]] + values[s + q :])
+            expected = sums, [origin[s + 1 + i] for i in order]
             assert (peeled[: s + 1], carried[: s + 1]) == (values[: s + 1], list(origin[: s + 1])), (values, s, q)
             assert (peeled[s + 1 :], carried[s + 1 :]) == expected, (values, s, q)
 

@@ -114,6 +114,20 @@ def test_oracles_stay_independent_of_the_code_they_check():
     assert not names & checked
 
 
+def test_the_exhaustive_enumerators_name_nothing_from_the_package():
+    # The pair and matrix enumerators check the paper's negative claims from their definitions: they call
+    # only each other, and name nothing the oracles import from wireid.
+    tree = ast.parse(inspect.getsource(oracles))
+    imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.module.startswith("wireid") for alias in node.names}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    enumerators = {"kg_pair_orders", "_integer_partitions", "_set_partitions", "index_divisible_totals"}
+    named = {node.id for name in enumerators for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+    assert {"BinaryMatrix", "KgPartition"} <= imported  # the walk sees the imports
+    assert not named & imported
+    assert named & set(functions) <= enumerators
+
+
 def _scoped_nodes(node, scope):
     """(qualified scope, node) of every node below node."""
     for child in ast.iter_child_nodes(node):

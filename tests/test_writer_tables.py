@@ -121,7 +121,7 @@ def test_rows_of_one_build_only_the_row_end_table(monkeypatch):
 
     monkeypatch.setattr(_jsonout, "_table_text", spied)
     assert written(IntRuns([3, 0, 5], [(1, 3)]), 5, (False, "")) == "rows: 3,0,5\n"
-    assert written(IntRuns([3, 0, 5], [(1, 1), (2, 1)]), 5, (False, "()")) == "rows: (3) (0,5)\n"
+    assert written(IntRuns([3, 0, 5, 1], [(2, 2)]), 5, (False, "()")) == "rows: (3,0) (5,1)\n"
     assert inner_tables[0] is None and inner_tables[1] == {value: "%d," % value for value in range(6)}
 
 
