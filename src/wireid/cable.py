@@ -13,10 +13,11 @@ Conductivity is modeled as exact group membership: two probed wires read
 as connected iff their counterparts share a group in the far end's plan.
 No electrical behavior beyond that boolean, and no faults.
 
-All runs are deterministic. A cable's hidden wiring comes from
-``random.Random(seed)`` driving a Fisher-Yates shuffle (``random.shuffle``)
-of the positions 1..n; seed 0 is reserved for the identity wiring. The
-same seed always reproduces the same cable within this implementation.
+All runs are deterministic. A cable's hidden wiring is the permutation of
+the positions 1..n that ``random.Random(seed).shuffle`` (Fisher-Yates) makes,
+drawn from the same generator's 32-bit words in bulk by ``_shuffle``; a
+test pins the two equal on every supported Python. Seed 0 is reserved for
+the identity wiring. The same seed always reproduces the same cable.
 Seeds must be non-negative: ``random.Random`` seeds from the absolute
 value, so a negative seed would silently repeat the wiring of its positive
 twin, and make_cable rejects it instead.
@@ -25,6 +26,7 @@ twin, and make_cable rejects it instead.
 from __future__ import annotations
 
 import random
+import sys
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import add, mul, ne
@@ -63,17 +65,45 @@ class CableInstance(_Frozen):
 
 
 def make_cable(n: int, seed: int) -> CableInstance:
-    """Deterministic cable: seed 0 gives the identity wiring, any positive seed a
-    pseudo-random bijection reproduced exactly on every run (a shuffle of 1..n, so
-    CableInstance does not check it again). Negative seeds raise ValueError."""
+    """Deterministic cable: seed 0 gives the identity wiring, any positive seed the
+    permutation of 1..n that random.Random(seed).shuffle makes, reproduced exactly on
+    every run (a shuffle is a bijection, so CableInstance does not check it again).
+    Negative seeds raise ValueError."""
     if n < 1:
         raise ValueError(f"n must be positive, got n={n}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     positions = list(range(1, n + 1))
     if seed:
-        random.Random(seed).shuffle(positions)
+        _shuffle(positions, random.Random(seed))
     return _unchecked(CableInstance, n=n, wiring=tuple(positions), seed=seed)
+
+
+def _shuffle(x: list[int], rng: random.Random) -> None:
+    """rng.shuffle(x), swap for swap, read from rng's 32-bit words in bulk.
+
+    rng.shuffle swaps x[i] with x[j] for i = len(x) - 1 down to 1, j drawn by
+    _randbelow(i + 1): the first getrandbits(k) <= i, k = (i + 1).bit_length().
+    For k <= 32 that is the top k bits of one Mersenne Twister word, and
+    getrandbits(32 * c) holds the next c words, word t at bits 32t..32t+31 on
+    either byte order (read natively, a big-endian host sees them last first).
+    Each i takes at least one word, so a chunk of at most i words is used up
+    whole and the loop stops at i = 0; no chunk holds more than 2**16 words.
+    """
+    i = len(x) - 1
+    shift = 32 - (i + 1).bit_length()
+    floor = (1 << (31 - shift)) - 1  # below it, i + 1 has one bit fewer
+    while i:
+        count = min(i, 1 << 16)
+        words = memoryview(rng.getrandbits(32 * count).to_bytes(4 * count, sys.byteorder)).cast("I")
+        for w in reversed(words) if sys.byteorder == "big" else words:
+            j = w >> shift
+            if j <= i:
+                x[i], x[j] = x[j], x[i]
+                i -= 1
+                if i < floor:
+                    shift += 1
+                    floor >>= 1
 
 
 class ConnectionPlan(_Frozen):

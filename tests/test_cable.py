@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from wireid.cable import (
     transcript_to_json,
 )
 from wireid import cable as cable_module, partitions
+from wireid.cli import MAX_N
 from wireid.partitions import KgPartition, construct, feasible_orders, kg_violations, matrix_to_partition
 
 
@@ -63,6 +66,64 @@ def test_wiring_is_always_a_bijection(n, seed):
     cable = make_cable(n, seed)
     assert sorted(cable.wiring) == list(range(1, n + 1))
     assert cable == make_cable(n, seed)
+
+
+def shuffled(n, seed):
+    """The oracle for a seeded wiring: random.shuffle of the positions 1..n."""
+    positions = list(range(1, n + 1))
+    random.Random(seed).shuffle(positions)
+    return tuple(positions)
+
+
+ORACLE_SEEDS = (1, 2, 42, 2**31 - 1, 2**100 + 7)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_wiring_is_random_shuffle_for_every_small_n(seed):
+    # make_cable reads the generator's words in bulk, not through random.shuffle; every n <= 1000
+    # covers each change of the draw's bit count below 2**10 on every supported Python.
+    for n in range(1, 1001):
+        assert make_cable(n, seed).wiring == shuffled(n, seed), n
+
+
+@pytest.mark.parametrize("seed", [7, 2**100 + 7])
+def test_wiring_is_random_shuffle_around_powers_of_two(seed):
+    # Each 2**k moves the draw's bit count; past 2**16 it needs a second chunk of words.
+    for n in (2**k + d for k in range(1, 18) for d in (-1, 0, 1)):
+        assert make_cable(n, seed).wiring == shuffled(n, seed), n
+
+
+def test_the_draw_holds_a_bounded_chunk_of_words(monkeypatch):
+    """make_cable asks the generator for at most 2**16 words at a time (here in several full chunks), and
+    for as many words in all as random.shuffle reads one at a time."""
+    requests = []
+
+    class Spy(random.Random):
+        def getrandbits(self, k):
+            requests.append(k)
+            return super().getrandbits(k)
+
+    n, seed = 2 * 10**5, 3
+    monkeypatch.setattr(random, "Random", Spy)
+    wiring = make_cable(n, seed).wiring
+    bulk = requests[:]
+    requests.clear()
+    assert wiring == shuffled(n, seed)
+    assert max(bulk) == 32 * 2**16 and bulk.count(max(bulk)) >= 3 and all(k % 32 == 0 for k in bulk)
+    assert sum(bulk) // 32 == len(requests) <= 2 * n + 2**16
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 3, 2**31 - 1])
+def test_wiring_is_random_shuffle_at_max_n(seed):
+    assert make_cable(MAX_N, seed).wiring == shuffled(MAX_N, seed)
+
+
+@pytest.mark.slow
+def test_wiring_at_max_n_is_pinned():
+    wiring = make_cable(MAX_N, 3).wiring
+    digest = hashlib.sha256(" ".join(map(str, wiring)).encode()).hexdigest()
+    assert digest == "f01bfecfd2d8788c87993ae14e1f2f5db079091b739da6f4fa7bf0ce102327c4"
 
 
 def _check_one_wiring_rule(values, n):
