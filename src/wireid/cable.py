@@ -6,8 +6,10 @@ B-position. Both ends agree beforehand on a Knowlton-Graham partition pair
 for n (the public scheme). End A electrically joins each of its A-sets and
 end B measures, per wire, how large a connected bundle it sits in; that
 bundle size is the wire's row j. End B then joins B-sets of the proper
-sizes, end A probes, and every wire has a (j, k) coordinate known at both
-ends.
+sizes: its wires of row j, positions ascending, take row j's 1-cells left to
+right, and each joins the B-set of its cell's column, read off the agreed
+matrix's rows. End A probes, and every wire has a (j, k) coordinate known at
+both ends.
 
 Conductivity is modeled as exact group membership: two probed wires read
 as connected iff their counterparts share a group in the far end's plan.
@@ -27,16 +29,15 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter, deque
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import add, mul, ne
+from operator import add, ne
 from typing import Sequence
 
 from ._jsonout import IntRuns, _paired_runs, _sorted_runs, document
 from .matrices import _Frozen, _unchecked
-from .partitions import (
-    KgPartition, _blocks, _canonical_order, _grid_columns, _key_rows, _ranked, _side_sizes, _size_of, _verdict,
-)
+from .partitions import KgPartition, _canonical_order, _key_rows, _side_sizes, _size_of, _verdict
 
 END_A = "A"
 END_B = "B"
@@ -191,32 +192,42 @@ class ProtocolTranscript(_Frozen):
         return tuple(zip(self.phase1_probe, islice(self.phase2_plan._size_at, 1, None)))
 
 
-def _assemble_b_sets(r: Sequence[int], side: IntRuns, readings: Sequence[int]) -> tuple[tuple[list, ...], list[int]]:
+def _assemble_b_sets(r: Sequence[int], rows: Sequence[bytes],
+                     readings: Sequence[int]) -> tuple[tuple[list, ...], list[int]]:
     """End B's canonical grouping and the column it gives each wire.
 
-    r is the agreed matrix's row sums and side its B side by row-major rank, as
-    _grid_columns reads it. One pass buckets the wires by reading, positions
-    ascending, so the buckets, rows ascending, list the wires in row-major
-    order: the i-th takes rank i (_ranked), as labels do in matrix_to_partition.
-    _blocks cuts the B-sets as lists, and (size, least wire) puts those disjoint
-    blocks in canonical order. Returns the blocks and column_of: column_of[b] is
-    the column of B-position b (entry 0 unused), the size of its block. A valid
-    pair read through a bijective wiring has the scheme's row counts, so other
-    readings are an internal fault and raise ProtocolError.
+    r is the agreed matrix's row sums and rows its m byte rows. The B-sets are numbered column by column: column
+    k's 1-cells, rows ascending, in blocks of k. row_sets[j - 1] lists the B-set of each of row j's 1-cells, left
+    to right, and one walk over the readings, positions ascending, appends wire b to the next B-set of row
+    readings[b - 1]. So row j's wires take its cells in row-major order, as labels do in matrix_to_partition, and
+    every B-set comes out ascending: column k's sets, all of size k, sort by their least wire as plain lists.
+    Returns the sets in canonical order and column_of: column_of[b] is the column of B-position b (entry 0
+    unused), the size of its set. A valid pair read through a bijective wiring has the scheme's row counts, so
+    other readings are an internal fault and raise ProtocolError, worded by the counts once the walk is over.
     """
-    width = len(r) + 1
-    by_size: list[list[int]] = [[] for _ in range(width)]
-    for pos, size in enumerate(readings, start=1):
-        if 0 < size < width:
-            by_size[size].append(pos)
+    m, flat = len(rows), b"".join(rows)
+    columns, row_sets = [], [[] for _ in range(m)]
+    for k in range(1, m + 1):
+        stride = flat[k - 1 :: m]
+        column = [[] for _ in range(stride.count(1) // k)]
+        columns.append(column)
+        # Column k's cells, rows ascending, each to its row's list: the column's sets, each k times in turn.
+        deque(map(list.append, compress(row_sets, stride), chain.from_iterable(zip(*repeat(column, k)))), 0)
+    next_set = [iter(()).__next__, *(iter(sets).__next__ for sets in row_sets)]  # a reading of 0 takes no set
+    try:
+        if len(readings) == sum(r):
+            for b, j in enumerate(readings, start=1):
+                next_set[j]().append(b)
+            if min(readings, default=1) > 0:  # -i would have taken a set of row m + 1 - i
+                groups = tuple(chain.from_iterable(map(sorted, columns)))
+                return groups, _size_of(groups, len(readings))
+    except (IndexError, StopIteration):  # a reading above m, or more wires in a row than it has cells
+        pass
+    observed = Counter(readings)
     for j, count in enumerate(r, start=1):
-        if len(by_size[j]) != count:
-            raise ProtocolError(f"observed {len(by_size[j])} wires of bundle size {j} but the scheme has {count}")
-    if sum(r) != len(readings):
-        raise ProtocolError("some observed bundle sizes do not occur in the scheme")
-    blocks = _blocks(_ranked(side, chain.from_iterable(by_size)))
-    groups = tuple(sorted(blocks, key=lambda block: (len(block), min(block))))
-    return groups, _size_of(groups, len(readings))
+        if observed[j] != count:
+            raise ProtocolError(f"observed {observed[j]} wires of bundle size {j} but the scheme has {count}")
+    raise ProtocolError("some observed bundle sizes do not occur in the scheme")
 
 
 def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTranscript:
@@ -250,13 +261,14 @@ def run_protocol(partition: KgPartition, cable: CableInstance) -> ProtocolTransc
 def _phases(rows: list[bytes], size_a: list[int], wiring: tuple[int, ...]) -> tuple:
     """run_protocol's phases on a valid pair's agreed matrix, as a list of its m byte rows, and end A's size map.
     Returns phase 1's probe, end B's groups as lists in canonical order, their size map and phase 2's probe.
-    That size map comes from the groups, so the agreement check compares end B's columns with the plan. It
+    End B joins each wire to its B-set in one walk over phase 1's probe, off the rows alone (_assemble_b_sets).
+    The groups' size map comes from the groups, so the agreement check compares end B's columns with the plan. It
     gathers each half through the wiring as one flat list, freed before the next; the uniqueness guard streams
-    over the wires and holds nothing n-sized: end A's (j, k) must set the rows by _key_rows."""
+    over the wires and holds nothing n-sized: end A's (j, k) must set the m + 1 byte rows of _key_rows' grid."""
     n, m = len(wiring), len(rows)
     phase1_probe = _readings(END_A, size_a, wiring)
 
-    b_groups, column_of = _assemble_b_sets([row.count(1) for row in rows], _grid_columns(rows), phase1_probe)
+    b_groups, column_of = _assemble_b_sets([row.count(1) for row in rows], rows, phase1_probe)
     size_b = _size_of(b_groups, n)
     phase2_probe = _readings(END_B, size_b, wiring)
 
@@ -268,9 +280,9 @@ def _phases(rows: list[bytes], size_a: list[int], wiring: tuple[int, ...]) -> tu
         coords_b = zip(map(phase1_probe.__getitem__, map(add, wiring, repeat(-1))), map(column_of.__getitem__, wiring))
         a = next(compress(count(1), map(ne, coords_a, coords_b)), 0)  # the first A-position where they differ
         raise ProtocolError(f"coordinate mismatch at position {a}: ends disagree, which would falsify the scheme")
-    # Cell (j, k) is key j * (m + 1) + k: with k in 1..m, the keys set the agreed grid iff they are its n 1-cells.
-    keys = map(add, map(mul, islice(size_a, 1, None), repeat(m + 1)), phase2_probe)
-    if not 0 < min(phase2_probe) <= max(phase2_probe) <= m or _key_rows(m + 1, keys, n) != rows:
+    # With k in 1..m, end A's (j, k) set the agreed grid's rows iff they are its n 1-cells.
+    if (not 0 < min(phase2_probe) <= max(phase2_probe) <= m
+            or _key_rows(m + 1, islice(size_a, 1, None), phase2_probe, n) != rows):
         raise ProtocolError("coordinates must be unique per wire and cells of the agreed matrix")
 
     return phase1_probe, b_groups, size_b, phase2_probe

@@ -15,9 +15,9 @@ run, so the sorted sums are gap-free and the matrix layer can realize them
 in t order (symmetrically, since rows and columns get the same sums).
 
 :func:`kg_violations` checks the KG property through ``_verdict``, which
-keys each element by its (j, k) cell and sets the keys in a byte grid; the
-pair is valid iff no cell is set twice. The direct-counting oracle it is
-tested against is ``tests/reference_verify.py``.
+sets each element's (j, k) cell in a grid of byte rows; the pair is valid
+iff no cell is set twice. The direct-counting oracle it is tested against
+is ``tests/reference_verify.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, pairwise, repeat, starmap
 from math import isqrt
-from operator import add, index
+from operator import add, index, mul
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 from ._jsonout import IntRuns, _check, _sorted_runs, document
@@ -200,17 +200,17 @@ def _verdict(n: int, a_sets: Collection[Collection],
     messages are, and their count is the pair's order (its largest set's size).
 
     Labels are compared by value, as sets compare them, so 1.0 stands for 1. _side_sizes decides each side's
-    structure and maps each element x = 0..n to its set's size, A's scaled by width, so x's key is j * width + k
-    for an A-set of size j and a B-set of size k (0 for x = 0). No set reaches width, so the pair is a KG pair iff
-    the n + 1 keys differ; sorted, they list its matrix's 1-cells in row-major order. _key_rows sets them in a
-    width² grid, the matrix iff they differ, and no list of them is built unless two are equal. An order-m pair
-    has at least m(m + 1)/2 elements, so a wider pair crowds a cell and gets no grid. When the sides are not
-    exact partitions as given, each set is frozen, so a label repeated within a set counts once, but the sets
-    are not sorted: for int labels no message depends on their order. Sets and Counters are built only to word
-    a failure; value-equal labels are mapped onto ints and judged again.
+    structure and maps each element x = 0..n to its set's size, so x lies in cell (j, k) for an A-set of size j
+    and a B-set of size k ((0, 0) for x = 0). No set reaches width, so the pair is a KG pair iff the n + 1 cells
+    differ. _key_rows sets them in a grid of width byte rows, the matrix iff they differ; no per-element key is
+    built unless two are equal. An order-m pair has at least m(m + 1)/2 elements, so a wider pair crowds a
+    cell and gets no grid. When the sides are not exact partitions as given, each set is frozen, so a label
+    repeated within a set counts once, but the sets are not sorted: for int labels no message depends on their
+    order. Sets and Counters are built only to word a failure; value-equal labels are mapped onto ints and
+    judged again.
     """
     width = max(map(len, chain(a_sets, b_sets)), default=0) + 1
-    size_a, size_b = _side_sizes(a_sets, n, width), _side_sizes(b_sets, n)
+    size_a, size_b = _side_sizes(a_sets, n), _side_sizes(b_sets, n)
     if size_a is None or size_b is None:
         a_sets, b_sets = list(map(frozenset, a_sets)), list(map(frozenset, b_sets))
         messages: list[str] = []
@@ -238,27 +238,28 @@ def _verdict(n: int, a_sets: Collection[Collection],
         # Labels equal to 1..n but not ints, 1.0 say.
         as_int = {x: x for x in universe}
         return _verdict(n, *([[as_int[x] for x in s] for s in sets] for sets in (a_sets, b_sets)))
-    rows = _key_rows(width, map(add, size_a, size_b), n + 1) if min_elements(width - 1) <= n else None
+    rows = _key_rows(width, size_a, size_b, n + 1) if min_elements(width - 1) <= n else None
     if rows is None:
-        return [], _crowded_cells(width, list(map(add, size_a, size_b)))
+        return [], _crowded_cells(width, size_a, size_b)
     return rows, []
 
 
-def _key_rows(width: int, keys: Iterable[int], count: int) -> list[bytearray] | None:
-    """The width x width byte grid with a 1 at each key j * width + k, as its rows and columns 1..width - 1,
-    if exactly count cells are set; otherwise None. The keys must lie in 0..width² - 1."""
-    grid = bytearray(width * width)
-    for key in keys:
-        grid[key] = 1
-    if grid.count(1) != count:
+def _key_rows(width: int, js: Iterable[int], ks: Iterable[int], count: int) -> list[bytearray] | None:
+    """The width x width byte grid with a 1 at each cell (j, k) of zip(js, ks), as its rows and columns
+    1..width - 1, if exactly count cells are set; otherwise None. Each j and k must lie in 0..width - 1."""
+    grid = [bytearray(width) for _ in range(width)]
+    for j, k in zip(js, ks):
+        grid[j][k] = 1
+    if sum([row.count(1) for row in grid]) != count:
         return None
-    return [grid[j * width + 1 : (j + 1) * width] for j in range(1, width)]
+    return [row[1:] for row in grid[1:]]
 
 
-def _crowded_cells(width: int, keys: Sequence[int]) -> list[str]:
-    """kg_violations' messages for a pair whose elements x = 0..n have _verdict's cell keys keys[x] for width,
-    when two keys are equal: one per (j, k) cell holding two or more elements, cells ascending, with its
-    elements ascending."""
+def _crowded_cells(width: int, size_a: Sequence[int], size_b: Sequence[int]) -> list[str]:
+    """kg_violations' messages for a pair whose elements x = 0..n lie in sets of sizes size_a[x] and size_b[x],
+    all below width, when two share a cell: one per (j, k) cell holding two or more elements, cells ascending,
+    with its elements ascending. Each x is keyed j * width + k, so the keys sort as the cells do."""
+    keys = list(map(add, map(mul, size_a, repeat(width)), size_b))
     crowded = sorted(key for key, count in Counter(keys).items() if count > 1)
     members: dict[int, list[int]] = {key: [] for key in crowded}
     for x, key in enumerate(keys):  # keys[0] == 0 is never crowded
@@ -271,8 +272,8 @@ def _crowded_cells(width: int, keys: Sequence[int]) -> list[str]:
     return messages
 
 
-def _side_sizes(sets: Collection[Collection], n: int, unit: int = 1) -> list[int] | None:
-    """_size_of(sets, n, unit) if the sets exactly partition the ints 1..n, else None.
+def _side_sizes(sets: Collection[Collection], n: int) -> list[int] | None:
+    """_size_of(sets, n) if the sets exactly partition the ints 1..n, else None.
 
     By pigeonhole: n labels in all, none below 1 (-1 would write slot n),
     none above n, and every slot 1..n written. Nothing of size n is allocated
@@ -283,7 +284,7 @@ def _side_sizes(sets: Collection[Collection], n: int, unit: int = 1) -> list[int
     try:
         if min(chain.from_iterable(sets)) < 1:
             return None
-        size_of = _size_of(sets, n, unit)
+        size_of = _size_of(sets, n)
     except (IndexError, TypeError):  # labels above n or not ints
         return None
     return size_of if size_of.count(0) == 1 else None

@@ -211,33 +211,33 @@ def test_verdict_builds_no_key_list_or_key_set_for_a_valid_pair():
 
 # ── the shared structure check: partitions._side_sizes ──────────────────
 
-def _check_side_sizes(pair, unit):
+def _check_side_sizes(pair):
     """_side_sizes gives a list exactly when the reference finds nothing wrong
     with that side and all its labels are ints (bools are ints), and the list
-    is unit * the size of the set holding each element, read off directly."""
+    is the size of the set holding each element, read off directly."""
     reference = reference_kg_violations(pair)
     for name, sets in (("A", pair.a_sets), ("B", pair.b_sets)):
-        sizes = partitions._side_sizes(sets, pair.n, unit)
+        sizes = partitions._side_sizes(sets, pair.n)
         exact = not any(message.startswith(f"{name}-sets") for message in reference)
         ints = all(isinstance(x, int) for s in sets for x in s)
         assert (sizes is not None) == (exact and ints), (name, sets, reference)
         if sizes is not None:
             size = {x: len(s) for s in sets for x in s}
-            assert sizes == [0] + [unit * size[x] for x in range(1, pair.n + 1)]
+            assert sizes == [0] + [size[x] for x in range(1, pair.n + 1)]
 
 
 @given(st.data())
 def test_side_sizes_matches_reference_structure_on_mutated_pairs(data):
     n = data.draw(st.integers(1, 40).filter(lambda n: n not in (2, 5, 9)))
     m = data.draw(st.sampled_from(feasible_orders(n)))
-    _check_side_sizes(_mutate(data, construct(n, m)), data.draw(st.integers(1, 50)))
+    _check_side_sizes(_mutate(data, construct(n, m)))
 
 
 @given(st.integers(1, 8), st.lists(st.sets(labels, max_size=4), max_size=6),
-       st.lists(st.sets(labels, max_size=4), max_size=6), st.integers(1, 50))
-def test_side_sizes_matches_reference_structure_on_arbitrary_pairs(n, a_sets, b_sets, unit):
+       st.lists(st.sets(labels, max_size=4), max_size=6))
+def test_side_sizes_matches_reference_structure_on_arbitrary_pairs(n, a_sets, b_sets):
     pair = KgPartition(n, tuple(map(frozenset, a_sets)), tuple(map(frozenset, b_sets)))
-    _check_side_sizes(pair, unit)
+    _check_side_sizes(pair)
 
 
 def test_a_judgement_makes_one_structure_pass_per_side(monkeypatch):
