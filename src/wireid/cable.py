@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import Counter, deque
+from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import add, ne
@@ -37,7 +37,7 @@ from typing import Sequence
 
 from ._jsonout import IntRuns, _paired_runs, _sorted_runs, document
 from .matrices import _Frozen, _unchecked
-from .partitions import KgPartition, _canonical_order, _key_rows, _side_sizes, _size_of, _verdict
+from .partitions import KgPartition, _b_table, _canonical_order, _key_rows, _side_sizes, _size_of, _verdict
 
 END_A = "A"
 END_B = "B"
@@ -196,23 +196,16 @@ def _assemble_b_sets(r: Sequence[int], rows: Sequence[bytes],
                      readings: Sequence[int]) -> tuple[tuple[list, ...], list[int]]:
     """End B's canonical grouping and the column it gives each wire.
 
-    r is the agreed matrix's row sums and rows its m byte rows. The B-sets are numbered column by column: column
-    k's 1-cells, rows ascending, in blocks of k. row_sets[j - 1] lists the B-set of each of row j's 1-cells, left
-    to right, and one walk over the readings, positions ascending, appends wire b to the next B-set of row
-    readings[b - 1]. So row j's wires take its cells in row-major order, as labels do in matrix_to_partition, and
-    every B-set comes out ascending: column k's sets, all of size k, sort by their least wire as plain lists.
+    r is the agreed matrix's row sums and rows its m byte rows, whose table of B-sets _b_table builds: row_sets[j - 1]
+    lists the B-set of each of row j's 1-cells, left to right. One walk over the readings, positions ascending,
+    appends wire b to the next B-set of row readings[b - 1]. So row j's wires take its cells in row-major order, as
+    labels do in matrix_to_partition, and every B-set comes out ascending: column k's sets, all of size k, sort by
+    their least wire as plain lists.
     Returns the sets in canonical order and column_of: column_of[b] is the column of B-position b (entry 0
     unused), the size of its set. A valid pair read through a bijective wiring has the scheme's row counts, so
     other readings are an internal fault and raise ProtocolError, worded by the counts once the walk is over.
     """
-    m, flat = len(rows), b"".join(rows)
-    columns, row_sets = [], [[] for _ in range(m)]
-    for k in range(1, m + 1):
-        stride = flat[k - 1 :: m]
-        column = [[] for _ in range(stride.count(1) // k)]
-        columns.append(column)
-        # Column k's cells, rows ascending, each to its row's list: the column's sets, each k times in turn.
-        deque(map(list.append, compress(row_sets, stride), chain.from_iterable(zip(*repeat(column, k)))), 0)
+    columns, row_sets = _b_table(rows)
     next_set = [iter(()).__next__, *(iter(sets).__next__ for sets in row_sets)]  # a reading of 0 takes no set
     try:
         if len(readings) == sum(r):

@@ -130,7 +130,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Judge the parsed lists by partitions._verdict: their cell keys decide, and the order is its matrix's
+    """Judge the parsed lists by partitions._verdict: its cell grid decides, and the order is its matrix's
     row count. The sets are frozen (a set may repeat a label: it counts once) but never sorted, and only when
     the lists are not exact partitions of 1..n."""
     try:

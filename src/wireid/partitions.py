@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from itertools import accumulate, chain, compress, pairwise, repeat, starmap
 from math import isqrt
 from operator import add, index, mul
@@ -290,12 +290,12 @@ def _side_sizes(sets: Collection[Collection], n: int) -> list[int] | None:
     return size_of if size_of.count(0) == 1 else None
 
 
-def _size_of(sets: Iterable[Collection], n: int, unit: int = 1) -> list[int]:
-    """size_of[x] = unit * the size of the set holding x, 0 if none does, for
+def _size_of(sets: Iterable[Collection], n: int) -> list[int]:
+    """size_of[x] = the size of the set holding x, 0 if none does, for
     sets of ints in 1..n (IndexError above n, TypeError for non-ints)."""
     size_of = [0] * (n + 1)
     for s in sets:
-        size = len(s) * unit
+        size = len(s)
         for x in s:
             size_of[x] = size
     return size_of
@@ -315,7 +315,7 @@ def _rows(labels: Sequence, r: Sequence[int]) -> IntRuns:
 
 
 def _grid_columns(rows: Sequence[bytes]) -> IntRuns:
-    """The B side of m byte rows of 0s and 1s, for the labels 1..n (others attach by _ranked): column k's labels,
+    """The B side of m byte rows of 0s and 1s, for the labels 1..n (other labels fill _b_table): column k's labels,
     rows ascending, in sets of k, columns ascending. A 1-cell's label is its row-major rank, the running count of
     1s at it: column k's are its stride of those counts, compressed by its stride of the grid, which it sums."""
     m, flat = len(rows), b"".join(rows)
@@ -324,10 +324,19 @@ def _grid_columns(rows: Sequence[bytes]) -> IntRuns:
     return _rows(list(labels), [column.count(1) for column in columns])
 
 
-def _ranked(side: IntRuns, labels: Iterable) -> IntRuns:
-    """The side with the i-th of the labels in place of each rank i (1-based)."""
-    by_rank = [None, *labels]  # a list: its __getitem__ is a faster call than a tuple's
-    return IntRuns(list(map(by_rank.__getitem__, side.flat)), side.runs)
+def _b_table(rows: Sequence[bytes]) -> tuple[list[list[list]], list[list[list]]]:
+    """The B-sets of m byte rows whose column k sums to a multiple of k, empty: columns[k - 1] holds column k's, its
+    1-cells, rows ascending, in blocks of k, and row_sets[j - 1] the set of each of row j's 1-cells, left to right.
+    Appending to chain.from_iterable(row_sets) in turn fills the 1-cells in row-major order."""
+    m, flat = len(rows), b"".join(rows)
+    columns, row_sets = [], [[] for _ in range(m)]
+    for k in range(1, m + 1):
+        stride = flat[k - 1 :: m]
+        column = [[] for _ in range(stride.count(1) // k)]
+        columns.append(column)
+        # Column k's cells, rows ascending, each to its row's list: the column's sets, each k times in turn.
+        deque(map(list.append, compress(row_sets, stride), chain.from_iterable(zip(*repeat(column, k)))), 0)
+    return columns, row_sets
 
 
 def _blocks(side: IntRuns) -> Iterator[Sequence]:
@@ -358,7 +367,9 @@ def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgP
     _check_cuts(r, c, len(labels))
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
-    return KgPartition(len(labels), _sets(_rows(labels, r)), _sets(_ranked(_grid_columns(rows), labels)))
+    columns, row_sets = _b_table(rows)
+    deque(map(list.append, chain.from_iterable(row_sets), labels), 0)  # the labels in row-major order
+    return KgPartition(len(labels), _sets(_rows(labels, r)), tuple(map(frozenset, chain.from_iterable(columns))))
 
 
 def _check_cuts(r: Sequence[int], c: Sequence[int], count: int) -> None:

@@ -151,6 +151,22 @@ def _package_nodes():
             yield path, scope, node
 
 
+def test_src_imports_only_names_it_uses():
+    """Every name a module of the package imports is used there, as a Name (an attribute's base is one); the names
+    __init__ imports are the ones its __all__ exports. A walk of each module's tree, so no linter is needed."""
+    imported, used = {}, {}
+    for path, _, node in _package_nodes():
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            names = ((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+            imported.setdefault(os.path.basename(path), set()).update(names)
+        elif isinstance(node, ast.Name):
+            used.setdefault(os.path.basename(path), set()).add(node.id)
+    assert {"Counter", "chain"} <= imported["partitions.py"]  # the walk sees the imports
+    used["__init__.py"] = set(wireid.__all__)
+    unused = {module: sorted(names - used.get(module, set())) for module, names in imported.items()}
+    assert not any(unused.values()), unused
+
+
 def test_output_checks_are_not_asserts():
     stray, allowed_seen = [], set()
     for path, scope, node in _package_nodes():

@@ -361,7 +361,8 @@ def test_round_trip_preserves_size_multisets():
 def test_the_grid_read_of_the_b_side_is_the_cell_key_read(data):
     # Any two such sums with one total, r != c included: the B side read off the byte grid for the labels
     # 1..n is the reference's, which labels each cell in a dict, and comes in canonical order as read
-    # (a pair has n >= 1 elements, so the total is positive).
+    # (a pair has n >= 1 elements, so the total is positive). matrix_to_partition, which fills _b_table with
+    # its labels in row-major order, agrees with the reference on labels in any order.
     m = data.draw(st.integers(1, 7))
     by_total = divisible_gapfree_sums(m)
     sums = by_total[data.draw(st.sampled_from(sorted(by_total)[1:]))]
@@ -371,6 +372,17 @@ def test_the_grid_read_of_the_b_side_is_the_cell_key_read(data):
     assert tuple(map(tuple, rows)) == matrix.rows
     reference = reference_matrix_to_partition(matrix, range(1, sum(r) + 1))
     assert partitions._sets(partitions._grid_columns(rows)) == reference.b_sets, (r, c)
+    labels = data.draw(st.permutations(range(1, sum(r) + 1)))
+    assert matrix_to_partition(matrix, labels) == reference_matrix_to_partition(matrix, labels), (r, c, labels)
+
+
+def test_matrix_to_partition_reads_no_grid_columns(monkeypatch, matrix26):
+    # _grid_columns reads the B side for the labels 1..n alone; matrix_to_partition fills _b_table, as end B does.
+    calls, grid_columns = [], partitions._grid_columns
+    monkeypatch.setattr(partitions, "_grid_columns", lambda rows: calls.append(rows) or grid_columns(rows))
+    for labels in (LETTERS, range(1, 27), range(26, 0, -1)):
+        assert matrix_to_partition(matrix26, labels) == reference_matrix_to_partition(matrix26, labels), labels
+    assert calls == []
 
 
 @pytest.mark.slow

@@ -160,7 +160,7 @@ def test_invalid_pair_message_matches_reference():
 
 
 def test_the_agreed_grid_stays_linear_in_n_for_pairs_with_a_large_set(monkeypatch):
-    # Both sides exactly partition 1..n, but one A-set holds every element, so the cell keys' width is n + 1.
+    # Both sides exactly partition 1..n, but one A-set holds every element, so the grid's width is n + 1.
     # No pair of order n exists below n(n + 1)/2 elements: _verdict rejects it without a width² grid.
     n, sizes = 3_000, []
     monkeypatch.setattr(partitions_module, "bytearray", lambda size: sizes.append(size) or bytearray(size),
@@ -421,8 +421,8 @@ def test_a_corrupted_size_map_in_end_b_assembly_raises(monkeypatch):
     # compare the map with itself, and the corrupted columns could still be a bijection onto the 1-cells.)
     original = cable_module._size_of
 
-    def exchanged(sets, n, unit=1):
-        size_of = original(sets, n, unit)
+    def exchanged(sets, n):
+        size_of = original(sets, n)
         if sys._getframe(1).f_code is cable_module._assemble_b_sets.__code__:
             other = next(x for x in range(2, n + 1) if size_of[x] != size_of[1])
             size_of[1], size_of[other] = size_of[other], size_of[1]
