@@ -15,7 +15,7 @@ from a range (the A side: the labels 1..n in order) are slices of one text of it
 from __future__ import annotations
 
 import json
-from itertools import accumulate, chain, cycle, groupby, islice, repeat, starmap
+from itertools import accumulate, chain, cycle, groupby, islice, product, repeat, starmap
 from operator import add, mul, sub
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -144,7 +144,8 @@ def _pieces(rows: IntRuns, bound: int, pre: str, mid: str, post: str, sep: str, 
     # before it, which rows of one (a probe) do not have.
     last = {value: "%d" % value + post + sep + pre for value in range(bound + 1)}
     inner = {value: "%d" % value + mid for value in range(bound + 1)} if any(size > 1 for size, _ in runs) else None
-    block = ["", *map(add, map("%03d".__mod__, range(1000)), repeat(mid))] if ranged else None  # see _range_text
+    digits = "0123456789"  # block: "" and the suffixes 000..999, each followed by mid (see _range_text)
+    block = ["", *map("".join, product(digits, digits, [d + mid for d in digits]))] if ranged else None
     for i, (start, end, piece) in enumerate(_cuts(runs)):
         if i:
             yield sep

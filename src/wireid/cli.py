@@ -15,6 +15,11 @@ and simulate list their fields once, for both formats: _jsonout.document
 writes them to stdout in one writelines call, each field in bounded pieces.
 bounds writes its table the same way, as a head with no fields: structured,
 the bytes of json.dumps(indent=2) without json's indenting encoder.
+The commands' arguments are declared once, in _COMMANDS. main reads the plain form of argv straight from
+that table (_plain_args): a command, then its flags named in full, each with a value that does not start
+with "-", or verify and its one path. Every other argv (help, an abbreviation, --n=5, --, a negative value,
+a usage error) goes to the argparse parser build_parser makes from the same table, so help text, usage
+lines, error messages and exit 3 are argparse's.
 """
 
 from __future__ import annotations
@@ -62,35 +67,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="wireid", description="Knowlton-Graham partitions and cable wire identification")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    construct = sub.add_parser("construct", help="build a partition pair for n elements")
-    construct.add_argument("--n", type=int, required=True, help="number of elements")
-    construct.add_argument("--m", type=int, default=None, help="order (smallest feasible if omitted)")
-    construct.add_argument("--format", choices=(GRID, STRUCTURED), default=GRID)
-    construct.set_defaults(func=cmd_construct)
-
-    bounds = sub.add_parser("bounds", help="feasible n range per order")
-    bounds.add_argument("--max-m", type=int, required=True, help=f"largest order to tabulate (at most {MAX_M})")
-    bounds.add_argument("--format", choices=(GRID, STRUCTURED), default=GRID)
-    bounds.set_defaults(func=cmd_bounds)
-
-    verify = sub.add_parser("verify", help="check a serialized partition pair")
-    verify.add_argument("path", help="partition document, or - for stdin")
-    verify.set_defaults(func=cmd_verify)
-
-    simulate = sub.add_parser("simulate", help="run the two-ended identification protocol")
-    simulate.add_argument("--n", type=int, required=True, help="number of wires")
-    simulate.add_argument("--m", type=int, default=None, help="order (smallest feasible if omitted)")
-    simulate.add_argument("--seed", type=int, default=0, help="hidden wiring seed, non-negative (0 = identity)")
-    simulate.add_argument("--format", choices=(GRID, STRUCTURED), default=GRID)
-    simulate.set_defaults(func=cmd_simulate)
-
-    return parser
 
 
 def _capped(n: int) -> int:
@@ -178,8 +154,85 @@ def _print_error(*lines: str) -> None:
             print(*lines, sep="\n", file=sys.stderr)
 
 
+_FORMAT = {"choices": (GRID, STRUCTURED), "default": GRID}
+_M = {"type": int, "default": None, "help": "order (smallest feasible if omitted)"}
+
+# Each command's help line, function and arguments, the arguments as add_argument takes them. build_parser and
+# _plain_args both read this one table, so the direct reader takes argparse's types, choices and defaults.
+_COMMANDS = {
+    "construct": ("build a partition pair for n elements", cmd_construct, {
+        "--n": {"type": int, "required": True, "help": "number of elements"},
+        "--m": _M,
+        "--format": _FORMAT,
+    }),
+    "bounds": ("feasible n range per order", cmd_bounds, {
+        "--max-m": {"type": int, "required": True, "help": f"largest order to tabulate (at most {MAX_M})"},
+        "--format": _FORMAT,
+    }),
+    "verify": ("check a serialized partition pair", cmd_verify, {
+        "path": {"help": "partition document, or - for stdin"},
+    }),
+    "simulate": ("run the two-ended identification protocol", cmd_simulate, {
+        "--n": {"type": int, "required": True, "help": "number of wires"},
+        "--m": _M,
+        "--seed": {"type": int, "default": 0, "help": "hidden wiring seed, non-negative (0 = identity)"},
+        "--format": _FORMAT,
+    }),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="wireid", description="Knowlton-Graham partitions and cable wire identification")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for command, (summary, func, arguments) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=summary)
+        for name, spec in arguments.items():
+            command_parser.add_argument(name, **spec)
+        command_parser.set_defaults(func=func)
+    return parser
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """The Namespace build_parser().parse_args(argv) returns, read without building a parser, when argv is in
+    the plain form: a command, then its flags, each named in full and followed by a value that does not start
+    with "-", and its positional (verify's path: "-", or a path that does not start with "-"). None for any
+    other argv (help, an abbreviation, --n=5, --, a value that starts with "-", an unknown token, a missing
+    flag, a bad int or choice, an item that is not a str): argparse alone reads it, and words its errors."""
+    if not argv or any(type(token) is not str for token in argv) or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    positionals = [name for name in arguments if not name.startswith("-")]
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-") and token != "-":
+            name, value = token, next(tokens, None)
+            if name not in arguments or value is None or value.startswith("-"):
+                return None
+        elif positionals:
+            name, value = positionals.pop(0), token
+        else:
+            return None
+        spec = arguments[name]
+        try:
+            value = spec.get("type", str)(value)  # int(), as type=int calls it
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[name] = value
+    if positionals or any(spec.get("required") and name not in values for name, spec in arguments.items()):
+        return None
+    namespace = argparse.Namespace(command=argv[0], func=func)
+    for name, spec in arguments.items():
+        setattr(namespace, name.lstrip("-").replace("-", "_"), values.get(name, spec.get("default")))
+    return namespace
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -569,6 +569,180 @@ def test_usage_errors_exit_3(argv, capsys):
     assert excinfo.value.code == EXIT_USAGE
 
 
+# argparse's bytes for help and usage errors at COLUMNS=80, the same on Python 3.10 through 3.13: the parser
+# build_parser makes from the argument table must keep them.
+HELP = {
+    (): """\
+usage: wireid [-h] {construct,bounds,verify,simulate} ...
+
+Knowlton-Graham partitions and cable wire identification
+
+positional arguments:
+  {construct,bounds,verify,simulate}
+    construct           build a partition pair for n elements
+    bounds              feasible n range per order
+    verify              check a serialized partition pair
+    simulate            run the two-ended identification protocol
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("construct",): """\
+usage: wireid construct [-h] --n N [--m M] [--format {grid,structured}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 number of elements
+  --m M                 order (smallest feasible if omitted)
+  --format {grid,structured}
+""",
+    ("bounds",): """\
+usage: wireid bounds [-h] --max-m MAX_M [--format {grid,structured}]
+
+options:
+  -h, --help            show this help message and exit
+  --max-m MAX_M         largest order to tabulate (at most 1413)
+  --format {grid,structured}
+""",
+    ("verify",): """\
+usage: wireid verify [-h] path
+
+positional arguments:
+  path        partition document, or - for stdin
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("simulate",): """\
+usage: wireid simulate [-h] --n N [--m M] [--seed SEED]
+                       [--format {grid,structured}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 number of wires
+  --m M                 order (smallest feasible if omitted)
+  --seed SEED           hidden wiring seed, non-negative (0 = identity)
+  --format {grid,structured}
+""",
+}
+USAGE_ERRORS = {
+    (): "usage: wireid [-h] {construct,bounds,verify,simulate} ...\n"
+        "wireid: error: the following arguments are required: command\n",
+    ("construct",): "usage: wireid construct [-h] --n N [--m M] [--format {grid,structured}]\n"
+                    "wireid construct: error: the following arguments are required: --n\n",
+    ("construct", "--n", "ten"): "usage: wireid construct [-h] --n N [--m M] [--format {grid,structured}]\n"
+                                 "wireid construct: error: argument --n: invalid int value: 'ten'\n",
+}
+
+
+def exit_and_streams(capsys, argv):
+    """main's exit status (SystemExit's code where argparse exits), stdout and stderr for argv."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_keeps_argparses_bytes(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert exit_and_streams(capsys, [*command, "-h"]) == (EXIT_OK, HELP[command], "")
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors_keep_argparses_bytes(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert exit_and_streams(capsys, list(argv)) == (EXIT_USAGE, "", USAGE_ERRORS[argv])
+
+
+def parsed_by_argparse(argv):
+    """The Namespace build_parser().parse_args(argv) returns, or None where argparse exits or raises."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except (SystemExit, TypeError):  # a usage error, or an item that is not a str
+            return None
+
+
+FLAGS = ["--n", "--m", "--seed", "--format", "--max-m", "--fo", "--se", "--max", "--n=5", "-h", "--help", "--", "-"]
+VALUES = ["0", "26", "-3", "+7", " 7", "1_000", "٣", "1e3", "x", "", "grid", "gri", "structured", "-", "doc.json"]
+NOT_STR = [5, None, b"26", ["26"]]
+INTS = ["0", "26", "+7", " 7", "1_000", "٣"]
+FLAGS_OF = {"construct": ("--n", "--m", "--format"), "bounds": ("--max-m", "--format"),
+            "simulate": ("--n", "--m", "--seed", "--format")}
+
+
+def usually(draw, usual, other):
+    """One of usual, or one of other a quarter of the time."""
+    return draw(st.sampled_from(other if draw(st.integers(0, 3)) == 0 else usual))
+
+
+@st.composite
+def argvs(draw):
+    """Mostly the plain form: a command and a list of its flags (any order, some left out or repeated), each
+    with a value it takes, or verify and a path, where a quarter of the flags and values are any of FLAGS,
+    VALUES and NOT_STR; then up to two items replaced by, or inserted as, one of those, a command or an
+    unknown word."""
+    command = draw(st.sampled_from(["verify", *FLAGS_OF]))
+    if command == "verify":
+        argv = [command, usually(draw, ["-", "doc.json", ""], VALUES + NOT_STR)]
+    else:
+        argv = [command]
+        for _ in range(draw(st.integers(0, 5))):
+            flag = usually(draw, FLAGS_OF[command], FLAGS + NOT_STR)
+            argv += [flag, usually(draw, ["grid", "structured"] if flag == "--format" else INTS, VALUES + NOT_STR)]
+    tokens = st.sampled_from([*FLAGS, *VALUES, *NOT_STR, "construct", "bogus"])
+    for position, token, insert in draw(st.lists(st.tuples(st.integers(0, 12), tokens, st.booleans()), max_size=2)):
+        position %= len(argv) + insert
+        argv[position:position + (not insert)] = [token]
+    return argv
+
+
+@settings(max_examples=400)
+@given(argvs())
+def test_the_direct_reader_returns_argparses_namespace_or_declines(argv):
+    """_plain_args never raises, and returns either the Namespace argparse returns for the same argv or None:
+    never a Namespace where argparse exits (repeated flags take the last value, as in argparse)."""
+    plain = cli._plain_args(argv)
+    assert plain is None or plain == parsed_by_argparse(argv)
+
+
+PLAIN_FORMS = [
+    # perfbench/workloads.py: construct_request, with and without --m; simulate_request; verify_docs
+    (["construct", "--n", "26", "--format", "grid"], EXIT_OK),
+    (["construct", "--n", "28", "--format", "structured", "--m", "7"], EXIT_OK),
+    (["simulate", "--n", "26", "--seed", "1234567", "--format", "structured"], EXIT_OK),
+    (["verify", "-"], EXIT_OK),
+    # scripts/stdout_digest.py's requests that argparse does not reject
+    (["construct", "--n", "26", "--m", "6", "--format", "structured"], EXIT_OK),
+    (["construct", "--n", "9", "--format", "grid"], EXIT_INFEASIBLE),
+    (["simulate", "--n", "26", "--m", "6", "--seed", "3", "--format", "grid"], EXIT_OK),
+    (["simulate", "--n", "9", "--seed", "0", "--format", "structured"], EXIT_INFEASIBLE),
+    (["bounds", "--max-m", "0", "--format", "structured"], EXIT_USAGE),
+    (["verify", "/nonexistent/wireid-digest.json"], EXIT_USAGE),
+    (["construct", "--n", "0"], EXIT_USAGE),
+    (["construct", "--n", "10", "--m", "2"], EXIT_INFEASIBLE),
+    # the README's examples
+    (["bounds", "--max-m", "8"], EXIT_OK),
+    (["construct", "--n", "26"], EXIT_OK),
+    (["construct", "--n", "26", "--format", "structured"], EXIT_OK),
+    (["simulate", "--n", "26", "--seed", "42"], EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("argv, status", PLAIN_FORMS)
+def test_the_plain_forms_build_no_parser(argv, status, capsys, monkeypatch):
+    """Every argv shape the benchmark, the digest script and the README send is read without argparse."""
+    def no_parser():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    monkeypatch.setattr("sys.stdin", io.StringIO(document_of_size(1)))
+    assert run(capsys, *argv)[0] == status
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "--n", "0"],
     ["construct", "--n", "10", "--m", "0"],
@@ -820,6 +994,24 @@ def test_an_error_line_with_fd_2_closed_leaves_exit_3():
     assert (result.returncode, result.stdout) == (EXIT_USAGE, b"")
 
 
+# ── the console script ───────────────────────────────────────────────────
+
+@pytest.mark.parametrize("argv, status", [
+    (["construct", "--n", "26"], EXIT_OK),
+    (["--help"], EXIT_OK),
+    (["construct", "--n", "x"], EXIT_USAGE),
+])
+def test_main_without_argv_reads_the_command_line(argv, status, capsys, monkeypatch):
+    """The wireid console script calls main() with no argv, so it reads sys.argv[1:]: run as
+    python -m wireid.cli, it exits and writes what main(argv) does in-process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wireid.__file__)))
+    result = subprocess.run([sys.executable, "-m", "wireid.cli", *argv], capture_output=True,
+                            env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"), timeout=60)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == exit_and_streams(capsys, argv)
+    assert result.returncode == status
+
+
 # ── the cyclic collector ─────────────────────────────────────────────────
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -850,17 +1042,13 @@ def test_main_leaves_the_collector_as_it_found_it(enabled, capsys, monkeypatch):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def test_a_run_leaves_no_cyclic_garbage_that_grows_with_n(capsys):
-    """With the collector off, a run's unreachable objects are argparse's
-    alone: as many at n = 20000 as at n = 1000. The pipeline builds no
-    reference cycles, so main loses nothing by switching the collector off."""
+def garbage_per_run(capsys, argvs):
+    """The unreachable objects gc.collect() finds after each run of main, the collector off while they run."""
     was_enabled = gc.isenabled()
     gc.disable()
     counts = []
     try:
-        # The first run warms caches that later runs reuse.
-        for argv in (["simulate", "--n", "1000"], ["simulate", "--n", "1000"],
-                     ["simulate", "--n", "20000", "--format", "structured"]):
+        for argv in argvs:
             gc.collect()
             assert main(argv) == EXIT_OK
             counts.append(gc.collect())
@@ -868,28 +1056,27 @@ def test_a_run_leaves_no_cyclic_garbage_that_grows_with_n(capsys):
     finally:
         if was_enabled:
             gc.enable()
-    assert counts[1] == counts[2], counts
+    return counts
+
+
+def test_a_run_leaves_no_cyclic_garbage_that_grows_with_n(capsys):
+    """With the collector off, a run in the plain form leaves no unreachable objects, and one that argparse
+    reads leaves argparse's alone: as many at n = 20000 as at n = 1000. The pipeline builds no reference
+    cycles, so main loses nothing by switching the collector off."""
+    plain = [["simulate", "--n", "1000"], ["simulate", "--n", "20000", "--format", "structured"]]
+    assert garbage_per_run(capsys, plain) == [0, 0]
+    # The first run warms caches that later runs reuse.
+    parsed = [["simulate", "--n=1000"], ["simulate", "--n=1000"], ["simulate", "--n=20000", "--format=structured"]]
+    counts = garbage_per_run(capsys, parsed)
+    assert counts[1] == counts[2] > 0, counts
 
 
 def test_construct_leaves_no_more_garbage_in_either_format_than_the_grid_run(capsys):
     """The structured head's lists and ints, and the structured bounds table, are written without json's
     indenting encoder, whose closures reference each other: with the collector off, construct at n = 1000 or
-    n = 20000 and bounds --max-m 10, in either format, leave no more unreachable objects than construct's
-    grid run at n = 1000."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    counts = []
-    try:
-        # The first run warms caches that later runs reuse.
-        for argv in (["construct", "--n", "1000"], ["construct", "--n", "1000"],
-                     ["construct", "--n", "1000", "--format", "structured"],
-                     ["construct", "--n", "20000", "--format", "structured"], ["construct", "--n", "20000"],
-                     ["bounds", "--max-m", "10", "--format", "structured"], ["bounds", "--max-m", "10"]):
-            gc.collect()
-            assert main(argv) == EXIT_OK
-            counts.append(gc.collect())
-            capsys.readouterr()
-    finally:
-        if was_enabled:
-            gc.enable()
-    assert max(counts[2:]) <= counts[1], counts
+    n = 20000 and bounds --max-m 10, in either format, leave no unreachable objects, as construct's grid run
+    at n = 1000 leaves none."""
+    argvs = [["construct", "--n", "1000"], ["construct", "--n", "1000", "--format", "structured"],
+             ["construct", "--n", "20000", "--format", "structured"], ["construct", "--n", "20000"],
+             ["bounds", "--max-m", "10", "--format", "structured"], ["bounds", "--max-m", "10"]]
+    assert garbage_per_run(capsys, argvs) == [0] * len(argvs)
