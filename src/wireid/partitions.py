@@ -28,7 +28,7 @@ from collections import Counter, deque
 from itertools import accumulate, chain, compress, pairwise, repeat, starmap
 from math import isqrt
 from operator import add, index, mul
-from typing import Collection, Hashable, Iterable, Iterator, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from ._jsonout import IntRuns, _check, _sorted_runs, document
 from .matrices import BinaryMatrix, ConstructionError, _Frozen, _byte_rows, _checked_grid, _unchecked, can_construct
@@ -226,13 +226,12 @@ def _verdict(n: int, a_sets: Collection[Collection],
                 counts = Counter(chain.from_iterable(sets))
                 duplicated = _ordered(x for x, c in counts.items() if c > 1)
                 messages.append(f"{name}-sets overlap on elements {duplicated}")
-            if covered != universe:
-                missing = universe - covered
-                if missing:
-                    messages.append(f"{name}-sets do not cover elements {sorted(missing)}")
-                extra = covered - universe
-                if extra:
-                    messages.append(f"{name}-sets contain elements outside 1..{n}: {_ordered(extra)}")
+            missing = universe - covered
+            if missing:
+                messages.append(f"{name}-sets do not cover elements {sorted(missing)}")
+            extra = covered - universe
+            if extra:
+                messages.append(f"{name}-sets contain elements outside 1..{n}: {_ordered(extra)}")
         if messages:
             return [], messages
         # Labels equal to 1..n but not ints, 1.0 say.
@@ -339,17 +338,11 @@ def _b_table(rows: Sequence[bytes]) -> tuple[list[list[list]], list[list[list]]]
     return columns, row_sets
 
 
-def _blocks(side: IntRuns) -> Iterator[Sequence]:
-    """The side's sets as slices of its labels, in its order, cut at the running sums of their sizes.
-    ValueError unless its runs take its labels exactly."""
+def _sets(side: IntRuns) -> tuple[frozenset, ...]:
+    """The side's sets, in its order: its labels cut at the running sums of their sizes and frozen (_check raises)."""
     _check(side)
     ends = accumulate(chain.from_iterable(starmap(repeat, side.runs)), initial=0)
-    return map(side.flat.__getitem__, starmap(slice, pairwise(ends)))
-
-
-def _sets(side: IntRuns) -> tuple[frozenset, ...]:
-    """The side's sets as frozensets, in its order (the _blocks, frozen)."""
-    return tuple(map(frozenset, _blocks(side)))
+    return tuple(map(frozenset, map(side.flat.__getitem__, starmap(slice, pairwise(ends)))))
 
 
 def matrix_to_partition(matrix: BinaryMatrix, labels: Iterable[Hashable]) -> KgPartition:

@@ -387,8 +387,8 @@ def verify_stdin(text):
 
 @given(st.text() | json_values.map(json.dumps) | partition_documents.map(json.dumps))
 def test_verify_fuzz_exits_0_2_or_3_without_traceback(text):
-    # n stays at most 10_000: kg_violations builds a set of 1..n, so a huge
-    # n costs memory and time before any check can reject it.
+    # n stays at most 10_000: _verdict's failure branch builds a set of 1..n,
+    # so a huge n costs memory and time before any check can reject it.
     code, out, err = verify_stdin(text)
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_USAGE)
     assert "Traceback" not in err

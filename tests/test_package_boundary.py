@@ -167,6 +167,25 @@ def test_src_imports_only_names_it_uses():
     assert not any(unused.values()), unused
 
 
+def test_src_ships_no_unused_private_code():
+    """Every module-level private function or class of the package is named somewhere in the package outside its
+    own definition (as a Name, an attribute or an imported name), so no dead private code ships. No linter."""
+    defined, referenced = {}, set()
+    for _, scope, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "." not in scope and node.name.startswith("_"):
+            defined[f"{scope}.{node.name}"] = node.name
+        if isinstance(node, ast.ImportFrom):
+            referenced.update((alias.name, scope) for alias in node.names)
+        elif isinstance(node, ast.Name):
+            referenced.add((node.id, scope))
+        elif isinstance(node, ast.Attribute):
+            referenced.add((node.attr, scope))
+    assert {"partitions._verdict", "partitions._sets", "matrices._Frozen"} <= defined.keys()  # the walk sees them
+    unused = sorted(where for where, name in defined.items()
+                    if not any(used == name and not f"{scope}.".startswith(f"{where}.") for used, scope in referenced))
+    assert not unused, unused
+
+
 def test_output_checks_are_not_asserts():
     stray, allowed_seen = [], set()
     for path, scope, node in _package_nodes():
